@@ -3,8 +3,13 @@
 A group is a direct sum of cyclic groups, given by a tuple of non-negative
 orders where 0 stands for an infinite cyclic (Z) summand.  Elements are
 integer vectors reduced componentwise modulo the orders.  Homomorphisms are
-integer matrices acting on the left.  Everything is arbitrary-precision;
-kernels, images, solving and subquotients go through Smith normal form.
+integer matrices acting on the left.  Everything is arbitrary-precision.
+
+Kernels, solving, inverses and subquotients all reduce to one constraint
+system: the columns of a map next to one torsion column d_i * e_i per
+finite order of its target group.  `_Factored` builds that system and runs
+Smith normal form on it once, on first demand; every kernel basis and every
+solution for that map is then read off the same factorization.
 
     >>> G = AbGroup([4])
     >>> f = AbHom(G, G, [[2]])
@@ -15,8 +20,6 @@ kernels, images, solving and subquotients go through Smith normal form.
     >>> str(quotient(AbGroup([0]), [(1,)], [(2,)]).group)
     'Z2'
 """
-
-from fractions import Fraction
 
 from .errors import InfiniteGroupUnsupported, NotASubgroup, SizeBoundExceeded
 from . import limits
@@ -60,17 +63,16 @@ def mat_vec(A, v):
 class SmithDecomposition:
     """U @ M @ V = D with D diagonal under a divisibility chain.
 
-    U and V are unimodular; Uinv and Vinv are their exact integer inverses.
+    U and V are unimodular; Uinv is the exact integer inverse of U.
     """
 
-    __slots__ = ("U", "D", "V", "Uinv", "Vinv")
+    __slots__ = ("U", "D", "V", "Uinv")
 
-    def __init__(self, U, D, V, Uinv, Vinv):
+    def __init__(self, U, D, V, Uinv):
         self.U = U
         self.D = D
         self.V = V
         self.Uinv = Uinv
-        self.Vinv = Vinv
 
     def diagonal(self):
         m = len(self.D)
@@ -91,7 +93,7 @@ def smith_normal_form(M):
     n = len(M[0]) if m else 0
     D = [[int(x) for x in row] for row in M]
     U, Uinv = _identity(m), _identity(m)
-    V, Vinv = _identity(n), _identity(n)
+    V = _identity(n)
 
     def row_op(i, j, p, q, u, v):
         # rows i,j <- (p*ri + q*rj, u*ri + v*rj); the 2x2 block has det 1
@@ -115,9 +117,6 @@ def smith_normal_form(M):
             a, b = row[i], row[j]
             row[i] = p * a + q * b
             row[j] = u * a + v * b
-        ri, rj = Vinv[i], Vinv[j]
-        Vinv[i] = [v * a - u * b for a, b in zip(ri, rj)]
-        Vinv[j] = [-q * a + p * b for a, b in zip(ri, rj)]
 
     def swap_rows(i, j):
         if i == j:
@@ -134,7 +133,6 @@ def smith_normal_form(M):
             row[i], row[j] = row[j], row[i]
         for row in V:
             row[i], row[j] = row[j], row[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def negate_row(i):
         D[i] = [-x for x in D[i]]
@@ -209,24 +207,7 @@ def smith_normal_form(M):
 
     if mat_mul(mat_mul(U, [[int(x) for x in row] for row in M]), V) != D:
         raise AssertionError("smith normal form internal check failed")
-    return SmithDecomposition(U, D, V, Uinv, Vinv)
-
-
-def integer_kernel(M):
-    """Basis (list of column vectors) of the integer kernel of M."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    snf = smith_normal_form(M)
-    diag = snf.diagonal()
-    basis = []
-    for j in range(n):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append(tuple(snf.V[i][j] for i in range(n)))
-    return basis
+    return SmithDecomposition(U, D, V, Uinv)
 
 
 class AbGroup:
@@ -316,11 +297,6 @@ class AbGroup:
         return " x ".join(parts) if parts else "0"
 
 
-def direct_power(A, n):
-    """A^n with coordinates blocked per copy."""
-    return AbGroup(A.orders * n)
-
-
 class AbHom:
     """Homomorphism between AbGroups as an integer matrix (target x source).
 
@@ -396,11 +372,14 @@ class AbHom:
 
     def inverse(self):
         """Two-sided inverse hom, or None if this is not an isomorphism."""
+        # one factorization serves every right-hand side; a two-sided inverse
+        # forces unique solutions, so any particular solution will do
+        system = _Factored(self.matrix, self.source.rank, self.target)
         cols = []
         n = self.target.rank
         for i in range(n):
             e = self.target.reduce(tuple(1 if k == i else 0 for k in range(n)))
-            x = solve(self, e)
+            x = system.solve(e)
             if x is None:
                 return None
             cols.append(x)
@@ -431,45 +410,57 @@ class AbHom:
         return f"AbHom({self.source!r} -> {self.target!r}, {[list(r) for r in self.matrix]})"
 
 
-def _torsion_columns(group):
-    # columns d_i * e_i spanning the relation lattice of the group
-    cols = []
-    n = group.rank
-    for i, d in enumerate(group.orders):
-        if d != 0:
-            cols.append(tuple(d if k == i else 0 for k in range(n)))
-    return cols
+class _Factored:
+    """The integer system [map columns | torsion columns of group], factored once.
 
+    rows holds the map's matrix, one row per coordinate of group, with ncols
+    entries each.  Appending the column d_i * e_i for every finite order d_i
+    makes integer solutions of the stacked system exactly the solutions
+    modulo the group.  kernel() and solve() read U, V and the diagonal and
+    cut their answers down to the map's own ncols coordinates.  Smith normal
+    form runs on first use only: a zero subgroup of a large ambient group has
+    nothing to solve while it is built, and its torsion-only system can be
+    as large as the ambient group.
+    """
 
-def _stacked_matrix(M_cols_source, group):
-    # [M | torsion columns of group] as a list of rows; M given by columns
-    tor = _torsion_columns(group)
-    all_cols = list(M_cols_source) + tor
-    n = group.rank
-    return [[col[i] for col in all_cols] for i in range(n)], len(M_cols_source)
+    __slots__ = ("ncols", "_rows", "_U", "_V", "_diag")
 
+    def __init__(self, rows, ncols, group):
+        torsion = [i for i, d in enumerate(group.orders) if d]
+        self.ncols = ncols
+        self._rows = [list(row) + [d if i == t else 0 for t in torsion]
+                      for i, (row, d) in enumerate(zip(rows, group.orders))]
+        self._U = None
 
-def _lattice_solve(rows, b):
-    # one integer solution x of rows @ x = b, or None
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0:
-        return (0,) * n
-    snf = smith_normal_form(rows)
-    y = mat_vec(snf.U, b)
-    diag = snf.diagonal()
-    xprime = [0] * n
-    for i in range(m):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if y[i] != 0:
+    def _factor(self):
+        if self._U is None:
+            if self._rows:
+                snf = smith_normal_form(self._rows)
+                self._U, self._V, self._diag = snf.U, snf.V, snf.diagonal()
+            else:
+                # no constraints: everything solves, and solves zero
+                self._U, self._V, self._diag = [], _identity(self.ncols), []
+            self._rows = None
+
+    def kernel(self):
+        """Basis of the integer kernel of the stacked system, on the map's columns."""
+        self._factor()
+        diag, V = self._diag, self._V[:self.ncols]
+        return [tuple(row[j] for row in V)
+                for j in range(len(self._V)) if j >= len(diag) or diag[j] == 0]
+
+    def solve(self, b):
+        """One integer x with rows @ x = b modulo the group, or None."""
+        self._factor()
+        diag = self._diag
+        xprime = [0] * len(self._V)
+        for i, y in enumerate(mat_vec(self._U, b)):
+            d = diag[i] if i < len(diag) else 0
+            if (y % d if d else y) != 0:
                 return None
-        else:
-            if y[i] % d != 0:
-                return None
-            if i < n:
-                xprime[i] = y[i] // d
-    return mat_vec(snf.V, xprime)
+            if d:
+                xprime[i] = y // d
+        return mat_vec(self._V[:self.ncols], xprime)
 
 
 def _orient(group, v):
@@ -485,26 +476,18 @@ def kernel(f):
 
     The list may be empty (trivial kernel); zero vectors are dropped.
     """
-    if f.target.rank == 0:
-        # map to the trivial group: kernel is the whole source
-        gens = []
-        for i in range(f.source.rank):
-            g = f.source.reduce(tuple(1 if k == i else 0
-                                      for k in range(f.source.rank)))
-            if g != f.source.zero():
-                gens.append(g)
-        return gens
-    cols = [tuple(f.matrix[i][j] for i in range(f.target.rank))
-            for j in range(f.source.rank)]
-    rows, nsrc = _stacked_matrix(cols, f.target)
+    return _kernel_gens(f.source, _Factored(f.matrix, f.source.rank, f.target))
+
+
+def _kernel_gens(source, system):
+    # source torsion relations project to zero, so nothing else is needed
     gens = []
     seen = set()
-    for v in integer_kernel(rows):
-        g = _orient(f.source, f.source.reduce(v[:nsrc] if nsrc else ()))
-        if g != f.source.zero() and g not in seen:
+    for v in system.kernel():
+        g = _orient(source, source.reduce(v))
+        if g != source.zero() and g not in seen:
             seen.add(g)
             gens.append(g)
-    # source torsion relations project to zero, so nothing else is needed
     return gens
 
 
@@ -553,16 +536,14 @@ def solve(f, b):
     b = f.target.reduce(b)
     if f.target.rank == 0:
         return f.source.zero()
-    cols = [tuple(f.matrix[i][j] for i in range(f.target.rank))
-            for j in range(f.source.rank)]
-    rows, nsrc = _stacked_matrix(cols, f.target)
-    x = _lattice_solve(rows, b)
+    system = _Factored(f.matrix, f.source.rank, f.target)
+    x = system.solve(b)
     if x is None:
         return None
-    v = f.source.reduce(x[:nsrc] if nsrc else ())
+    v = f.source.reduce(x)
     if f(v) != b:
         raise AssertionError("solve internal check failed")
-    ker = kernel(f)
+    ker = _kernel_gens(f.source, system)
     if ker:
         els = subgroup_elements(f.source, ker, cap=4096)
         if els is not None:
@@ -578,27 +559,23 @@ class Subquotient:
     """
 
     __slots__ = ("ambient", "sub_gens", "by_gens", "group", "_orders_full",
-                 "_kept", "_U", "_Uinv", "_memb_rows", "_nsub")
+                 "_kept", "_U", "_Uinv", "_memb")
 
     def __init__(self, ambient, sub_gens, by_gens):
         self.ambient = ambient
         self.sub_gens = [ambient.reduce(g) for g in sub_gens]
         self.by_gens = [ambient.reduce(g) for g in by_gens]
         k = len(self.sub_gens)
-        memb_rows, nsub = _stacked_matrix(self.sub_gens, ambient)
-        self._memb_rows = memb_rows
-        self._nsub = nsub
+        # membership system: combinations of the sub-generators in the ambient
+        self._memb = _Factored([[g[i] for g in self.sub_gens] for i in range(ambient.rank)],
+                               k, ambient)
         # coordinates of each by-generator in terms of the sub-generators
         by_coords = []
         for b in self.by_gens:
-            u = _lattice_solve(memb_rows, b)
+            u = self._memb.solve(b)
             if u is None:
                 raise NotASubgroup("a by-generator is outside the subgroup")
-            by_coords.append(tuple(u[:k]))
-        # relations among the sub-generators inside the ambient group
-        relations = [v[:k] for v in integer_kernel(memb_rows)] if k else []
-        rel_cols = relations + by_coords
-        rel_matrix = [[col[i] for col in rel_cols] for i in range(k)]
+            by_coords.append(u)
         if k == 0:
             self.group = AbGroup(())
             self._orders_full = ()
@@ -606,6 +583,9 @@ class Subquotient:
             self._U = []
             self._Uinv = []
             return
+        # relations among the sub-generators inside the ambient group
+        rel_cols = self._memb.kernel() + by_coords
+        rel_matrix = [[col[i] for col in rel_cols] for i in range(k)]
         snf = smith_normal_form(rel_matrix) if rel_cols else None
         if snf is None:
             orders = [0] * k
@@ -623,17 +603,14 @@ class Subquotient:
 
     def contains(self, element):
         """Membership of an ambient element in the subgroup (not the quotient)."""
-        element = self.ambient.reduce(element)
-        return _lattice_solve(self._memb_rows, element) is not None
+        return self._memb.solve(self.ambient.reduce(element)) is not None
 
     def project(self, element):
         """Class of a subgroup element in the quotient group."""
-        element = self.ambient.reduce(element)
-        u = _lattice_solve(self._memb_rows, element)
+        u = self._memb.solve(self.ambient.reduce(element))
         if u is None:
             raise NotASubgroup("element is outside the subgroup")
-        k = self._nsub
-        w = mat_vec(self._U, u[:k])
+        w = mat_vec(self._U, u)
         w = tuple(
             x % d if d else x for x, d in zip(w, self._orders_full)
         )
@@ -642,8 +619,7 @@ class Subquotient:
     def section(self, class_vector):
         """A representative ambient element of the given class."""
         class_vector = self.group.reduce(class_vector)
-        k = self._nsub
-        w_full = [0] * k
+        w_full = [0] * len(self._orders_full)
         for pos, i in enumerate(self._kept):
             w_full[i] = class_vector[pos]
         u = mat_vec(self._Uinv, w_full)
@@ -663,32 +639,3 @@ def quotient(ambient, sub_generators, by_generators):
     'Z2 x Z2'
     """
     return Subquotient(ambient, sub_generators, by_generators)
-
-
-def hom_inverse_exists(f):
-    return f.inverse() is not None
-
-
-def det(M):
-    """Determinant of a square integer matrix (exact, fraction-free)."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = [[Fraction(x) for x in row] for row in M]
-    sign = 1
-    for i in range(n):
-        piv = next((r for r in range(i, n) if A[r][i] != 0), None)
-        if piv is None:
-            return 0
-        if piv != i:
-            A[i], A[piv] = A[piv], A[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            factor = A[r][i] / A[i][i]
-            A[r] = [a - factor * b for a, b in zip(A[r], A[i])]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= A[i][i]
-    if out.denominator != 1:
-        raise AssertionError("determinant of an integer matrix must be integral")
-    return int(out)

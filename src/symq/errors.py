@@ -57,8 +57,9 @@ class Diagnostic:
 
     def __init__(self, axiom, witnesses, truncated=False):
         self.axiom = axiom
-        self.witnesses = list(witnesses)[:MAX_WITNESSES]
-        self.truncated = truncated or len(list(witnesses)) > MAX_WITNESSES
+        witnesses = list(witnesses)
+        self.witnesses = witnesses[:MAX_WITNESSES]
+        self.truncated = truncated or len(witnesses) > MAX_WITNESSES
 
     def __repr__(self):
         suffix = ", ..." if self.truncated else ""

@@ -115,10 +115,6 @@ def validate_rack(table, kind=RACK):
     return FiniteRack(table, kind)
 
 
-def left_inverse_op(rack, x, y):
-    return rack.left_inverse_op(x, y)
-
-
 class FiniteSymmetricRack:
     """A rack paired with a good involution."""
 

@@ -8,7 +8,6 @@ from symq.abelian import (
     AbGroup,
     AbHom,
     Subquotient,
-    det,
     image,
     kernel,
     mat_mul,
@@ -17,7 +16,10 @@ from symq.abelian import (
     solve,
     subgroup_elements,
 )
+import symq.abelian
 from symq.errors import SearchSpaceExceeded
+
+from helpers import det
 
 
 def random_matrix(rng, rows, cols, span=9):
@@ -48,9 +50,8 @@ class TestSmithNormalForm:
         for _ in range(50):
             M = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
             s = smith_normal_form(M)
-            n, m = len(s.U), len(s.V)
+            n = len(s.U)
             assert mat_mul(s.U, s.Uinv) == [[int(i == j) for j in range(n)] for i in range(n)]
-            assert mat_mul(s.V, s.Vinv) == [[int(i == j) for j in range(m)] for i in range(m)]
 
     def test_deterministic(self):
         M = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
@@ -192,3 +193,63 @@ class TestQuotient:
         q = Subquotient(A, [(1,)], [(4,)])
         assert q.is_zero_class((4,))
         assert not q.is_zero_class((2,))
+
+
+class TestEdgeSystems:
+    def test_empty_subgroup_contains_only_zero(self):
+        q = Subquotient(AbGroup([0, 0]), [], [])
+        assert not q.contains((1, 0))
+        assert q.contains((0, 0))
+
+    def test_subgroups_of_the_zero_group_are_trivial(self):
+        # the membership system has no rows but still one column per generator
+        assert Subquotient(AbGroup([]), [()], []).group == AbGroup([])
+        q = Subquotient(AbGroup([]), [(), ()], [()])
+        assert q.group == AbGroup([])
+        assert q.contains(()) and q.project(()) == ()
+
+    def test_solve_from_trivial_source(self):
+        f = AbHom(AbGroup([]), AbGroup([0]), [[]])
+        assert solve(f, (1,)) is None
+        assert solve(f, (0,)) == ()
+
+    def test_kernel_into_trivial_group(self):
+        f = AbHom(AbGroup([0, 1, 3]), AbGroup([]), [])
+        assert kernel(f) == [(1, 0, 0), (0, 0, 1)]
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """Count the Smith normal form factorizations made by symq.abelian."""
+    calls = []
+    original = symq.abelian.smith_normal_form
+
+    def counting(M):
+        calls.append((len(M), len(M[0]) if M else 0))
+        return original(M)
+
+    monkeypatch.setattr(symq.abelian, "smith_normal_form", counting)
+    return calls
+
+
+class TestOneFactorization:
+    def test_solve_factors_once(self, snf_calls):
+        f = AbHom(AbGroup([4, 2]), AbGroup([4]), [[2, 2]])
+        assert solve(f, (2,)) == (0, 1)
+        assert len(snf_calls) == 1
+
+    def test_inverse_factors_once(self, snf_calls):
+        A = AbGroup([4, 2])
+        f = AbHom(A, A, [[1, 2], [1, 1]])
+        g = f.inverse()
+        assert g is not None and g.compose(f).is_identity()
+        assert len(snf_calls) == 1
+
+    def test_subquotient_queries_reuse_the_factorization(self, snf_calls):
+        A = AbGroup([8, 0])
+        q = Subquotient(A, [(2, 1), (0, 2)], [(4, 2)])
+        built = len(snf_calls)
+        assert q.contains((2, 3)) and not q.contains((1, 0))
+        cls = q.project((6, 3))
+        assert q.project(q.section(cls)) == cls
+        assert len(snf_calls) == built

@@ -3,7 +3,7 @@
 import pytest
 
 from symq.abelian import AbGroup, AbHom
-from symq.errors import ValidationError
+from symq.errors import MAX_WITNESSES, Diagnostic, ValidationError
 from symq.modules import (
     RackModule,
     constant_module,
@@ -103,6 +103,13 @@ class TestDiagnostics:
     def test_constant_module_constructor_raises(self):
         with pytest.raises(ValidationError):
             constant_module(rack("t2"), AbGroup([5]), [[2]], [[0]], [[4]])
+
+    def test_generator_witnesses_truncated(self):
+        n = MAX_WITNESSES + 8
+        d = Diagnostic("x", (i for i in range(n)))
+        assert d.truncated
+        assert d.witnesses == list(range(MAX_WITNESSES))
+        assert not Diagnostic("x", iter(range(MAX_WITNESSES))).truncated
 
 
 class TestShapeAndSampling:

@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from symq.abelian import AbGroup, mat_mul, det, quotient, smith_normal_form
+from symq.abelian import AbGroup, mat_mul, quotient, smith_normal_form
 from symq.cohomology import (
     THEORY_SR,
     Cochain,
@@ -34,6 +34,7 @@ from symq.racks import (
 from symq.wells import act_on_cocycle, enumerate_aut_pairs
 
 from conftest import module, rack
+from helpers import det
 from test_modules import manual_constant
 
 SETTINGS = settings(max_examples=40, deadline=None)
