@@ -350,8 +350,9 @@ class AbHom:
         """self after other."""
         if other.target != self.source:
             raise ValueError("composition mismatch")
-        return AbHom(other.source, self.target, mat_mul([list(r) for r in self.matrix],
-                                                        [list(r) for r in other.matrix]))
+        cols = [[r[j] for r in other.matrix] for j in range(other.source.rank)]
+        return AbHom(other.source, self.target,
+                     [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.matrix])
 
     def add(self, other):
         return AbHom(self.source, self.target,

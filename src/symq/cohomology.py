@@ -31,7 +31,7 @@ coboundary is (x,y) |-> phi_{x,y} lam(x) - lam(x*y) + psi_{x,y} lam(y).
 import itertools
 
 from . import limits
-from .abelian import AbGroup, AbHom, Subquotient, kernel, solve
+from .abelian import AbGroup, AbHom, Subquotient, kernel, mat_mul, mat_vec, solve
 from .errors import (
     Diagnostic,
     NotACocycle,
@@ -85,27 +85,6 @@ class FormalChain:
                 raise ValueError("term arity mismatch")
         self.terms = tuple(terms)
 
-    def evaluate(self, m):
-        """Realize each term's coefficient as an AbHom on the module group."""
-        out = []
-        for coeff, kind, pair, tup in self.terms:
-            if kind == "one":
-                h = AbHom.scalar(m.A, coeff)
-            else:
-                table = m.phi if kind == "phi" else m.psi
-                h = table[pair[0]][pair[1]]
-                if coeff < 0:
-                    h = h.neg()
-            out.append((h, tup))
-        return out
-
-    def collect(self, m):
-        """Total coefficient per target tuple, as a dict tuple -> AbHom."""
-        acc = {}
-        for h, tup in self.evaluate(m):
-            acc[tup] = acc[tup].add(h) if tup in acc else h
-        return acc
-
     def __repr__(self):
         bits = []
         for coeff, kind, pair, tup in self.terms:
@@ -141,6 +120,18 @@ def boundary(X, n, tup, basepoint=0, psi_sign=1):
     return FormalChain(n - 1, terms)
 
 
+def _signed_terms(m, chain, ident):
+    """(coeff, h, tuple) per term of chain, h a structure map of m or ident."""
+    out = []
+    for coeff, kind, pair, tup in chain.terms:
+        if kind == "one":
+            h = ident
+        else:
+            h = (m.phi if kind == "phi" else m.psi)[pair[0]][pair[1]]
+        out.append((coeff, h, tup))
+    return out
+
+
 def verify_chain_complex(X, m, n, basepoint=0, bound=None, psi_sign=1):
     """Check d o d = 0 from degree n, composing coefficients outer-first.
 
@@ -154,17 +145,22 @@ def verify_chain_complex(X, m, n, basepoint=0, bound=None, psi_sign=1):
         raise SizeBoundExceeded(
             f"{X.size}^{n} tuples exceed the verification cap {cap}"
         )
+    r = m.A.rank
+    ident = AbHom.identity(m.A)
     for tup in _tuples(X.size, n):
         acc = {}
-        outer = boundary(X, n, tup, basepoint, psi_sign)
-        for h1, u in outer.evaluate(m):
+        for c1, h1, u in _signed_terms(m, boundary(X, n, tup, basepoint, psi_sign), ident):
             inner = boundary(X, n - 1, u, basepoint, psi_sign)
-            for h2, v in inner.evaluate(m):
-                h = h1.compose(h2)
-                acc[v] = acc[v].add(h) if v in acc else h
+            for c2, h2, v in _signed_terms(m, inner, ident):
+                prod = mat_mul(h1.matrix, h2.matrix)
+                total = acc.setdefault(v, [[0] * r for _ in range(r)])
+                for i in range(r):
+                    for j in range(r):
+                        total[i][j] += c1 * c2 * prod[i][j]
         for v in sorted(acc):
-            if not acc[v].is_zero():
-                return False, (tup, v, acc[v])
+            h = AbHom(m.A, m.A, acc[v])
+            if not h.is_zero():
+                return False, (tup, v, h)
     return True, None
 
 
@@ -246,38 +242,22 @@ def _vec_to_cochain(degree, size, group, vec):
     return Cochain(degree, size, group, vals)
 
 
-def delta(m, f, basepoint=0):
-    """Coboundary: (delta f)(t) = sum h(f(u)) over terms h.(u) of d(t)."""
-    X, A = m.base, m.A
-    n = f.degree + 1
-    vals = []
-    for tup in _tuples(X.size, n):
-        total = A.zero()
-        for h, u in boundary(X, n, tup, basepoint).evaluate(m):
-            total = A.add(total, h(f.value(*u)))
-        vals.append(total)
-    return Cochain(n, X.size, A, vals)
-
-
 # ---------------------------------------------------------------------------
-# constraint rows: each row is a dict flat_index -> AbHom, read as the
-# condition  sum_k row[k](f_k) = 0  on a flat cochain vector.
-
-
-def _merge(row, idx, h):
-    row[idx] = row[idx].add(h) if idx in row else h
+# constraint rows: each condition is stated once, as a row
+# (label, witness, terms) with terms a list of (coeff, h, flat_index), read as
+#   sum coeff * h(f_k) = 0  over the terms, on a flat cochain vector f.
+# _rows_to_hom stacks rows into a constraint matrix; _row_values evaluates
+# them on one cochain, which gives delta and the witness reports.
 
 
 def _eta_rows(X, m, degree):
     # eta_{[t]}(f(t)) - f(rho(t_0), t_1, ..) = 0
-    rows = []
     ident = AbHom.identity(m.A)
-    for t in _tuples(X.size, degree):
-        row = {}
-        _merge(row, _flat(t, X.size), m.eta[bracket(X, t)])
-        _merge(row, _flat((X.rho[t[0]],) + t[1:], X.size), ident.neg())
-        rows.append(row)
-    return rows
+    return [
+        ("eta-twist", t, [(1, m.eta[bracket(X, t)], _flat(t, X.size)),
+                          (-1, ident, _flat((X.rho[t[0]],) + t[1:], X.size))])
+        for t in _tuples(X.size, degree)
+    ]
 
 
 def _phi_rows(X, m, degree):
@@ -293,32 +273,30 @@ def _phi_rows(X, m, degree):
                 + (X.rho[t[i - 1]],)
                 + t[i:]
             )
-            row = {}
-            _merge(row, _flat(modified, X.size), m.phi[w[0]][w[1]])
-            _merge(row, _flat(t, X.size), ident)
-            rows.append(row)
+            terms = [(1, m.phi[w[0]][w[1]], _flat(modified, X.size)),
+                     (1, ident, _flat(t, X.size))]
+            rows.append(("phi-twist", (i,) + t, terms))
     return rows
 
 
 def _degenerate_rows(X, m, degree):
     # f(.., x, x, ..) = 0 on tuples with an adjacent repeat
-    rows = []
     ident = AbHom.identity(m.A)
-    for t in _tuples(X.size, degree):
-        if any(t[k] == t[k + 1] for k in range(degree - 1)):
-            rows.append({_flat(t, X.size): ident})
-    return rows
+    return [
+        ("degenerate", t, [(1, ident, _flat(t, X.size))])
+        for t in _tuples(X.size, degree)
+        if any(t[k] == t[k + 1] for k in range(degree - 1))
+    ]
 
 
 def _delta_rows(X, m, degree, basepoint=0):
-    # rows expressing (delta f)(t) = 0 for every (degree+1)-tuple t
-    rows = []
-    for t in _tuples(X.size, degree + 1):
-        row = {}
-        for u, h in boundary(X, degree + 1, t, basepoint).collect(m).items():
-            _merge(row, _flat(u, X.size), h)
-        rows.append(row)
-    return rows
+    # (delta f)(t) = 0 for every (degree+1)-tuple t
+    ident = AbHom.identity(m.A)
+    return [
+        ("cocycle", t, [(c, h, _flat(u, X.size)) for c, h, u in
+                        _signed_terms(m, boundary(X, degree + 1, t, basepoint), ident)])
+        for t in _tuples(X.size, degree + 1)
+    ]
 
 
 def _membership_rows(X, m, degree, theory):
@@ -336,12 +314,43 @@ def _rows_to_hom(A, n_unknowns, rows):
     source = AbGroup(A.orders * n_unknowns)
     target = AbGroup(A.orders * len(rows))
     mat = [[0] * (r * n_unknowns) for _ in range(r * len(rows))]
-    for k, row in enumerate(rows):
-        for idx, h in row.items():
+    for k, (_, _, terms) in enumerate(rows):
+        for coeff, h, idx in terms:
             for i in range(r):
                 for j in range(r):
-                    mat[k * r + i][idx * r + j] += h.matrix[i][j]
+                    mat[k * r + i][idx * r + j] += coeff * h.matrix[i][j]
     return AbHom(source, target, mat)
+
+
+def _row_values(m, c, rows):
+    """Value sum coeff * h(c_k) of each row on the cochain c, in A."""
+    if c.size != m.base.size or c.group != m.A:
+        raise ValueError("cochain does not match the base or group of the module")
+    out = []
+    for _, _, terms in rows:
+        total = [0] * m.A.rank
+        for coeff, h, idx in terms:
+            total = [a + coeff * b for a, b in zip(total, mat_vec(h.matrix, c.values[idx]))]
+        out.append(m.A.reduce(total))
+    return out
+
+
+def _report(m, c, rows):
+    """(ok, diagnostics) with the witnesses of the failing rows per label."""
+    found = {}
+    zero = m.A.zero()
+    for (label, witness, _), value in zip(rows, _row_values(m, c, rows)):
+        if value != zero:
+            found.setdefault(label, []).append(witness)
+    diags = [Diagnostic(k, v) for k, v in found.items()]
+    return (not diags, diags)
+
+
+def delta(m, f, basepoint=0):
+    """Coboundary: (delta f)(t) = sum h(f(u)) over terms h.(u) of d(t)."""
+    X = m.base
+    values = _row_values(m, f, _delta_rows(X, m, f.degree, basepoint))
+    return Cochain(f.degree + 1, X.size, m.A, values)
 
 
 class CochainSpace:
@@ -383,9 +392,7 @@ def delta1(m, lam):
     if not ok:
         raise ValidationError("1-cochain is not eta-compatible", diags)
     out = delta(m, lam)
-    memb = _membership_rows(m.base, m, 2, THEORY_SR)
-    hom = _rows_to_hom(m.A, m.base.size ** 2, memb)
-    if hom(_cochain_to_vec(out)) != hom.target.zero():
+    if not is_cochain(m, out)[0]:
         raise AssertionError("coboundary left C^2; module axioms are inconsistent")
     return out
 
@@ -399,49 +406,16 @@ def delta0(m, f, basepoint=0):
 
 def is_cochain(m, c):
     """Membership of c in C^degree (eta/phi compatibility), with witnesses."""
-    X, A = m.base, m.A
-    found = {}
-    zero = A.zero()
-    for t in _tuples(X.size, c.degree):
-        lhs = m.eta[bracket(X, t)](c.value(*t))
-        rhs = c.value(*((X.rho[t[0]],) + t[1:]))
-        if lhs != rhs:
-            found.setdefault("eta-twist", []).append(t)
-    for i in range(2, c.degree + 1):
-        for t in _tuples(X.size, c.degree):
-            omitted = t[: i - 1] + t[i:]
-            w = (bracket(X, omitted), bracket(X, t[i - 1 :]))
-            modified = (
-                tuple(X.op(t[k], t[i - 1]) for k in range(i - 1))
-                + (X.rho[t[i - 1]],)
-                + t[i:]
-            )
-            if A.add(m.phi[w[0]][w[1]](c.value(*modified)), c.value(*t)) != zero:
-                found.setdefault("phi-twist", []).append((i,) + t)
-    diags = [Diagnostic(k, v) for k, v in found.items()]
-    return (not diags, diags)
+    # the rack-theory membership rows are exactly the eta and phi conditions
+    return _report(m, c, _membership_rows(m.base, m, c.degree, THEORY_SR))
 
 
 def is_cocycle(m, c, theory=THEORY_SR, basepoint=0):
     """Full cocycle test in the chosen theory, with labeled witnesses."""
-    X, A = m.base, m.A
+    X = m.base
     _check_theory(X, theory)
-    ok, diags = is_cochain(m, c)
-    diags = list(diags)
-    if theory == THEORY_SQ:
-        bad = [
-            t
-            for t in _tuples(X.size, c.degree)
-            if any(t[k] == t[k + 1] for k in range(c.degree - 1))
-            and c.value(*t) != A.zero()
-        ]
-        if bad:
-            diags.append(Diagnostic("degenerate", bad))
-    d = delta(m, c, basepoint)
-    bad = [t for t in _tuples(X.size, d.degree) if d.value(*t) != A.zero()]
-    if bad:
-        diags.append(Diagnostic("cocycle", bad))
-    return (not diags, diags)
+    rows = _membership_rows(X, m, c.degree, theory) + _delta_rows(X, m, c.degree, basepoint)
+    return _report(m, c, rows)
 
 
 class CohomologyPresentation:

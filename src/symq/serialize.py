@@ -82,7 +82,7 @@ def _int_matrix(v, where):
 
 
 def _key_tuple(key, arity, size, where):
-    parts = key.split(",")
+    parts = key.split(",") if key else []
     if len(parts) != arity:
         raise ValidationError(f"{where}: key '{key}' must have {arity} indices")
     try:

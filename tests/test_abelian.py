@@ -217,6 +217,12 @@ class TestEdgeSystems:
         f = AbHom(AbGroup([0, 1, 3]), AbGroup([]), [])
         assert kernel(f) == [(1, 0, 0), (0, 0, 1)]
 
+    def test_inverse_of_maps_into_the_zero_group(self):
+        # composing through the zero group keeps the source's column count
+        g = AbHom(AbGroup([1]), AbGroup([]), []).inverse()
+        assert g == AbHom(AbGroup([]), AbGroup([1]), [[]])
+        assert AbHom(AbGroup([3, 1]), AbGroup([]), []).inverse() is None
+
 
 @pytest.fixture
 def snf_calls(monkeypatch):

@@ -136,6 +136,30 @@ class TestWellsVerb:
         assert out1 == out2
 
 
+class TestDegreeZeroCheck:
+    def degree_zero_file(self, tmp_path):
+        p = tmp_path / "c0.json"
+        p.write_text(json.dumps({"degree": 0, "values": {"": [1]}}))
+        return str(p)
+
+    def test_failing_delta0_is_validation(self, capsys, tmp_path):
+        tw = str(fixture_path("module_tw_z3.json"))
+        code, _, err = run(
+            ["check", "--rack", RACK, "--module", tw, "--cocycle", self.degree_zero_file(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "cocycle: [(0,), (1,)]" in err
+
+    def test_passing_delta0(self, capsys, tmp_path):
+        code, out, _ = run(
+            ["check", "--rack", RACK, "--module", MZ4, "--cocycle", self.degree_zero_file(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert "cocycle: ok (degree 0, theory sq)" in out
+
+
 class TestOtherVerbs:
     def test_involutions(self, capsys):
         code, out, _ = run(["involutions", "--rack", CORE, "--json"], capsys)

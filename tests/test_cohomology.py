@@ -135,6 +135,29 @@ class TestCocycleChecks:
         assert not ok
         assert diags[0].axiom == "eta-twist"
 
+    def test_degree_zero(self):
+        # C^0 has no membership conditions; the cocycle rows are delta0's
+        X = rack("t2")
+        m4 = module("m0_z4", X)
+        c = Cochain(0, X.size, m4.A, [(1,)])
+        assert is_cochain(m4, c) == (True, [])
+        assert is_cocycle(m4, c, THEORY_SQ) == (True, [])
+        m3 = module("tw_z3", X)
+        ok, diags = is_cocycle(m3, Cochain(0, X.size, m3.A, [(1,)]), THEORY_SQ)
+        assert not ok
+        assert [repr(d) for d in diags] == ["cocycle: [(0,), (1,)]"]
+
+    def test_shape_mismatch_rejected(self):
+        X = rack("t2")
+        m = module("m0_z4", X)
+        for c in (Cochain.zero(2, 3, m.A), Cochain.zero(2, X.size, AbGroup([2]))):
+            with pytest.raises(ValueError):
+                is_cocycle(m, c)
+            with pytest.raises(ValueError):
+                is_cochain(m, c)
+            with pytest.raises(ValueError):
+                delta(m, c)
+
 
 class TestCohomologyGroups:
     def test_takasaki_h2_vanishes_over_z(self):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from symq.cohomology import THEORY_SR
+from symq.cohomology import THEORY_SR, Cochain
 from symq.dynamical import from_cocycle, validate_dynamical
 from symq.errors import ValidationError
 from symq.serialize import (
@@ -71,6 +71,14 @@ class TestRoundTrips:
         m = module(mname, X)
         c = cochain(cname, X, m)
         p = tmp_path / "c.json"
+        save_cochain(c, p)
+        assert load_cochain(p, X.size, m.A) == c
+
+    def test_degree_zero_cochain(self, tmp_path):
+        X = rack("t2")
+        m = module("m0_z4", X)
+        c = Cochain(0, X.size, m.A, [(1,)])
+        p = tmp_path / "c0.json"
         save_cochain(c, p)
         assert load_cochain(p, X.size, m.A) == c
 
