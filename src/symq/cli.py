@@ -21,6 +21,8 @@ from .dynamical import (
 from .errors import SymqError, ValidationError
 from .racks import QUANDLE, cycle_notation, enumerate_automorphisms, enumerate_good_involutions
 from .serialize import (
+    _hom,
+    _int_value,
     load_cochain,
     load_dynamical,
     load_group,
@@ -319,11 +321,9 @@ def _parse_pair(args, m):
     except json.JSONDecodeError:
         print("symq: error: --theta must be a JSON matrix or scalar", file=sys.stderr)
         raise SystemExit(1)
-    if isinstance(spec, int):
-        theta = AbHom.scalar(m.A, spec)
-    else:
-        theta = AbHom(m.A, m.A, spec)
-    return AutPair(zeta, theta)
+    if isinstance(spec, list):
+        return AutPair(zeta, _hom(m.A, spec, "--theta"))
+    return AutPair(zeta, AbHom.scalar(m.A, _int_value(spec, "--theta")))
 
 
 def cmd_wells(args):

@@ -147,11 +147,13 @@ def verify_chain_complex(X, m, n, basepoint=0, bound=None, psi_sign=1):
         )
     r = m.A.rank
     ident = AbHom.identity(m.A)
+    inner = {}  # signed terms of each inner boundary, built once per check
     for tup in _tuples(X.size, n):
         acc = {}
         for c1, h1, u in _signed_terms(m, boundary(X, n, tup, basepoint, psi_sign), ident):
-            inner = boundary(X, n - 1, u, basepoint, psi_sign)
-            for c2, h2, v in _signed_terms(m, inner, ident):
+            if u not in inner:
+                inner[u] = _signed_terms(m, boundary(X, n - 1, u, basepoint, psi_sign), ident)
+            for c2, h2, v in inner[u]:
                 prod = mat_mul(h1.matrix, h2.matrix)
                 total = acc.setdefault(v, [[0] * r for _ in range(r)])
                 for i in range(r):

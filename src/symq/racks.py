@@ -267,7 +267,8 @@ def _automorphism_backtrack(X):
 def enumerate_automorphisms(X, bound=None):
     """All automorphisms of (X, rho): bijections preserving op and rho.
 
-    Returned in lexicographic order of the permutation word (identity first).
+    Returned in lexicographic order of the permutation word (identity first),
+    and checked to be a group on every element.
     """
     bound = limits.resolve(bound, limits.AUTOMORPHISM_SIZE)
     n = X.size
@@ -280,7 +281,7 @@ def enumerate_automorphisms(X, bound=None):
                 out.append(word)
     else:
         out = _automorphism_backtrack(X)
-    _verify_group(out, n)
+    _check_group(out, tuple(range(n)), _compose_words, "automorphism set")
     return out
 
 
@@ -295,23 +296,35 @@ def _is_automorphism_word(X, f):
     return True
 
 
-def _verify_group(words, n):
-    group = set(words)
-    ident = tuple(range(n))
-    if ident not in group:
-        raise AssertionError("automorphism set misses the identity")
-    items = list(words)
-    if len(items) ** 2 <= 10 ** 6:
-        for f in items:
-            for g in items:
-                if tuple(f[g[i]] for i in range(n)) not in group:
-                    raise AssertionError("automorphism set not closed under composition")
-    for f in items:
-        inv = [0] * n
-        for i, v in enumerate(f):
-            inv[v] = i
-        if tuple(inv) not in group:
-            raise AssertionError("automorphism set not closed under inverse")
+def _check_group(elements, identity, mul, what):
+    """Check that a finite set of group elements is a subgroup; return generators.
+
+    Generators are picked greedily in order; closing the identity under right
+    multiplication by them reaches every element in O(|G|·|S|) products, and
+    in a finite group that closure also holds the inverses.
+    """
+    group = set(elements)
+    if identity not in group:
+        raise AssertionError(f"{what} misses the identity")
+    gens, reached, seen = [], [identity], {identity}
+    for g in elements:
+        if g in seen:
+            continue
+        gens.append(g)
+        old = len(reached)
+        for i, h in enumerate(reached):  # also visits elements appended below
+            for s in gens if i >= old else gens[-1:]:
+                p = mul(h, s)
+                if p not in group:
+                    raise AssertionError(f"{what} not closed under composition")
+                if p not in seen:
+                    seen.add(p)
+                    reached.append(p)
+    return gens
+
+
+def _compose_words(f, g):
+    return tuple(f[v] for v in g)
 
 
 class RackMorphism:

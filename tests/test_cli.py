@@ -135,6 +135,13 @@ class TestWellsVerb:
         _, out2, _ = run(WELLS, capsys)
         assert out1 == out2
 
+    @pytest.mark.parametrize("theta", ["[1]", "null", "[[1e400]]", "[[1.5]]", "true"])
+    def test_malformed_theta_is_a_validation_failure(self, theta, capsys):
+        code, out, err = run(WELLS + ["extend", "--zeta", "1,0", "--theta", theta], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("--theta")
+
 
 class TestDegreeZeroCheck:
     def degree_zero_file(self, tmp_path):

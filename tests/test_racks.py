@@ -1,5 +1,7 @@
 """Rack axioms, good involutions, automorphisms, standard constructions."""
 
+from itertools import permutations
+
 import pytest
 
 from symq.errors import EmptyCarrier, SizeBoundExceeded, ValidationError
@@ -8,6 +10,8 @@ from symq.racks import (
     RACK,
     FiniteSymmetricRack,
     RackMorphism,
+    _check_group,
+    _compose_words,
     cycle_notation,
     enumerate_automorphisms,
     enumerate_good_involutions,
@@ -130,6 +134,48 @@ class TestAutomorphisms:
     def test_size_bound(self):
         with pytest.raises(SizeBoundExceeded):
             enumerate_automorphisms(takasaki(3), bound=2)
+
+
+def closure(gens, identity, mul):
+    """Everything the generators reach from the identity, by plain search."""
+    reached, todo = {identity}, [identity]
+    while todo:
+        h = todo.pop()
+        for s in gens:
+            p = mul(h, s)
+            if p not in reached:
+                reached.add(p)
+                todo.append(p)
+    return reached
+
+
+class TestGroupCheck:
+    def test_rejects_a_set_without_the_identity(self):
+        words = list(permutations(range(3)))[1:]
+        with pytest.raises(AssertionError, match="misses the identity"):
+            _check_group(words, (0, 1, 2), _compose_words, "test set")
+
+    def test_failure_after_the_first_64_elements_is_found(self):
+        # S5 on six points, then one transposition moving the sixth point at
+        # position 120: every product that leaves the set involves it
+        words = [w + (5,) for w in permutations(range(5))]
+        ident = tuple(range(6))
+        _check_group(words, ident, _compose_words, "S5")
+        words.append((0, 1, 2, 3, 5, 4))
+        with pytest.raises(AssertionError, match="not closed under composition"):
+            _check_group(words, ident, _compose_words, "test set")
+
+    def test_generators_rebuild_the_whole_set(self):
+        for X in (takasaki(5), rack("core_z4"), rack("conj_s3")):
+            words = enumerate_automorphisms(X)
+            ident = tuple(range(X.size))
+            gens = _check_group(words, ident, _compose_words, "automorphisms")
+            assert closure(gens, ident, _compose_words) == set(words)
+        # greedy in lexicographic order: the adjacent transpositions of S5
+        words = list(permutations(range(5)))
+        gens = _check_group(words, tuple(range(5)), _compose_words, "S5")
+        assert gens == [(0, 1, 2, 4, 3), (0, 1, 3, 2, 4), (0, 2, 1, 3, 4), (1, 0, 2, 3, 4)]
+        assert closure(gens, tuple(range(5)), _compose_words) == set(words)
 
 
 class TestMorphisms:

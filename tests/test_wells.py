@@ -2,6 +2,7 @@
 
 import pytest
 
+import symq.wells
 from symq.abelian import AbGroup, AbHom
 from symq.cohomology import THEORY_SQ, THEORY_SR, Cochain, cohomology_presentation
 from symq.errors import (
@@ -57,6 +58,20 @@ def nonconstant_module():
     zero = AbHom.zero(A, A)
     eta = [AbHom.scalar(A, 2), AbHom.scalar(A, 3)]
     return RackModule(X, A, [[ident] * 2] * 2, [[zero] * 2] * 2, eta)
+
+
+@pytest.fixture
+def lift_constructions(monkeypatch):
+    """Count the verified LiftedAutomorphism constructions."""
+    calls = []
+    original = symq.wells.LiftedAutomorphism.__init__
+
+    def counting(self, extension, pair, lam):
+        calls.append(pair)
+        original(self, extension, pair, lam)
+
+    monkeypatch.setattr(symq.wells.LiftedAutomorphism, "__init__", counting)
+    return calls
 
 
 class TestBuildExtension:
@@ -320,6 +335,21 @@ class TestEnumerationAndReport:
         # sigma = 0: everything lifts, kernel is all of Z^1
         assert rep.image_size == len(rep.pairs) == 12
         assert rep.exact
+
+    def test_t4_zero_cocycle_report_covers_the_whole_group(self):
+        # |Aut| = 256: well above any sample size, checked on every element
+        X = rack("t4")
+        m = dihedral_kamada_module(X, AbGroup([4]))
+        ext = build_abelian_extension(m, Cochain.zero(2, 4, m.A), THEORY_SQ)
+        rep = wells_report(ext)
+        orders = (len(rep.pairs), rep.z1_size, rep.kernel_size, rep.image_size, rep.aut_size)
+        assert orders == (16, 16, 16, 16, 256)
+        assert rep.exact_at_cocycles and rep.exact_at_symmetries and rep.exact_at_pairs
+
+    def test_each_lift_is_verified_once(self, lift_constructions):
+        ext = z4_extension()
+        rep = wells_report(ext)
+        assert len(lift_constructions) <= rep.aut_size + len(rep.pairs) + rep.z1_size
 
     def test_infinite_fiber_enumeration_unsupported(self):
         ext = z_extension()
