@@ -8,8 +8,9 @@ integer matrices acting on the left.  Everything is arbitrary-precision.
 Kernels, solving, inverses and subquotients all reduce to one constraint
 system: the columns of a map next to one torsion column d_i * e_i per
 finite order of its target group.  `_Factored` builds that system and runs
-Smith normal form on it once, on first demand; every kernel basis and every
-solution for that map is then read off the same factorization.
+Smith normal form on it once, on first demand; each AbHom owns at most one,
+so every kernel basis, solution and inverse of that map is read off the same
+factorization.
 
     >>> G = AbGroup([4])
     >>> f = AbHom(G, G, [[2]])
@@ -305,7 +306,7 @@ class AbHom:
     construction.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_system")
 
     def __init__(self, source, target, matrix):
         rows = [tuple(int(x) for x in row) for row in matrix]
@@ -327,6 +328,12 @@ class AbHom:
         self.source = source
         self.target = target
         self.matrix = tuple(canon)
+        self._system = None
+
+    def _factored(self):
+        if self._system is None:
+            self._system = _Factored(self.matrix, self.source.rank, self.target)
+        return self._system
 
     @classmethod
     def identity(cls, group):
@@ -373,9 +380,9 @@ class AbHom:
 
     def inverse(self):
         """Two-sided inverse hom, or None if this is not an isomorphism."""
-        # one factorization serves every right-hand side; a two-sided inverse
-        # forces unique solutions, so any particular solution will do
-        system = _Factored(self.matrix, self.source.rank, self.target)
+        # a two-sided inverse forces unique solutions, so any particular
+        # solution will do
+        system = self._factored()
         cols = []
         n = self.target.rank
         for i in range(n):
@@ -477,7 +484,7 @@ def kernel(f):
 
     The list may be empty (trivial kernel); zero vectors are dropped.
     """
-    return _kernel_gens(f.source, _Factored(f.matrix, f.source.rank, f.target))
+    return _kernel_gens(f.source, f._factored())
 
 
 def _kernel_gens(source, system):
@@ -537,7 +544,7 @@ def solve(f, b):
     b = f.target.reduce(b)
     if f.target.rank == 0:
         return f.source.zero()
-    system = _Factored(f.matrix, f.source.rank, f.target)
+    system = f._factored()
     x = system.solve(b)
     if x is None:
         return None

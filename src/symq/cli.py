@@ -209,19 +209,16 @@ def cmd_cohomology(args):
     theory = _default_theory(args, X)
     pres = cohomology_presentation(m, args.degree, theory, args.basepoint)
     label = f"H{args.degree}_{theory.upper()}"
-    lines = [
-        f"{label} = {pres.group}",
-        f"Z{args.degree} = {pres.cocycle_group()}",
-        f"B{args.degree} = {pres.coboundary_group()}",
-    ]
+    z, b = pres.cocycle_group(), pres.coboundary_group()
+    lines = [f"{label} = {pres.group}", f"Z{args.degree} = {z}", f"B{args.degree} = {b}"]
     data = {
         "degree": args.degree,
         "theory": theory,
         "basepoint": args.basepoint,
         "h": str(pres.group),
         "invariant_factors": list(pres.group.orders),
-        "z": str(pres.cocycle_group()),
-        "b": str(pres.coboundary_group()),
+        "z": str(z),
+        "b": str(b),
     }
     if args.cocycle is not None:
         c = load_cochain(args.cocycle, X.size, m.A)

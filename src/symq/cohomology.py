@@ -148,21 +148,24 @@ def verify_chain_complex(X, m, n, basepoint=0, bound=None, psi_sign=1):
     r = m.A.rank
     ident = AbHom.identity(m.A)
     inner = {}  # signed terms of each inner boundary, built once per check
+    products = {}  # h1 o h2 for each pair of maps, formed once per check
     for tup in _tuples(X.size, n):
         acc = {}
         for c1, h1, u in _signed_terms(m, boundary(X, n, tup, basepoint, psi_sign), ident):
             if u not in inner:
                 inner[u] = _signed_terms(m, boundary(X, n - 1, u, basepoint, psi_sign), ident)
             for c2, h2, v in inner[u]:
-                prod = mat_mul(h1.matrix, h2.matrix)
+                key = (h1.matrix, h2.matrix)
+                if key not in products:
+                    products[key] = mat_mul(h1.matrix, h2.matrix)
+                prod = products[key]
                 total = acc.setdefault(v, [[0] * r for _ in range(r)])
                 for i in range(r):
                     for j in range(r):
                         total[i][j] += c1 * c2 * prod[i][j]
         for v in sorted(acc):
-            h = AbHom(m.A, m.A, acc[v])
-            if not h.is_zero():
-                return False, (tup, v, h)
+            if any(x % d if d else x for row, d in zip(acc[v], m.A.orders) for x in row):
+                return False, (tup, v, AbHom(m.A, m.A, acc[v]))
     return True, None
 
 
@@ -461,9 +464,6 @@ class CohomologyPresentation:
             self.degree, self.module.base.size, self.module.A, self._sub.section(class_vector)
         )
 
-    def are_cohomologous(self, c1, c2):
-        return self.project(c1) == self.project(c2)
-
     def cocycle_group(self):
         """Z^degree as an abstract group."""
         z = [_cochain_to_vec(c) for c in self.cocycle_gens]
@@ -492,24 +492,23 @@ def cohomology_presentation(m, degree, theory=THEORY_SR, basepoint=0):
     _check_theory(X, theory)
     if degree not in (1, 2):
         raise ValueError("only degrees 1 and 2 are presented")
-    n_unknowns = X.size ** degree
     if degree == 2:
-        rows = _delta_rows(X, m, 2) + _membership_rows(X, m, 2, theory)
-        z_gens = [
-            _vec_to_cochain(2, X.size, A, v)
-            for v in kernel(_rows_to_hom(A, n_unknowns, rows))
-        ]
+        z_gens = [_vec_to_cochain(2, X.size, A, v) for v in kernel(_witness_map(m, 2, theory))]
         b_gens = [delta1(m, g) for g in cochain_space(m, 1, theory).gens]
     else:
         rows = _membership_rows(X, m, 1, theory) + _delta_rows(X, m, 1, basepoint)
-        z_gens = [
-            _vec_to_cochain(1, X.size, A, v)
-            for v in kernel(_rows_to_hom(A, n_unknowns, rows))
-        ]
+        z_gens = [_vec_to_cochain(1, X.size, A, v) for v in kernel(_rows_to_hom(A, X.size, rows))]
         b_gens = [
             delta0(m, g, basepoint) for g in cochain_space(m, 0, theory).gens
         ]
     return CohomologyPresentation(m, degree, theory, basepoint, z_gens, b_gens)
+
+
+def _witness_map(m, degree, theory, basepoint=0):
+    # tau |-> (delta tau, membership rows): kernel Z^degree, solved for (c, 0) by witnesses
+    X = m.base
+    rows = _delta_rows(X, m, degree, basepoint) + _membership_rows(X, m, degree, theory)
+    return _rows_to_hom(m.A, X.size ** degree, rows)
 
 
 def coboundary_witness(m, c, theory=THEORY_SR, basepoint=0):
@@ -520,25 +519,23 @@ def coboundary_witness(m, c, theory=THEORY_SR, basepoint=0):
     tau is a 0-cochain for the given basepoint.  The returned witness is
     the canonical (lexicographically least) solution.
     """
-    X, A = m.base, m.A
+    return _witness(m, c, theory, basepoint)
+
+
+def _witness(m, c, theory, basepoint=0, hom=None):
+    # coboundary_witness, solved on hom when the caller keeps the witness map
     ok, diags = is_cocycle(m, c, theory, basepoint)
     if not ok:
         raise NotACocycle(
             "input is not a cocycle: " + "; ".join(d.axiom for d in diags)
         )
-    low = c.degree - 1
-    n_low = X.size ** low
-    # unknown tau |-> (delta tau, membership constraints on tau)
-    drows = _delta_rows(X, m, low, basepoint)
-    mrows = _membership_rows(X, m, low, theory)
-    hom = _rows_to_hom(A, n_low, drows + mrows)
-    target_vec = list(_cochain_to_vec(c))
-    target_vec += [0] * (A.rank * len(mrows))
-    x = solve(hom, tuple(target_vec))
+    if hom is None:
+        hom = _witness_map(m, c.degree - 1, theory, basepoint)
+    target_vec = _cochain_to_vec(c)
+    x = solve(hom, target_vec + (0,) * (hom.target.rank - len(target_vec)))
     if x is None:
         return None
-    tau = _vec_to_cochain(low, X.size, A, x)
-    check = delta(m, tau, basepoint)
-    if check != c:
+    tau = _vec_to_cochain(c.degree - 1, m.base.size, m.A, x)
+    if delta(m, tau, basepoint) != c:
         raise AssertionError("witness verification failed")
     return tau

@@ -44,6 +44,7 @@ from .racks import (
     FiniteRack,
     FiniteSymmetricRack,
     RackMorphism,
+    _invert_word,
     good_involution_diagnostics,
     is_isomorphism,
     rack_diagnostics,
@@ -83,9 +84,6 @@ class DynamicalCocycle:
         )
         self.beta = tuple(tuple(beta[x]) for x in range(n))
         self.quandle = _resolve_quandle_flag(base, quandle)
-
-    def op_fiber(self, x, y, s, t):
-        return self.alpha[x][y][s][t]
 
     def __eq__(self, other):
         return (
@@ -281,13 +279,7 @@ class Gauge:
         return cls([tuple(range(s)) for s in sizes])
 
     def inverse(self):
-        out = []
-        for p in self.perms:
-            q = [0] * len(p)
-            for i, v in enumerate(p):
-                q[v] = i
-            out.append(tuple(q))
-        return Gauge(out)
+        return Gauge([_invert_word(p) for p in self.perms])
 
     def __eq__(self, other):
         return isinstance(other, Gauge) and self.perms == other.perms

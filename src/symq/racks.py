@@ -327,6 +327,10 @@ def _compose_words(f, g):
     return tuple(f[v] for v in g)
 
 
+def _invert_word(f):
+    return tuple(sorted(range(len(f)), key=f.__getitem__))
+
+
 class RackMorphism:
     """A map of symmetric racks; validity is checked by diagnostics()."""
 

@@ -27,13 +27,14 @@ from itertools import permutations, product
 from math import factorial, prod
 
 from . import limits
-from .abelian import AbGroup, AbHom, subgroup_elements
-from .cohomology import (
+from .abelian import AbHom, kernel, subgroup_elements
+from .cohomology import (  # coboundary_witness stays importable from this module
     THEORY_SQ,
     THEORY_SR,
     Cochain,
-    _cochain_to_vec,
     _vec_to_cochain,
+    _witness,
+    _witness_map,
     coboundary_witness,
     cohomology_presentation,
     is_cocycle,
@@ -54,6 +55,7 @@ from .racks import (
     RackMorphism,
     _check_group,
     _compose_words,
+    _invert_word,
     _is_automorphism_word,
     enumerate_automorphisms,
     is_isomorphism,
@@ -64,10 +66,11 @@ class AbelianExtension:
     """X x A with the affine product; the glued table exists when A is finite.
 
     Over an infinite A only the cohomological data is kept: obstruction
-    classes and lift equations never need the total space itself.
+    classes and lift equations never need the total space itself.  Z^1 and
+    every lift equation are read off one degree-1 witness map, built on first use.
     """
 
-    __slots__ = ("module", "sigma", "theory", "presentation", "cocycle", "extension", "rack")
+    __slots__ = ("module", "sigma", "theory", "presentation", "cocycle", "extension", "rack", "_d1")
 
     def __init__(self, module, sigma, theory, presentation, cocycle, extension):
         self.module = module
@@ -77,6 +80,12 @@ class AbelianExtension:
         self.cocycle = cocycle
         self.extension = extension
         self.rack = extension.rack if extension is not None else None
+        self._d1 = None
+
+    def _degree1_map(self):
+        if self._d1 is None:
+            self._d1 = _witness_map(self.module, 1, self.theory)
+        return self._d1
 
     @property
     def size(self):
@@ -193,19 +202,11 @@ def module_automorphisms(m, bound=None):
             options.append([t for t in torsion if A.scale(d, t) == zero])
     if prod(map(len, options)) > limits.resolve(None, limits.ENDO_ENUM):
         raise SearchSpaceExceeded("too many candidate fiber maps to scan")
-    phi, psi, eta = m.phi[0][0], m.psi[0][0], m.eta[0]
     out = []
     for cols in product(*options):
         h = AbHom(A, A, [[col[i] for col in cols] for i in range(A.rank)])
-        if h.inverse() is None:
-            continue
-        if (
-            h.compose(phi) != phi.compose(h)
-            or h.compose(psi) != psi.compose(h)
-            or h.compose(eta) != eta.compose(h)
-        ):
-            continue
-        out.append(h)
+        if not _theta_problems(m, h):
+            out.append(h)
     out.sort(key=lambda h: h.matrix)
     _check_group(out, AbHom.identity(A), AbHom.compose, "fiber symmetries")
     return out
@@ -238,13 +239,10 @@ class AutPair:
         )
 
     def inverse(self):
-        inv = [0] * len(self.zeta)
-        for i, v in enumerate(self.zeta):
-            inv[v] = i
         th = self.theta.inverse()
         if th is None:
             raise ValueError("theta is not invertible")
-        return AutPair(inv, th)
+        return AutPair(_invert_word(self.zeta), th)
 
     def __eq__(self, other):
         return (
@@ -264,23 +262,31 @@ def validate_aut_pair(m, pair):
     """Diagnostics for a candidate pair; empty means valid."""
     if not m.constant:
         raise NotConstantModule("symmetry pairs act on constant modules")
-    X, A = m.base, m.A
+    X = m.base
     out = []
     if len(pair.zeta) != X.size or not _is_automorphism_word(X, pair.zeta):
         out.append(Diagnostic("zeta-symmetry", [pair.zeta]))
-    th = pair.theta
-    problems = []
-    if th.source != A or th.target != A:
-        problems.append("shape")
-    else:
-        if th.inverse() is None:
-            problems.append("invertible")
-        for name, h in (("phi", m.phi[0][0]), ("psi", m.psi[0][0]), ("eta", m.eta[0])):
-            if th.compose(h) != h.compose(th):
-                problems.append(name)
+    problems = _theta_problems(m, pair.theta)
     if problems:
         out.append(Diagnostic("theta-symmetry", problems))
     return out
+
+
+def _theta_problems(m, th):
+    # th is a fiber symmetry: an invertible map of A commuting with phi, psi, eta
+    if th.source != m.A or th.target != m.A:
+        return ["shape"]
+    problems = [] if th.inverse() is not None else ["invertible"]
+    for name, h in (("phi", m.phi[0][0]), ("psi", m.psi[0][0]), ("eta", m.eta[0])):
+        if th.compose(h) != h.compose(th):
+            problems.append(name)
+    return problems
+
+
+def _require_pair(m, pair):
+    diags = validate_aut_pair(m, pair)
+    if diags:
+        raise ValidationError("not a symmetry pair", diags)
 
 
 def enumerate_aut_pairs(ext, bound=None):
@@ -293,9 +299,7 @@ def enumerate_aut_pairs(ext, bound=None):
 def act_on_cocycle(m, pair, sigma):
     """(pair . sigma)(x, y) = theta(sigma(zeta^-1(x), zeta^-1(y)))."""
     X = m.base
-    inv = [0] * X.size
-    for i, v in enumerate(pair.zeta):
-        inv[v] = i
+    inv = _invert_word(pair.zeta)
     values = [
         pair.theta(sigma.value(inv[x], inv[y]))
         for x in range(X.size)
@@ -306,9 +310,7 @@ def act_on_cocycle(m, pair, sigma):
 
 def lambda_map(ext, pair):
     """Obstruction class [sigma] - [pair . sigma] of a symmetry pair."""
-    diags = validate_aut_pair(ext.module, pair)
-    if diags:
-        raise ValidationError("not a symmetry pair", diags)
+    _require_pair(ext.module, pair)
     acted = act_on_cocycle(ext.module, pair, ext.sigma)
     ok, _ = is_cocycle(ext.module, acted, ext.theory)
     if not ok:
@@ -328,11 +330,9 @@ def stabilizer(ext, pairs=None, bound=None):
     m = ext.module
     out = []
     for p in pairs:
-        diags = validate_aut_pair(m, p)
-        if diags:
-            raise ValidationError("not a symmetry pair", diags)
+        _require_pair(m, p)
         acted = act_on_cocycle(m, p, ext.sigma)
-        if coboundary_witness(m, ext.sigma.sub(acted), ext.theory) is not None:
+        if _witness(m, ext.sigma.sub(acted), ext.theory, 0, ext._degree1_map()) is not None:
             out.append(p)
     return out
 
@@ -417,9 +417,7 @@ def _check_lift(ext, pair, lam):
     # product formula; independent of any coboundary sign convention
     m = ext.module
     X, A = m.base, m.A
-    diags = validate_aut_pair(m, pair)
-    if diags:
-        raise ValidationError("not a symmetry pair", diags)
+    _require_pair(m, pair)
     if lam.degree != 1 or lam.size != X.size or lam.group != A:
         raise ValueError("lam must be a 1-cochain on the base with values in A")
     phi, psi, eta = m.phi[0][0], m.psi[0][0], m.eta[0]
@@ -463,12 +461,10 @@ def extend_pair(ext, pair):
     The witness nu with delta(nu) = (pair . sigma) - sigma is pulled back
     along zeta to the lift lambda; the lift is verified on construction.
     """
-    diags = validate_aut_pair(ext.module, pair)
-    if diags:
-        raise ValidationError("not a symmetry pair", diags)
     m = ext.module
+    _require_pair(m, pair)
     acted = act_on_cocycle(m, pair, ext.sigma)
-    nu = coboundary_witness(m, acted.sub(ext.sigma), ext.theory)
+    nu = _witness(m, acted.sub(ext.sigma), ext.theory, 0, ext._degree1_map())
     if nu is None:
         return None
     lam = Cochain(
@@ -478,12 +474,10 @@ def extend_pair(ext, pair):
 
 
 def z1_elements(ext, bound=None):
-    """Every eta-compatible 1-cocycle, through the degree-1 presentation."""
+    """Every eta-compatible 1-cocycle: the kernel of the degree-1 witness map."""
     m = ext.module
-    pres = cohomology_presentation(m, 1, ext.theory)
-    gens = [_cochain_to_vec(c) for c in pres.cocycle_gens]
-    ambient = AbGroup(m.A.orders * m.base.size)
-    vecs = subgroup_elements(ambient, gens, limits.resolve(bound, limits.ENDO_ENUM))
+    d1 = ext._degree1_map()
+    vecs = subgroup_elements(d1.source, kernel(d1), limits.resolve(bound, limits.ENDO_ENUM))
     if vecs is None:
         raise SearchSpaceExceeded("too many 1-cocycles to enumerate")
     return [_vec_to_cochain(1, m.base.size, m.A, v) for v in vecs]
@@ -498,8 +492,15 @@ def enumerate_autA_extension(ext, bound=None):
     if ext.extension is None:
         raise InfiniteGroupUnsupported("symmetry enumeration needs a finite total space")
     zs = z1_elements(ext, bound)
+    return _lift_group(ext, enumerate_aut_pairs(ext, bound), zs)
+
+
+def _lift_group(ext, pairs, zs):
+    # each unobstructed pair's lift from extend_pair, shifted by every 1-cocycle
+    if ext.extension is None:
+        raise InfiniteGroupUnsupported("symmetry enumeration needs a finite total space")
     out = []
-    for pair in enumerate_aut_pairs(ext, bound):
+    for pair in pairs:
         base = extend_pair(ext, pair)
         if base is None:
             continue
@@ -569,9 +570,7 @@ def gamma_restriction(ext, xi):
             [Diagnostic("fiber-affine", bad)],
         )
     pair = AutPair(tuple(zeta), theta)
-    diags = validate_aut_pair(ext.module, pair)
-    if diags:
-        raise ValidationError("not a symmetry pair", diags)
+    _require_pair(ext.module, pair)
     return pair
 
 
@@ -693,7 +692,7 @@ def wells_report(ext, bound=None):
     zero = ext.presentation.group.zero()
     stab = stabilizer(ext, pairs)
     zs = z1_elements(ext, bound)
-    auts = enumerate_autA_extension(ext, bound)
+    auts = _lift_group(ext, pairs, zs)
     if len({xi.perm for xi in auts}) != len(auts):
         raise AssertionError("lift enumeration produced duplicates")
     ident = AutPair.identity(ext.module)

@@ -2,6 +2,7 @@
 
 import pytest
 
+import symq.abelian
 from symq.serialize import (
     fixture_path,
     load_cochain,
@@ -31,3 +32,17 @@ def t2():
 @pytest.fixture
 def core_z4():
     return rack("core_z4")
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """Count the Smith normal form factorizations made by symq.abelian."""
+    calls = []
+    original = symq.abelian.smith_normal_form
+
+    def counting(M):
+        calls.append((len(M), len(M[0]) if M else 0))
+        return original(M)
+
+    monkeypatch.setattr(symq.abelian, "smith_normal_form", counting)
+    return calls

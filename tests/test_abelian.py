@@ -16,7 +16,6 @@ from symq.abelian import (
     solve,
     subgroup_elements,
 )
-import symq.abelian
 from symq.errors import SearchSpaceExceeded
 
 from helpers import det
@@ -224,20 +223,6 @@ class TestEdgeSystems:
         assert AbHom(AbGroup([3, 1]), AbGroup([]), []).inverse() is None
 
 
-@pytest.fixture
-def snf_calls(monkeypatch):
-    """Count the Smith normal form factorizations made by symq.abelian."""
-    calls = []
-    original = symq.abelian.smith_normal_form
-
-    def counting(M):
-        calls.append((len(M), len(M[0]) if M else 0))
-        return original(M)
-
-    monkeypatch.setattr(symq.abelian, "smith_normal_form", counting)
-    return calls
-
-
 class TestOneFactorization:
     def test_solve_factors_once(self, snf_calls):
         f = AbHom(AbGroup([4, 2]), AbGroup([4]), [[2, 2]])
@@ -259,3 +244,10 @@ class TestOneFactorization:
         cls = q.project((6, 3))
         assert q.project(q.section(cls)) == cls
         assert len(snf_calls) == built
+
+    def test_kernel_solve_and_inverse_share_one_factorization(self, snf_calls):
+        f = AbHom(AbGroup([4, 2]), AbGroup([4]), [[2, 2]])
+        assert kernel(f) == [(3, 1), (2, 0)]
+        assert solve(f, (2,)) == (0, 1)
+        assert f.inverse() is None
+        assert len(snf_calls) == 1

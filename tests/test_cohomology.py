@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from symq.abelian import AbGroup
+import symq.cohomology
+from symq.abelian import AbGroup, mat_mul
 from symq.cohomology import (
     THEORY_SQ,
     THEORY_SR,
@@ -63,6 +64,24 @@ class TestChainComplex:
         assert ok
         ok, witness = verify_chain_complex(X, m, 2, psi_sign=-1)
         assert not ok and witness is not None
+
+    def test_each_product_of_maps_is_formed_once(self, monkeypatch):
+        X = rack("takasaki3")
+        m = manual_constant(X, AbGroup([3, 3]), 2, 2, 1)  # tw_z3 twice
+        maps = {h.matrix for table in (m.phi, m.psi) for row in table for h in row}
+        maps.add(((1, 0), (0, 1)))
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(symq.cohomology, "mat_mul", counting)
+        for psi_sign in (1, -1):
+            calls.clear()
+            ok, _ = verify_chain_complex(X, m, 3, psi_sign=psi_sign)
+            assert ok == (psi_sign == 1)
+            assert 0 < len(calls) <= len(maps) ** 2
 
     def test_boundary_terms_shape(self):
         X = rack("t2")

@@ -3,8 +3,15 @@
 import pytest
 
 import symq.wells
-from symq.abelian import AbGroup, AbHom
-from symq.cohomology import THEORY_SQ, THEORY_SR, Cochain, cohomology_presentation
+from symq.abelian import AbGroup, AbHom, subgroup_elements
+from symq.cohomology import (
+    THEORY_SQ,
+    THEORY_SR,
+    Cochain,
+    _cochain_to_vec,
+    _vec_to_cochain,
+    cohomology_presentation,
+)
 from symq.errors import (
     InfiniteGroupUnsupported,
     NotACocycle,
@@ -252,6 +259,14 @@ class TestLifting:
             # construction already verified the permutation is an automorphism
             assert sorted(lift.perm) == list(range(8))
 
+    def test_second_lift_makes_no_factorization(self, snf_calls):
+        ext = z4_extension()
+        pair = AutPair((1, 0), AbHom.identity(ext.module.A))
+        first = extend_pair(ext, pair)
+        built = len(snf_calls)
+        assert extend_pair(ext, pair) == first
+        assert len(snf_calls) == built
+
     def test_lift_over_z_is_symbolic(self):
         ext = z_extension()
         lift = extend_pair(ext, AutPair.identity(ext.module))
@@ -282,6 +297,19 @@ class TestEnumerationAndReport:
     def test_z1_size(self):
         ext = z4_extension()
         assert len(z1_elements(ext)) == 4
+
+    @pytest.mark.parametrize("theory", [THEORY_SR, THEORY_SQ])
+    @pytest.mark.parametrize("name, orders", [("t2", None), ("takasaki3", [4]), ("takasaki3", [2])])
+    def test_z1_elements_match_the_degree1_presentation(self, name, orders, theory, monkeypatch):
+        X = rack(name)
+        m = module("m0_z4", X) if orders is None else dihedral_kamada_module(X, AbGroup(orders))
+        ext = build_abelian_extension(m, Cochain.zero(2, X.size, m.A), theory)
+        pres = cohomology_presentation(m, 1, theory)
+        vecs = subgroup_elements(AbGroup(m.A.orders * X.size),
+                                 [_cochain_to_vec(c) for c in pres.cocycle_gens])
+        # Z^1 is read off the extension's witness map, with no presentation
+        monkeypatch.setattr(symq.wells, "cohomology_presentation", None)
+        assert z1_elements(ext) == [_vec_to_cochain(1, X.size, m.A, v) for v in vecs]
 
     def test_aut_group_size(self):
         ext = z4_extension()
