@@ -22,7 +22,7 @@ factorization.
     'Z2'
 """
 
-from .errors import InfiniteGroupUnsupported, NotASubgroup, SizeBoundExceeded
+from .errors import InfiniteGroupUnsupported, NotASubgroup
 from . import limits
 
 

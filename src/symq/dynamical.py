@@ -23,9 +23,6 @@ cocycle; the equivalences are exactly the fiber-preserving isomorphisms
 over the base.
 """
 
-import itertools
-import math
-
 from . import limits
 from .errors import (
     Diagnostic,
@@ -33,7 +30,6 @@ from .errors import (
     NotACocycle,
     NotNormal,
     NotSurjective,
-    SearchSpaceExceeded,
     ValidationError,
 )
 from .groups import conj_quandle, core_quandle, is_normal, quotient_group, subgroup_check
@@ -45,6 +41,7 @@ from .racks import (
     FiniteSymmetricRack,
     RackMorphism,
     _invert_word,
+    _isomorphisms,
     good_involution_diagnostics,
     is_isomorphism,
     rack_diagnostics,
@@ -324,9 +321,11 @@ def gauge_transform(dc, gauge):
 def are_cohomologous_dynamical(dc1, dc2, bound=None):
     """Search for a gauge carrying dc1 to dc2; None if there is none.
 
-    Fibers are filled in base order with pruning on every fully assigned
-    constraint.  A found gauge is double-checked by transporting dc1 and by
-    exhibiting the fiber-preserving isomorphism of the two extensions.
+    A gauge is a fiber-preserving isomorphism over the identity of the base,
+    so the first such map between the two glued extensions gives the
+    lexicographically least gauge.  The search is capped at the bound in
+    candidate images tried.  A found gauge is double-checked by transporting
+    dc1 and by verifying the isomorphism of the two extensions it induces.
     """
     if dc1.base != dc2.base:
         raise ValueError("cocycles live over different bases")
@@ -334,57 +333,20 @@ def are_cohomologous_dynamical(dc1, dc2, bound=None):
         raise ValueError("cocycles target different extension kinds")
     if dc1.sizes != dc2.sizes:
         return None
-    X = dc1.base
-    n = X.size
-    sizes = dc1.sizes
     cap = limits.resolve(bound, limits.GAUGE_SEARCH)
-    space = 1
-    for s in sizes:
-        space *= math.factorial(s)
-    if space > cap:
-        raise SearchSpaceExceeded(f"{space} gauges exceed the search cap {cap}")
-
-    pair_when = {}
-    beta_when = {}
-    for x in range(n):
-        for y in range(n):
-            k = max(x, y, X.op(x, y))
-            pair_when.setdefault(k, []).append((x, y))
-        beta_when.setdefault(max(x, X.rho[x]), []).append(x)
-
-    perms = [None] * n
-
-    def consistent(k):
-        for x, y in pair_when.get(k, ()):
-            gx, gy, gz = perms[x], perms[y], perms[X.op(x, y)]
-            for s in range(sizes[x]):
-                for t in range(sizes[y]):
-                    if gz[dc1.alpha[x][y][s][t]] != dc2.alpha[x][y][gx[s]][gy[t]]:
-                        return False
-        for x in beta_when.get(k, ()):
-            gx, gr = perms[x], perms[X.rho[x]]
-            for s in range(sizes[x]):
-                if gr[dc1.beta[x][s]] != dc2.beta[x][gx[s]]:
-                    return False
-        return True
-
-    def search(k):
-        if k == n:
-            return True
-        for p in itertools.permutations(range(sizes[k])):
-            perms[k] = p
-            if consistent(k) and search(k + 1):
-                return True
-        perms[k] = None
-        return False
-
-    if not search(0):
+    e1 = build_extension(dc1)
+    e2 = build_extension(dc2)
+    bases = [x for x, _ in e1.labels]
+    fibers = (bases, bases, list(range(dc1.base.size)))
+    carry = next(_isomorphisms(e1.rack, e2.rack, cap, fibers), None)
+    if carry is None:
         return None
+    perms = [[] for _ in dc1.sizes]
+    for (x, s), i in zip(e1.labels, carry):
+        perms[x].append(e2.pair_of(i)[1])
     found = Gauge(perms)
     if gauge_transform(dc1, found) != dc2:
         raise AssertionError("gauge transport check failed")
-    e1 = build_extension(dc1)
-    e2 = build_extension(dc2)
     carry = [e2.index_of((x, found.perms[x][s])) for (x, s) in e1.labels]
     if not is_isomorphism(RackMorphism(e1.rack, e2.rack, carry)):
         raise AssertionError("gauge does not induce an isomorphism over the base")

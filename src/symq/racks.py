@@ -11,9 +11,13 @@ x*x = x.  A good involution rho satisfies
 The pair (X, rho) is a symmetric rack (or symmetric quandle).
 """
 
-from itertools import permutations
-
-from .errors import Diagnostic, EmptyCarrier, SizeBoundExceeded, ValidationError
+from .errors import (
+    Diagnostic,
+    EmptyCarrier,
+    SearchSpaceExceeded,
+    SizeBoundExceeded,
+    ValidationError,
+)
 from . import limits
 
 RACK = "rack"
@@ -222,78 +226,102 @@ def enumerate_good_involutions(rack, bound=None):
     return out
 
 
-def _automorphism_backtrack(X):
-    n = X.size
-    op = X.rack.table
-    rho = X.rho
+def _isomorphisms(S, T, cap, fibers=None):
+    """Every bijection S -> T preserving op and rho, lexicographic by image word.
+
+    S and T have the same size.  Images are assigned in element order, values tried in ascending order;
+    each assignment is pushed through x*y and rho, so only elements outside
+    the closure of what is assigned are branched on.  fibers=(p, q, zeta)
+    keeps the maps sending fiber p[x] of S onto fiber zeta[p[x]] of T (the
+    fiber of v in T is q[v]); a None entry of zeta is chosen by the search.
+    Once more than cap candidate images have been tried the search raises
+    SearchSpaceExceeded; it never stops early with a partial answer.
+    """
+    n = S.size
+    sop, top, srho, trho = S.rack.table, T.rack.table, S.rho, T.rho
+    p, q, zeta = fibers if fibers is not None else ((0,) * n, (0,) * n, (0,))
+    zeta = list(zeta)
     f = [None] * n
     used = [False] * n
-    out = []
+    dom, chosen = [], []  # assigned elements and chosen zeta entries, in order
+    tried = 0
 
-    def consistent(k):
-        # rho-compatibility for k and op-compatibility over assigned indices
-        r = rho[k]
-        if f[r] is not None and f[r] != rho[f[k]]:
-            return False
-        assigned = [x for x in range(n) if f[x] is not None]
-        for x in assigned:
-            for a, b in ((k, x), (x, k)):
-                t = op[a][b]
-                if f[t] is not None and op[f[a]][f[b]] != f[t]:
+    def fits(x, v):
+        b = p[x]
+        return not used[v] and (zeta[b] == q[v] or zeta[b] is None and q[v] not in zeta)
+
+    def assign(x, v):
+        # x -> v with everything it forces; False on the first clash
+        todo = [(x, v)]
+        while todo:
+            x, v = todo.pop()
+            if f[x] is not None:
+                if f[x] != v:
                     return False
-            for y in assigned:
-                if op[x][y] == k and op[f[x]][f[y]] != f[k]:
+                continue
+            if not fits(x, v):
+                return False
+            b = p[x]
+            if zeta[b] is None:
+                zeta[b] = q[v]
+                chosen.append(b)
+            f[x] = v
+            used[v] = True
+            dom.append(x)
+            forced = [(srho[x], trho[v])]
+            for y in dom:
+                forced += ((sop[x][y], top[v][f[y]]), (sop[y][x], top[f[y]][v]))
+            for z, w in forced:
+                if f[z] is None:
+                    todo.append((z, w))
+                elif f[z] != w:
                     return False
         return True
 
-    def rec(k):
+    def undo(mark_dom, mark_zeta):
+        while len(dom) > mark_dom:
+            x = dom.pop()
+            used[f[x]] = False
+            f[x] = None
+        while len(chosen) > mark_zeta:
+            zeta[chosen.pop()] = None
+
+    def search(k):
+        nonlocal tried
+        while k < n and f[k] is not None:
+            k += 1
         if k == n:
-            out.append(tuple(f))
+            yield tuple(f)
             return
         for v in range(n):
-            if used[v]:
+            if not fits(k, v):
                 continue
-            f[k] = v
-            used[v] = True
-            if consistent(k):
-                rec(k + 1)
-            f[k] = None
-            used[v] = False
+            tried += 1
+            if tried > cap:
+                raise SearchSpaceExceeded(f"more than {cap} candidate images tried")
+            marks = len(dom), len(chosen)
+            if assign(k, v):
+                yield from search(k + 1)
+            undo(*marks)
 
-    rec(0)
-    return out
+    yield from search(0)
 
 
 def enumerate_automorphisms(X, bound=None):
     """All automorphisms of (X, rho): bijections preserving op and rho.
 
     Returned in lexicographic order of the permutation word (identity first),
-    and checked to be a group on every element.
+    and checked to be a group on every element.  The search is capped at
+    limits.GAUGE_SEARCH candidate images and refuses, rather than truncates,
+    a larger one.
     """
     bound = limits.resolve(bound, limits.AUTOMORPHISM_SIZE)
     n = X.size
     if n > bound:
         raise SizeBoundExceeded(f"automorphism enumeration bounded at size {bound}")
-    if n < 6:
-        out = []
-        for word in permutations(range(n)):
-            if _is_automorphism_word(X, word):
-                out.append(word)
-    else:
-        out = _automorphism_backtrack(X)
+    out = list(_isomorphisms(X, X, limits.resolve(None, limits.GAUGE_SEARCH)))
     _check_group(out, tuple(range(n)), _compose_words, "automorphism set")
     return out
-
-
-def _is_automorphism_word(X, f):
-    n = X.size
-    for x in range(n):
-        if f[X.rho[x]] != X.rho[f[x]]:
-            return False
-        for y in range(n):
-            if f[X.op(x, y)] != X.op(f[x], f[y]):
-                return False
-    return True
 
 
 def _check_group(elements, identity, mul, what):

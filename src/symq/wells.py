@@ -23,8 +23,8 @@ two lifts of the same pair differ by a 1-cocycle, and the lifts of the
 identity pair form a group isomorphic to Z^1.
 """
 
-from itertools import permutations, product
-from math import factorial, prod
+from itertools import product
+from math import prod
 
 from . import limits
 from .abelian import AbHom, kernel, subgroup_elements
@@ -56,7 +56,7 @@ from .racks import (
     _check_group,
     _compose_words,
     _invert_word,
-    _is_automorphism_word,
+    _isomorphisms,
     enumerate_automorphisms,
     is_isomorphism,
 )
@@ -68,9 +68,13 @@ class AbelianExtension:
     Over an infinite A only the cohomological data is kept: obstruction
     classes and lift equations never need the total space itself.  Z^1 and
     every lift equation are read off one degree-1 witness map, built on first use.
+    Each symmetry pair is validated once per extension; the valid ones are kept.
     """
 
-    __slots__ = ("module", "sigma", "theory", "presentation", "cocycle", "extension", "rack", "_d1")
+    __slots__ = (
+        "module", "sigma", "theory", "presentation", "cocycle", "extension", "rack",
+        "_d1", "_valid_pairs",
+    )
 
     def __init__(self, module, sigma, theory, presentation, cocycle, extension):
         self.module = module
@@ -81,6 +85,7 @@ class AbelianExtension:
         self.extension = extension
         self.rack = extension.rack if extension is not None else None
         self._d1 = None
+        self._valid_pairs = set()
 
     def _degree1_map(self):
         if self._d1 is None:
@@ -264,7 +269,7 @@ def validate_aut_pair(m, pair):
         raise NotConstantModule("symmetry pairs act on constant modules")
     X = m.base
     out = []
-    if len(pair.zeta) != X.size or not _is_automorphism_word(X, pair.zeta):
+    if len(pair.zeta) != X.size or not is_isomorphism(RackMorphism(X, X, pair.zeta)):
         out.append(Diagnostic("zeta-symmetry", [pair.zeta]))
     problems = _theta_problems(m, pair.theta)
     if problems:
@@ -283,10 +288,13 @@ def _theta_problems(m, th):
     return problems
 
 
-def _require_pair(m, pair):
-    diags = validate_aut_pair(m, pair)
+def _require_pair(ext, pair):
+    if pair in ext._valid_pairs:
+        return
+    diags = validate_aut_pair(ext.module, pair)
     if diags:
         raise ValidationError("not a symmetry pair", diags)
+    ext._valid_pairs.add(pair)
 
 
 def enumerate_aut_pairs(ext, bound=None):
@@ -310,7 +318,7 @@ def act_on_cocycle(m, pair, sigma):
 
 def lambda_map(ext, pair):
     """Obstruction class [sigma] - [pair . sigma] of a symmetry pair."""
-    _require_pair(ext.module, pair)
+    _require_pair(ext, pair)
     acted = act_on_cocycle(ext.module, pair, ext.sigma)
     ok, _ = is_cocycle(ext.module, acted, ext.theory)
     if not ok:
@@ -330,7 +338,7 @@ def stabilizer(ext, pairs=None, bound=None):
     m = ext.module
     out = []
     for p in pairs:
-        _require_pair(m, p)
+        _require_pair(ext, p)
         acted = act_on_cocycle(m, p, ext.sigma)
         if _witness(m, ext.sigma.sub(acted), ext.theory, 0, ext._degree1_map()) is not None:
             out.append(p)
@@ -417,7 +425,7 @@ def _check_lift(ext, pair, lam):
     # product formula; independent of any coboundary sign convention
     m = ext.module
     X, A = m.base, m.A
-    _require_pair(m, pair)
+    _require_pair(ext, pair)
     if lam.degree != 1 or lam.size != X.size or lam.group != A:
         raise ValueError("lam must be a 1-cochain on the base with values in A")
     phi, psi, eta = m.phi[0][0], m.psi[0][0], m.eta[0]
@@ -462,7 +470,7 @@ def extend_pair(ext, pair):
     along zeta to the lift lambda; the lift is verified on construction.
     """
     m = ext.module
-    _require_pair(m, pair)
+    _require_pair(ext, pair)
     acted = act_on_cocycle(m, pair, ext.sigma)
     nu = _witness(m, acted.sub(ext.sigma), ext.theory, 0, ext._degree1_map())
     if nu is None:
@@ -570,56 +578,25 @@ def gamma_restriction(ext, xi):
             [Diagnostic("fiber-affine", bad)],
         )
     pair = AutPair(tuple(zeta), theta)
-    _require_pair(ext.module, pair)
+    _require_pair(ext, pair)
     return pair
 
 
 def brute_force_fiber_automorphisms(ext, bound=None):
-    """Scan all permutations of E for fiber-preserving symmetries.
+    """Every fiber-preserving symmetry of E, found from E's table alone.
 
-    Exponential in the total size and capped; cross-checks the lift
-    enumeration on small extensions.
+    The maps are listed in lexicographic order of their words.  They cover
+    some permutation of the base, and they need not be affine on the fibers;
+    the ones that are (those gamma_restriction accepts) make up Aut_A(E), so
+    this cross-checks the lift enumeration without any cohomology.  The
+    search is capped at the bound in candidate images tried.
     """
     if ext.extension is None:
         raise InfiniteGroupUnsupported("the scan needs a finite total space")
-    rack = ext.rack
-    n = rack.size
     cap = limits.resolve(bound, limits.GAUGE_SEARCH)
-    if factorial(n) > cap:
-        raise SearchSpaceExceeded(f"{n}! permutations exceed the scan cap {cap}")
-    dext = ext.extension
-    bases = [dext.pair_of(i)[0] for i in range(n)]
-    nb = ext.module.base.size
-    rho = rack.rho
-    table = rack.rack.table
-    out = []
-    for perm in permutations(range(n)):
-        zeta = [None] * nb
-        ok = True
-        for i in range(n):
-            b, b2 = bases[i], bases[perm[i]]
-            if zeta[b] is None:
-                zeta[b] = b2
-            elif zeta[b] != b2:
-                ok = False
-                break
-        if not ok:
-            continue
-        if any(perm[rho[i]] != rho[perm[i]] for i in range(n)):
-            continue
-        good = True
-        for i in range(n):
-            row = table[i]
-            prow = table[perm[i]]
-            for j in range(n):
-                if perm[row[j]] != prow[perm[j]]:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            out.append(perm)
-    return out
+    bases = [x for x, _ in ext.extension.labels]
+    fibers = (bases, bases, [None] * ext.module.base.size)
+    return list(_isomorphisms(ext.rack, ext.rack, cap, fibers))
 
 
 class WellsReport:

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from symq.cli import main
-from symq.serialize import fixture_path
+from symq.racks import trivial_rack
+from symq.serialize import fixture_path, save_rack
 
 RACK = str(fixture_path("rack_t2.json"))
 TAK3 = str(fixture_path("rack_takasaki3.json"))
@@ -178,6 +179,15 @@ class TestOtherVerbs:
     def test_aut(self, capsys):
         code, out, _ = run(["aut", "--rack", TAK3, "--json"], capsys)
         assert json.loads(out)["count"] == 6
+
+    def test_aut_over_the_search_cap_exits_2(self, capsys, tmp_path, monkeypatch):
+        path = str(tmp_path / "trivial7.json")
+        save_rack(trivial_rack(7), path)
+        monkeypatch.setenv("SYMQ_MAX_ENUM", "5000")
+        code, out, err = run(["aut", "--rack", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert "candidate images" in err
 
     def test_from_group(self, capsys):
         code, out, _ = run(

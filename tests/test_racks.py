@@ -4,7 +4,8 @@ from itertools import permutations
 
 import pytest
 
-from symq.errors import EmptyCarrier, SizeBoundExceeded, ValidationError
+from symq import limits
+from symq.errors import EmptyCarrier, SearchSpaceExceeded, SizeBoundExceeded, ValidationError
 from symq.racks import (
     QUANDLE,
     RACK,
@@ -134,6 +135,19 @@ class TestAutomorphisms:
     def test_size_bound(self):
         with pytest.raises(SizeBoundExceeded):
             enumerate_automorphisms(takasaki(3), bound=2)
+
+    @pytest.mark.parametrize("X", [rack("t4"), rack("core_z4_shift"), rack("conj_s3"),
+                                   takasaki(5), takasaki(6), trivial_rack(5)])
+    def test_matches_a_scan_of_all_permutations(self, X):
+        scan = [w for w in permutations(range(X.size)) if is_isomorphism(RackMorphism(X, X, w))]
+        assert enumerate_automorphisms(X) == scan
+
+    def test_search_cap_refuses_rather_than_truncates(self, monkeypatch):
+        # all 5,040 permutations of the trivial quandle on 7 points are
+        # symmetries; no small generating set cuts the search down
+        monkeypatch.setattr(limits, "GAUGE_SEARCH", 5000)
+        with pytest.raises(SearchSpaceExceeded):
+            enumerate_automorphisms(trivial_rack(7))
 
 
 def closure(gens, identity, mul):

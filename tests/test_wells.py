@@ -1,5 +1,7 @@
 """Affine extensions, symmetry pairs, lifting, and the exactness report."""
 
+import time
+
 import pytest
 
 import symq.wells
@@ -21,7 +23,7 @@ from symq.errors import (
     ValidationError,
 )
 from symq.modules import RackModule, dihedral_kamada_module
-from symq.racks import good_involution_diagnostics, takasaki
+from symq.racks import good_involution_diagnostics, takasaki, trivial_rack
 from symq.wells import (
     AutPair,
     act_on_cocycle,
@@ -186,6 +188,25 @@ class TestPairs:
         bad = AutPair((0, 1, 2), AbHom.zero(m.A, m.A))
         assert any(d.axiom == "theta-symmetry" for d in validate_aut_pair(m, bad))
 
+    def test_each_pair_is_validated_once_per_extension(self, monkeypatch):
+        calls = []
+        original = symq.wells.validate_aut_pair
+
+        def counting(m, pair):
+            calls.append(pair)
+            return original(m, pair)
+
+        monkeypatch.setattr(symq.wells, "validate_aut_pair", counting)
+        ext = z4_extension()
+        rep = wells_report(ext)
+        enumerate_autA_extension(ext)
+        assert len(calls) == len(set(calls)) >= len(rep.pairs)
+        # a bad pair is refused every time it is asked about
+        bad = AutPair((0, 1), AbHom.zero(ext.module.A, ext.module.A))
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                extend_pair(ext, bad)
+
     def test_compose_and_inverse(self):
         ext = z4_extension()
         pairs = enumerate_aut_pairs(ext)
@@ -325,7 +346,7 @@ class TestEnumerationAndReport:
     def test_brute_force_bound(self):
         ext = z4_extension()
         with pytest.raises(SearchSpaceExceeded):
-            brute_force_fiber_automorphisms(ext, bound=100)
+            brute_force_fiber_automorphisms(ext, bound=7)
 
     def test_gamma_restriction_round_trip(self):
         ext = z4_extension()
@@ -383,3 +404,53 @@ class TestEnumerationAndReport:
         ext = z_extension()
         with pytest.raises(InfiniteGroupUnsupported):
             enumerate_autA_extension(ext)
+
+
+def affine_part(ext, perms):
+    """The maps among perms that move every fiber by one affine map."""
+    out = set()
+    for perm in perms:
+        try:
+            gamma_restriction(ext, perm)
+        except ValidationError:
+            continue
+        out.add(perm)
+    return out
+
+
+class TestFourTermSequence:
+    """0 -> Z^1 -> Aut_A(E) -> pairs -> H^2 against the table-only search."""
+
+    @pytest.mark.parametrize("name", ["takasaki4", "core_z4"])
+    def test_brute_force_reaches_sixteen_elements(self, name):
+        X = rack(name)
+        m = dihedral_kamada_module(X, AbGroup([4]))
+        ext = build_abelian_extension(m, Cochain.zero(2, X.size, m.A), THEORY_SQ)
+        brute = brute_force_fiber_automorphisms(ext)
+        assert len(brute) == 128
+        assert brute == sorted(brute)
+        assert affine_part(ext, brute) == {xi.perm for xi in enumerate_autA_extension(ext)}
+
+    def test_sweep_of_classes(self):
+        # budget: 5 s for all 59 extensions
+        t0 = time.perf_counter()
+        cases = [(X, orders, theory, None)
+                 for X in (rack("t2"), trivial_rack(2))
+                 for orders in ([2], [3], [4])
+                 for theory in (THEORY_SQ, THEORY_SR)]
+        cases += [(rack("takasaki3"), orders, THEORY_SQ, None) for orders in ([2], [3], [4])]
+        cases.append((rack("core_z4"), [4], THEORY_SQ, 2))
+        checked = 0
+        for X, orders, theory, limit in cases:
+            m = dihedral_kamada_module(X, AbGroup(orders))
+            pres = cohomology_presentation(m, 2, theory)
+            for cls in pres.group.elements()[:limit]:
+                ext = build_abelian_extension(m, pres.section(cls), theory)
+                rep = wells_report(ext)
+                assert rep.exact
+                assert rep.aut_size == rep.z1_size * len(rep.stab)
+                lifts = {xi.perm for xi in enumerate_autA_extension(ext)}
+                assert affine_part(ext, brute_force_fiber_automorphisms(ext)) == lifts
+                checked += 1
+        assert checked == 59
+        assert time.perf_counter() - t0 < 5
