@@ -35,6 +35,7 @@ from .abelian import AbGroup, AbHom, Subquotient, kernel, mat_mul, mat_vec, solv
 from .errors import (
     Diagnostic,
     NotACocycle,
+    NotASubgroup,
     SizeBoundExceeded,
     ValidationError,
 )
@@ -454,10 +455,10 @@ class CohomologyPresentation:
 
     def project(self, c):
         """Cohomology class of a cocycle as a vector in `group`."""
-        vec = _cochain_to_vec(c)
-        if not self._sub.contains(vec):
-            raise NotACocycle("cochain is not a cocycle in this theory")
-        return self._sub.project(vec)
+        try:
+            return self._sub.project(_cochain_to_vec(c))
+        except NotASubgroup:
+            raise NotACocycle("cochain is not a cocycle in this theory") from None
 
     def section(self, class_vector):
         return _vec_to_cochain(
@@ -484,23 +485,19 @@ class CohomologyPresentation:
 def cohomology_presentation(m, degree, theory=THEORY_SR, basepoint=0):
     """Cocycles, coboundaries and their quotient in degree 1 or 2.
 
-    Degree 2: Z^2 = ker(cocycle rows stacked over membership rows),
-    B^2 = delta1(C^1).  Degree 1: Z^1 = ker(membership rows stacked over
-    coboundary rows), B^1 = delta0(C^0); only this degree uses basepoint.
+    Z = ker of the witness map (coboundary rows stacked over membership
+    rows), B = delta of the generators of C^(degree-1); only degree 1 reads
+    the basepoint.  The subquotient checks every generator of B against Z.
     """
     X, A = m.base, m.A
     _check_theory(X, theory)
     if degree not in (1, 2):
         raise ValueError("only degrees 1 and 2 are presented")
-    if degree == 2:
-        z_gens = [_vec_to_cochain(2, X.size, A, v) for v in kernel(_witness_map(m, 2, theory))]
-        b_gens = [delta1(m, g) for g in cochain_space(m, 1, theory).gens]
-    else:
-        rows = _membership_rows(X, m, 1, theory) + _delta_rows(X, m, 1, basepoint)
-        z_gens = [_vec_to_cochain(1, X.size, A, v) for v in kernel(_rows_to_hom(A, X.size, rows))]
-        b_gens = [
-            delta0(m, g, basepoint) for g in cochain_space(m, 0, theory).gens
-        ]
+    z_gens = [
+        _vec_to_cochain(degree, X.size, A, v)
+        for v in kernel(_witness_map(m, degree, theory, basepoint))
+    ]
+    b_gens = [delta(m, g, basepoint) for g in cochain_space(m, degree - 1, theory).gens]
     return CohomologyPresentation(m, degree, theory, basepoint, z_gens, b_gens)
 
 
@@ -519,18 +516,17 @@ def coboundary_witness(m, c, theory=THEORY_SR, basepoint=0):
     tau is a 0-cochain for the given basepoint.  The returned witness is
     the canonical (lexicographically least) solution.
     """
-    return _witness(m, c, theory, basepoint)
-
-
-def _witness(m, c, theory, basepoint=0, hom=None):
-    # coboundary_witness, solved on hom when the caller keeps the witness map
     ok, diags = is_cocycle(m, c, theory, basepoint)
     if not ok:
         raise NotACocycle(
             "input is not a cocycle: " + "; ".join(d.axiom for d in diags)
         )
-    if hom is None:
-        hom = _witness_map(m, c.degree - 1, theory, basepoint)
+    return _witness(m, c, _witness_map(m, c.degree - 1, theory, basepoint), basepoint)
+
+
+def _witness(m, c, hom, basepoint=0):
+    # tau with delta(tau) = c solved on the witness map hom, or None; the
+    # caller vouches that c is a cocycle
     target_vec = _cochain_to_vec(c)
     x = solve(hom, target_vec + (0,) * (hom.target.rank - len(target_vec)))
     if x is None:

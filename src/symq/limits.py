@@ -16,9 +16,8 @@ def resolve(explicit, default):
     if explicit is not None:
         return explicit
     env = os.environ.get("SYMQ_MAX_ENUM")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return default
+    if env is None:
+        return default
+    if not env.strip().isdecimal():
+        raise ValueError(f"SYMQ_MAX_ENUM must be a non-negative integer, got {env!r}")
+    return int(env)

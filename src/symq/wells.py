@@ -39,7 +39,7 @@ from .cohomology import (  # coboundary_witness stays importable from this modul
     cohomology_presentation,
     is_cocycle,
 )
-from .dynamical import build_extension, from_cocycle
+from .dynamical import DynamicalCocycle, affine_tables, build_extension
 from .errors import (
     Diagnostic,
     InfiniteGroupUnsupported,
@@ -68,24 +68,25 @@ class AbelianExtension:
     Over an infinite A only the cohomological data is kept: obstruction
     classes and lift equations never need the total space itself.  Z^1 and
     every lift equation are read off one degree-1 witness map, built on first use.
-    Each symmetry pair is validated once per extension; the valid ones are kept.
+    Each symmetry pair is validated once per extension, and its pair . sigma
+    is formed and cocycle-checked once; every obstruction route reads it.
     """
 
     __slots__ = (
-        "module", "sigma", "theory", "presentation", "cocycle", "extension", "rack",
-        "_d1", "_valid_pairs",
+        "module", "sigma", "theory", "presentation", "extension", "rack",
+        "_d1", "_sigma_class", "_acted",
     )
 
-    def __init__(self, module, sigma, theory, presentation, cocycle, extension):
+    def __init__(self, module, sigma, theory, presentation, extension):
         self.module = module
         self.sigma = sigma
         self.theory = theory
         self.presentation = presentation
-        self.cocycle = cocycle
         self.extension = extension
         self.rack = extension.rack if extension is not None else None
         self._d1 = None
-        self._valid_pairs = set()
+        self._sigma_class = None
+        self._acted = {}
 
     def _degree1_map(self):
         if self._d1 is None:
@@ -120,10 +121,11 @@ class AbelianExtension:
 def build_abelian_extension(m, sigma, theory=None):
     """Assemble the affine extension of a constant module by a 2-cocycle.
 
-    For a finite fiber group the table is glued through the dynamical
-    route and rechecked against the affine product formula; an infinite
-    fiber group keeps the extension symbolic.  The default theory follows
-    the kind of the base.
+    The module and the cocycle are checked once for either fiber group.  A
+    finite fiber group's table is then glued through the dynamical route
+    and rechecked against the affine product formula; an infinite fiber
+    group keeps the extension symbolic.  The default theory follows the
+    kind of the base.
     """
     if not m.constant:
         raise NotConstantModule("extension symmetries need a constant module")
@@ -132,23 +134,20 @@ def build_abelian_extension(m, sigma, theory=None):
         raise ValueError("sigma must be a 2-cochain on the base with values in A")
     if theory is None:
         theory = THEORY_SQ if X.kind == QUANDLE else THEORY_SR
+    check = validate_module(m)
+    if not check.ok:
+        raise ValidationError("coefficients are not a module", check.diagnostics)
+    ok, diags = is_cocycle(m, sigma, theory)
+    if not ok:
+        raise NotACocycle("not a 2-cocycle: " + "; ".join(d.axiom for d in diags))
+    dext = None
     if m.A.is_finite():
-        dc = from_cocycle(m, sigma, theory)
+        # build_extension runs the dynamical axioms once on the glued tables
+        dc = DynamicalCocycle(X, *affine_tables(m, sigma), quandle=theory == THEORY_SQ)
         dext = build_extension(dc)
         _check_affine_table(m, sigma, dext)
-    else:
-        check = validate_module(m)
-        if not check.ok:
-            raise ValidationError("coefficients are not a module", check.diagnostics)
-        ok, diags = is_cocycle(m, sigma, theory)
-        if not ok:
-            raise NotACocycle(
-                "not a 2-cocycle: " + "; ".join(d.axiom for d in diags)
-            )
-        dc = None
-        dext = None
     pres = cohomology_presentation(m, 2, theory)
-    return AbelianExtension(m, sigma, theory, pres, dc, dext)
+    return AbelianExtension(m, sigma, theory, pres, dext)
 
 
 def _check_affine_table(m, sigma, dext):
@@ -288,13 +287,19 @@ def _theta_problems(m, th):
     return problems
 
 
-def _require_pair(ext, pair):
-    if pair in ext._valid_pairs:
-        return
-    diags = validate_aut_pair(ext.module, pair)
-    if diags:
-        raise ValidationError("not a symmetry pair", diags)
-    ext._valid_pairs.add(pair)
+def _acted(ext, pair):
+    # pair . sigma, with the pair validated and the result cocycle-checked
+    # once per extension; a refused pair is checked again when asked again
+    acted = ext._acted.get(pair)
+    if acted is None:
+        diags = validate_aut_pair(ext.module, pair)
+        if diags:
+            raise ValidationError("not a symmetry pair", diags)
+        acted = act_on_cocycle(ext.module, pair, ext.sigma)
+        if not is_cocycle(ext.module, acted, ext.theory)[0]:
+            raise AssertionError("pair action left the cocycle space")
+        ext._acted[pair] = acted
+    return acted
 
 
 def enumerate_aut_pairs(ext, bound=None):
@@ -318,13 +323,11 @@ def act_on_cocycle(m, pair, sigma):
 
 def lambda_map(ext, pair):
     """Obstruction class [sigma] - [pair . sigma] of a symmetry pair."""
-    _require_pair(ext, pair)
-    acted = act_on_cocycle(ext.module, pair, ext.sigma)
-    ok, _ = is_cocycle(ext.module, acted, ext.theory)
-    if not ok:
-        raise AssertionError("pair action left the cocycle space")
+    acted = _acted(ext, pair)
     pres = ext.presentation
-    return pres.group.sub(pres.project(ext.sigma), pres.project(acted))
+    if ext._sigma_class is None:
+        ext._sigma_class = pres.project(ext.sigma)
+    return pres.group.sub(ext._sigma_class, pres.project(acted))
 
 
 def stabilizer(ext, pairs=None, bound=None):
@@ -338,9 +341,7 @@ def stabilizer(ext, pairs=None, bound=None):
     m = ext.module
     out = []
     for p in pairs:
-        _require_pair(ext, p)
-        acted = act_on_cocycle(m, p, ext.sigma)
-        if _witness(m, ext.sigma.sub(acted), ext.theory, 0, ext._degree1_map()) is not None:
+        if _witness(m, ext.sigma.sub(_acted(ext, p)), ext._degree1_map()) is not None:
             out.append(p)
     return out
 
@@ -425,7 +426,7 @@ def _check_lift(ext, pair, lam):
     # product formula; independent of any coboundary sign convention
     m = ext.module
     X, A = m.base, m.A
-    _require_pair(ext, pair)
+    _acted(ext, pair)
     if lam.degree != 1 or lam.size != X.size or lam.group != A:
         raise ValueError("lam must be a 1-cochain on the base with values in A")
     phi, psi, eta = m.phi[0][0], m.psi[0][0], m.eta[0]
@@ -470,9 +471,7 @@ def extend_pair(ext, pair):
     along zeta to the lift lambda; the lift is verified on construction.
     """
     m = ext.module
-    _require_pair(ext, pair)
-    acted = act_on_cocycle(m, pair, ext.sigma)
-    nu = _witness(m, acted.sub(ext.sigma), ext.theory, 0, ext._degree1_map())
+    nu = _witness(m, _acted(ext, pair).sub(ext.sigma), ext._degree1_map())
     if nu is None:
         return None
     lam = Cochain(
@@ -578,7 +577,7 @@ def gamma_restriction(ext, xi):
             [Diagnostic("fiber-affine", bad)],
         )
     pair = AutPair(tuple(zeta), theta)
-    _require_pair(ext, pair)
+    _acted(ext, pair)
     return pair
 
 

@@ -189,6 +189,15 @@ class TestOtherVerbs:
         assert out == ""
         assert "candidate images" in err
 
+    @pytest.mark.parametrize("value", ["lots", "-1"])
+    def test_bad_search_cap_override_exits_2(self, capsys, monkeypatch, value):
+        # an override that cannot be a bound must not leave the default in force
+        monkeypatch.setenv("SYMQ_MAX_ENUM", value)
+        code, out, err = run(["aut", "--rack", TAK3], capsys)
+        assert code == 2
+        assert out == ""
+        assert "SYMQ_MAX_ENUM" in err and repr(value) in err
+
     def test_from_group(self, capsys):
         code, out, _ = run(
             ["from-group", "--group", S3, "--sub", "0,3,4", "--json"], capsys

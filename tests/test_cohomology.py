@@ -255,6 +255,20 @@ class TestCoboundaryWitness:
         c = cochain("t2_z4", X, m)
         assert coboundary_witness(m, c, THEORY_SR) is None
 
+    def test_non_cocycle_is_refused_before_solving(self, monkeypatch):
+        X = rack("t2")
+        m = module("m0_z4", X)
+        c = Cochain(2, X.size, m.A, [(1,), (0,), (0,), (0,)])
+
+        def no_solve(*args):
+            raise AssertionError("solved for a witness of a non-cocycle")
+
+        monkeypatch.setattr(symq.cohomology, "solve", no_solve)
+        for theory in (THEORY_SR, THEORY_SQ):
+            assert not is_cocycle(m, c, theory)[0]
+            with pytest.raises(NotACocycle, match="eta-twist"):
+                coboundary_witness(m, c, theory)
+
     def test_witness_is_deterministic(self):
         X = rack("core_z4")
         m = dihedral_kamada_module(X, AbGroup([4]))

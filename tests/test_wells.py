@@ -111,6 +111,18 @@ class TestBuildExtension:
         with pytest.raises(NotConstantModule):
             build_abelian_extension(m, sigma, THEORY_SQ)
 
+    @pytest.mark.parametrize("orders", [[4], [0]])
+    def test_module_breaking_m3_rejected_for_both_fiber_kinds(self, orders):
+        # a constant module built directly, with eta = 2 id: eta o eta != id
+        X = rack("t2")
+        A = AbGroup(orders)
+        ident, zero, eta = AbHom.identity(A), AbHom.zero(A, A), AbHom.scalar(A, 2)
+        m = RackModule(X, A, [[ident] * 2] * 2, [[zero] * 2] * 2, [eta] * 2)
+        assert m.constant
+        with pytest.raises(ValidationError) as e:
+            build_abelian_extension(m, Cochain.zero(2, 2, A), THEORY_SR)
+        assert [d.axiom for d in e.value.diagnostics] == ["M3"]
+
     def test_shape_mismatch(self):
         X = rack("t2")
         m = module("m0_z4", X)
@@ -189,23 +201,35 @@ class TestPairs:
         assert any(d.axiom == "theta-symmetry" for d in validate_aut_pair(m, bad))
 
     def test_each_pair_is_validated_once_per_extension(self, monkeypatch):
-        calls = []
-        original = symq.wells.validate_aut_pair
-
-        def counting(m, pair):
-            calls.append(pair)
-            return original(m, pair)
-
-        monkeypatch.setattr(symq.wells, "validate_aut_pair", counting)
         ext = z4_extension()
+        calls = {"validate_aut_pair": [], "act_on_cocycle": [], "is_cocycle": []}
+
+        def counting(name):
+            original = getattr(symq.wells, name)
+
+            def wrapped(m, *args, **kw):
+                calls[name].append(args[0])
+                return original(m, *args, **kw)
+
+            monkeypatch.setattr(symq.wells, name, wrapped)
+
+        for name in calls:
+            counting(name)
         rep = wells_report(ext)
         enumerate_autA_extension(ext)
-        assert len(calls) == len(set(calls)) >= len(rep.pairs)
+        for p in rep.pairs:
+            extend_pair(ext, p)
+        # one validation, one action and one cocycle check per pair: the
+        # three obstruction routes and every lift read the same checked g . sigma
+        assert calls["validate_aut_pair"] == calls["act_on_cocycle"] == rep.pairs
+        assert len(calls["is_cocycle"]) == len(rep.pairs)
         # a bad pair is refused every time it is asked about
         bad = AutPair((0, 1), AbHom.zero(ext.module.A, ext.module.A))
-        for _ in range(2):
+        for k in range(1, 3):
             with pytest.raises(ValidationError):
                 extend_pair(ext, bad)
+            assert calls["validate_aut_pair"][-k:] == [bad] * k
+        assert len(calls["act_on_cocycle"]) == len(rep.pairs)
 
     def test_compose_and_inverse(self):
         ext = z4_extension()
