@@ -105,6 +105,8 @@ def boundary(X, n, tup, basepoint=0, psi_sign=1):
     if len(tup) != n or n < 1:
         raise ValueError("tuple arity mismatch")
     if n == 1:
+        if not 0 <= basepoint < X.size:
+            raise ValueError(f"basepoint {basepoint} is not an element of the base")
         a = X.left_inverse_op(tup[0], basepoint)
         return FormalChain(0, [(-psi_sign, "psi", (a, basepoint), ())])
     terms = []
@@ -362,18 +364,13 @@ def delta(m, f, basepoint=0):
 class CochainSpace:
     """C^degree in the chosen theory, presented by generators."""
 
-    __slots__ = ("module", "degree", "theory", "constraint", "gens")
+    __slots__ = ("module", "degree", "theory", "gens")
 
-    def __init__(self, module, degree, theory, constraint, gens):
+    def __init__(self, module, degree, theory, gens):
         self.module = module
         self.degree = degree
         self.theory = theory
-        self.constraint = constraint
         self.gens = gens
-
-    def contains(self, c):
-        vec = _cochain_to_vec(c)
-        return self.constraint(vec) == self.constraint.target.zero()
 
 
 def cochain_space(m, degree, theory=THEORY_SR):
@@ -387,7 +384,7 @@ def cochain_space(m, degree, theory=THEORY_SR):
     gens = [
         _vec_to_cochain(degree, X.size, A, v) for v in kernel(constraint)
     ]
-    return CochainSpace(m, degree, theory, constraint, gens)
+    return CochainSpace(m, degree, theory, gens)
 
 
 def delta1(m, lam):

@@ -14,15 +14,23 @@ in End(A), subject to axioms M1-M8 (M9 additionally on quandles):
     M9  phi_{x,x} + psi_{x,x} = id        (quandles only)
 """
 
-import random
-
 from .abelian import AbHom
 from .errors import Diagnostic, ValidationError
 from .racks import QUANDLE
 
-# all-pairs checking is exhaustive up to this carrier size, sampled above
-EXHAUSTIVE_SIZE = 16
-SAMPLE_TRIPLES = 10 ** 4
+# each condition as an identity of the structure maps it reads, in report order
+_IDENTITIES = {
+    "phi-invertible": lambda f: f.inverse() is not None,
+    "M1": lambda f1, f2, f3, f4: f1.compose(f2) == f3.compose(f4),
+    "M2": lambda f1, p1, p2, f2: f1.compose(p1) == p2.compose(f2),
+    "M3": lambda e1, e2: e1.compose(e2).is_identity(),
+    "M4": lambda e1, f1, f2, e2: e1.compose(f1) == f2.compose(e2),
+    "M5": lambda p1, e, p2: p1 == e.compose(p2),
+    "M6": lambda f1, f2: f1.compose(f2).is_identity(),
+    "M7": lambda p1, f, p2, p3, p4: p1 == f.compose(p2).add(p3.compose(p4)),
+    "M8": lambda f, p1, e, p2: f.compose(p1).compose(e) == p2.neg(),
+    "M9": lambda f, p: f.add(p).is_identity(),
+}
 
 
 class RackModule:
@@ -69,13 +77,12 @@ class RackModule:
 
 
 class ModuleCheck:
-    """Validation outcome: diagnostics plus whether the scan was exhaustive."""
+    """Validation outcome: the violated conditions with their witnesses."""
 
-    __slots__ = ("diagnostics", "probabilistic")
+    __slots__ = ("diagnostics",)
 
-    def __init__(self, diagnostics, probabilistic):
+    def __init__(self, diagnostics):
         self.diagnostics = diagnostics
-        self.probabilistic = probabilistic
 
     @property
     def ok(self):
@@ -85,86 +92,51 @@ class ModuleCheck:
         return self.ok
 
     def __repr__(self):
-        mode = "sampled" if self.probabilistic else "exhaustive"
-        return f"ModuleCheck(ok={self.ok}, mode={mode}, diagnostics={self.diagnostics})"
+        return f"ModuleCheck(ok={self.ok}, diagnostics={self.diagnostics})"
+
+
+def _check(memo, found, label, witness, *maps):
+    # one evaluation per distinct (label, maps); equal AbHoms share a verdict
+    key = (label, maps)
+    holds = memo.get(key)
+    if holds is None:
+        holds = memo[key] = _IDENTITIES[label](*maps)
+    if not holds:
+        found.setdefault(label, []).append(witness)
 
 
 def validate_module(m):
-    """Check M1-M8 (and M9 on quandles) plus invertibility of every phi.
+    """Check invertibility of every phi, M1-M8 and, on quandles, M9.
 
-    Exhaustive over all triples for carriers up to EXHAUSTIVE_SIZE; above
-    that a fixed-seed sample of triples is used and the result is marked
-    probabilistic.  The constant flag never short-circuits any axiom.
+    Exhaustive at every size: every pair and every triple of the base is
+    checked, and each identity is evaluated once per distinct tuple of the
+    maps it reads, so a constant module costs a handful of matrix products.
+    Witnesses of each condition come in lexicographic order.
     """
     X = m.base
     n = X.size
-    rho = X.rho
-    op = X.op
-    linv = X.left_inverse_op
-    ident = AbHom.identity(m.A)
-    found = {}
-
-    def hit(axiom, witness):
-        found.setdefault(axiom, []).append(witness)
-
-    non_invertible = [
-        (x, y)
-        for x in range(n)
-        for y in range(n)
-        if m.phi[x][y].inverse() is None
-    ]
-    if non_invertible:
-        for w in non_invertible:
-            hit("phi-invertible", w)
-
-    exhaustive = n <= EXHAUSTIVE_SIZE
-    if exhaustive:
-        triples = (
-            (x, y, z) for x in range(n) for y in range(n) for z in range(n)
-        )
-        pairs = ((x, y) for x in range(n) for y in range(n))
-    else:
-        rng = random.Random(0)
-        triples = (
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(SAMPLE_TRIPLES)
-        )
-        pairs = (
-            (rng.randrange(n), rng.randrange(n)) for _ in range(SAMPLE_TRIPLES)
-        )
-
-    for x, y, z in triples:
-        xy, xz, yz = op(x, y), op(x, z), op(y, z)
-        if m.phi[xy][z].compose(m.phi[x][y]) != m.phi[xz][yz].compose(m.phi[x][z]):
-            hit("M1", (x, y, z))
-        if m.phi[xy][z].compose(m.psi[x][y]) != m.psi[xz][yz].compose(m.phi[y][z]):
-            hit("M2", (x, y, z))
-        if m.psi[xy][z] != m.phi[xz][yz].compose(m.psi[x][z]).add(
-            m.psi[xz][yz].compose(m.psi[y][z])
-        ):
-            hit("M7", (x, y, z))
-
-    for x, y in pairs:
-        xy = op(x, y)
-        if m.eta[xy].compose(m.phi[x][y]) != m.phi[rho[x]][y].compose(m.eta[x]):
-            hit("M4", (x, y))
-        if m.psi[rho[x]][y] != m.eta[xy].compose(m.psi[x][y]):
-            hit("M5", (x, y))
-        if not m.phi[linv(x, y)][y].compose(m.phi[x][rho[y]]).is_identity():
-            hit("M6", (x, y))
-        lhs = m.phi[linv(x, y)][y].compose(m.psi[x][rho[y]]).compose(m.eta[y])
-        if lhs != m.psi[op(x, rho[y])][y].neg():
-            hit("M8", (x, y))
-
+    rho, op, linv = X.rho, X.op, X.left_inverse_op
+    phi, psi, eta = m.phi, m.psi, m.eta
+    memo, found = {}, {}
     for x in range(n):
-        if not m.eta[rho[x]].compose(m.eta[x]).is_identity():
-            hit("M3", (x,))
-        if X.kind == QUANDLE and m.phi[x][x].add(m.psi[x][x]) != ident:
-            hit("M9", (x,))
-
-    order = ["phi-invertible", "M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M9"]
-    diags = [Diagnostic(a, found[a]) for a in order if a in found]
-    return ModuleCheck(diags, probabilistic=not exhaustive)
+        _check(memo, found, "M3", (x,), eta[rho[x]], eta[x])
+        if X.kind == QUANDLE:
+            _check(memo, found, "M9", (x,), phi[x][x], psi[x][x])
+        for y in range(n):
+            xy, u, ry = op(x, y), linv(x, y), rho[y]
+            _check(memo, found, "phi-invertible", (x, y), phi[x][y])
+            _check(memo, found, "M4", (x, y), eta[xy], phi[x][y], phi[rho[x]][y], eta[x])
+            _check(memo, found, "M5", (x, y), psi[rho[x]][y], eta[xy], psi[x][y])
+            _check(memo, found, "M6", (x, y), phi[u][y], phi[x][ry])
+            _check(memo, found, "M8", (x, y), phi[u][y], psi[x][ry], eta[y], psi[op(x, ry)][y])
+            for z in range(n):
+                xz, yz = op(x, z), op(y, z)
+                w = (x, y, z)
+                _check(memo, found, "M1", w, phi[xy][z], phi[x][y], phi[xz][yz], phi[x][z])
+                _check(memo, found, "M2", w, phi[xy][z], psi[x][y], psi[xz][yz], phi[y][z])
+                _check(memo, found, "M7", w,
+                       psi[xy][z], phi[xz][yz], psi[x][z], psi[xz][yz], psi[y][z])
+    return ModuleCheck([Diagnostic(a, found[a]) for a in _IDENTITIES if a in found])
 
 
 def constant_module(base, A, phi_matrix, psi_matrix, eta_matrix):

@@ -67,24 +67,25 @@ class AbelianExtension:
 
     Over an infinite A only the cohomological data is kept: obstruction
     classes and lift equations never need the total space itself.  Z^1 and
-    every lift equation are read off one degree-1 witness map, built on first use.
+    every lift equation are read off one degree-1 witness map, and obstruction
+    classes off the degree-2 presentation; each is built on first use.
     Each symmetry pair is validated once per extension, and its pair . sigma
     is formed and cocycle-checked once; every obstruction route reads it.
     """
 
     __slots__ = (
-        "module", "sigma", "theory", "presentation", "extension", "rack",
-        "_d1", "_sigma_class", "_acted",
+        "module", "sigma", "theory", "extension", "rack",
+        "_d1", "_presentation", "_sigma_class", "_acted",
     )
 
-    def __init__(self, module, sigma, theory, presentation, extension):
+    def __init__(self, module, sigma, theory, extension):
         self.module = module
         self.sigma = sigma
         self.theory = theory
-        self.presentation = presentation
         self.extension = extension
         self.rack = extension.rack if extension is not None else None
         self._d1 = None
+        self._presentation = None
         self._sigma_class = None
         self._acted = {}
 
@@ -92,6 +93,13 @@ class AbelianExtension:
         if self._d1 is None:
             self._d1 = _witness_map(self.module, 1, self.theory)
         return self._d1
+
+    @property
+    def presentation(self):
+        """The degree-2 cohomology presentation of the module."""
+        if self._presentation is None:
+            self._presentation = cohomology_presentation(self.module, 2, self.theory)
+        return self._presentation
 
     @property
     def size(self):
@@ -146,8 +154,7 @@ def build_abelian_extension(m, sigma, theory=None):
         dc = DynamicalCocycle(X, *affine_tables(m, sigma), quandle=theory == THEORY_SQ)
         dext = build_extension(dc)
         _check_affine_table(m, sigma, dext)
-    pres = cohomology_presentation(m, 2, theory)
-    return AbelianExtension(m, sigma, theory, pres, dext)
+    return AbelianExtension(m, sigma, theory, dext)
 
 
 def _check_affine_table(m, sigma, dext):

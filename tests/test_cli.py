@@ -90,6 +90,18 @@ class TestCohomologyVerb:
         )
         assert out.splitlines()[0] == "H2_SR = Z"
 
+    @pytest.mark.parametrize("basepoint", ["99", "-1"])
+    def test_basepoint_outside_the_base_is_validation(self, basepoint, capsys):
+        # a negative index must not wrap round to the last element
+        code, out, err = run(
+            ["cohomology", "--rack", RACK, "--module", MZ4, "--degree", "1",
+             "--basepoint", basepoint],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"basepoint {basepoint} is not an element of the base" in err
+
     def test_class_of_cocycle(self, capsys):
         code, out, _ = run(
             ["cohomology", "--rack", RACK, "--module", MZ4,

@@ -1,4 +1,4 @@
-"""Every module-level import in src/symq is used (stdlib ast, no linter)."""
+"""Every module-level import in src/symq is used, and none samples (stdlib ast, no linter)."""
 
 import ast
 from pathlib import Path
@@ -29,6 +29,28 @@ def unused_imports(path):
 )
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
+
+
+def imported_modules(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_random(path):
+    # every verdict covers its whole domain, so the library never samples
+    assert "random" not in imported_modules(path)
+
+
+def test_the_check_sees_a_nested_random_import(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("def f():\n    from random import Random\n    return Random\n")
+    assert imported_modules(path) == {"random"}
 
 
 def test_the_check_sees_an_unused_import(tmp_path):

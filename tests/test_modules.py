@@ -10,7 +10,13 @@ from symq.modules import (
     dihedral_kamada_module,
     validate_module,
 )
-from symq.racks import takasaki, trivial_rack, validate_good_involution, validate_rack
+from symq.racks import (
+    QUANDLE,
+    takasaki,
+    trivial_rack,
+    validate_good_involution,
+    validate_rack,
+)
 
 from conftest import rack
 
@@ -125,12 +131,77 @@ class TestShapeAndSampling:
         with pytest.raises(ValueError):
             RackModule(base, A, [[other, h], [h, h]], [[h, h], [h, h]], [h, h])
 
-    def test_large_carrier_goes_probabilistic(self):
+
+
+class TestCoverage:
+    def test_large_carrier_is_exhaustive(self):
         m = dihedral_kamada_module(trivial_rack(17), AbGroup([2]))
         check = validate_module(m)
         assert check.ok
-        assert check.probabilistic
+        # no verdict is sampled, so none carries a mode
+        assert repr(check) == "ModuleCheck(ok=True, diagnostics=[])"
 
-    def test_small_carrier_is_exhaustive(self):
-        check = validate_module(dihedral_kamada_module(rack("t2"), AbGroup([2])))
-        assert not check.probabilistic
+    @pytest.mark.parametrize("n", [4, 20])
+    def test_broken_module_reports_exactly_its_witnesses(self, n):
+        # over Z2 x Z2, phi_{0,1} = P and phi_{0,2} = Q are involutions that do
+        # not commute: on the trivial quandle only M1 at (0,1,2), (0,2,1) breaks;
+        # on 20 elements a sample of 10^4 random triples can miss both
+        A = AbGroup([2, 2])
+        ident, zero = AbHom.identity(A), AbHom.zero(A, A)
+        phi = [[ident] * n for _ in range(n)]
+        phi[0][1] = AbHom(A, A, [[0, 1], [1, 0]])
+        phi[0][2] = AbHom(A, A, [[1, 1], [0, 1]])
+        m = RackModule(trivial_rack(n), A, phi, [[zero] * n] * n, [ident] * n)
+        assert not m.constant
+        diags = validate_module(m).diagnostics
+        assert repr(diags) == repr(direct_diagnostics(m))
+        assert repr(diags) == "[M1: [(0, 1, 2), (0, 2, 1)]]"
+
+
+def direct_diagnostics(m):
+    """Every condition evaluated from its formula on every index tuple."""
+    X = m.base
+    n, op, linv, rho = X.size, X.op, X.left_inverse_op, X.rho
+    phi, psi, eta = m.phi, m.psi, m.eta
+    ident = AbHom.identity(m.A)
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
+    found = {
+        "phi-invertible": [(x, y) for x, y in pairs if not phi[x][y].is_invertible()],
+        "M1": [(x, y, z) for x, y, z in triples
+               if phi[op(x, y)][z].compose(phi[x][y])
+               != phi[op(x, z)][op(y, z)].compose(phi[x][z])],
+        "M2": [(x, y, z) for x, y, z in triples
+               if phi[op(x, y)][z].compose(psi[x][y])
+               != psi[op(x, z)][op(y, z)].compose(phi[y][z])],
+        "M3": [(x,) for x in range(n) if eta[rho[x]].compose(eta[x]) != ident],
+        "M4": [(x, y) for x, y in pairs
+               if eta[op(x, y)].compose(phi[x][y]) != phi[rho[x]][y].compose(eta[x])],
+        "M5": [(x, y) for x, y in pairs if psi[rho[x]][y] != eta[op(x, y)].compose(psi[x][y])],
+        "M6": [(x, y) for x, y in pairs
+               if phi[linv(x, y)][y].compose(phi[x][rho[y]]) != ident],
+        "M7": [(x, y, z) for x, y, z in triples
+               if psi[op(x, y)][z] != phi[op(x, z)][op(y, z)].compose(psi[x][z]).add(
+                   psi[op(x, z)][op(y, z)].compose(psi[y][z]))],
+        "M8": [(x, y) for x, y in pairs
+               if phi[linv(x, y)][y].compose(psi[x][rho[y]]).compose(eta[y])
+               != psi[op(x, rho[y])][y].neg()],
+        "M9": [(x,) for x in range(n)
+               if X.kind == QUANDLE and phi[x][x].add(psi[x][x]) != ident],
+    }
+    return [Diagnostic(a, w) for a, w in found.items() if w]
+
+
+class TestCost:
+    def test_constant_module_costs_a_handful_of_products(self, monkeypatch):
+        m = dihedral_kamada_module(takasaki(8), AbGroup([4]))
+        calls = []
+        original = AbHom.__init__
+
+        def counting(self, source, target, matrix):
+            calls.append(1)
+            original(self, source, target, matrix)
+
+        monkeypatch.setattr(AbHom, "__init__", counting)
+        assert validate_module(m).ok
+        assert len(calls) <= 30

@@ -304,6 +304,15 @@ class TestLifting:
             # construction already verified the permutation is an automorphism
             assert sorted(lift.perm) == list(range(8))
 
+    def test_lifting_builds_no_presentation(self, monkeypatch):
+        # the degree-2 presentation is built on first read, and lifting a
+        # pair whose obstruction vanishes never reads it
+        monkeypatch.setattr(symq.wells, "cohomology_presentation", None)
+        ext = z4_extension()
+        lift = extend_pair(ext, AutPair.identity(ext.module))
+        assert lift is not None
+        assert sorted(lift.perm) == list(range(8))
+
     def test_second_lift_makes_no_factorization(self, snf_calls):
         ext = z4_extension()
         pair = AutPair((1, 0), AbHom.identity(ext.module.A))
