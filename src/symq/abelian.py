@@ -80,9 +80,6 @@ class SmithDecomposition:
         n = len(self.D[0]) if m else 0
         return [self.D[i][i] for i in range(min(m, n))]
 
-    def rank(self):
-        return sum(1 for d in self.diagonal() if d != 0)
-
 
 def smith_normal_form(M):
     """Smith normal form of an integer matrix (list of rows, possibly empty).

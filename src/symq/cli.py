@@ -41,49 +41,76 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+_FLAGS = dict.fromkeys(("rack", "module", "cocycle", "group", "dynamical", "other"),
+                       {"metavar": "FILE"})
+_FLAGS.update({
+    "theory": {"choices": (THEORY_SR, THEORY_SQ)},
+    "degree": {"type": int, "choices": (1, 2), "default": 2},
+    "basepoint": {"type": int, "default": 0},
+    "sub": {"metavar": "ELEMS", "help": "comma-separated subgroup elements"},
+    "flavor": {"choices": ("conj", "core", "core_z"), "default": "conj"},
+    "n": {"type": int, "default": 1, "help": "conjugation power"},
+    "z": {"type": int, "help": "central involution for core_z"},
+    "zeta": {"metavar": "WORD", "help": "comma-separated permutation word"},
+    "theta": {"metavar": "MATRIX", "help": "JSON matrix or scalar"},
+})
+
+
 def _build_parser():
-    parser = _Parser(prog="symq", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="symq", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="verb", parser_class=_Parser, required=True)
 
-    def add(name, action_choices=None, **kw):
-        p = sub.add_parser(name, **kw)
-        if action_choices:
-            p.add_argument("action", nargs="?", default=action_choices[0],
-                           choices=action_choices)
-        for flag in ("rack", "module", "cocycle", "group", "dynamical", "other"):
-            p.add_argument(f"--{flag}", metavar="FILE")
-        p.add_argument("--theory", choices=(THEORY_SR, THEORY_SQ))
-        p.add_argument("--degree", type=int, choices=(1, 2), default=2)
-        p.add_argument("--basepoint", type=int, default=0)
-        p.add_argument("--bound", type=int)
-        p.add_argument("--sub", metavar="ELEMS", help="comma-separated subgroup elements")
-        p.add_argument("--flavor", choices=("conj", "core", "core_z"), default="conj")
-        p.add_argument("--n", type=int, default=1, help="conjugation power")
-        p.add_argument("--z", type=int, help="central involution for core_z")
-        p.add_argument("--zeta", metavar="WORD", help="comma-separated permutation word")
-        p.add_argument("--theta", metavar="MATRIX", help="JSON matrix or scalar")
+    def add(name, flags, help, actions=(), bound=None):
+        # each verb takes exactly the flags its command reads
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        if actions:
+            p.add_argument("action", nargs="?", default=actions[0], choices=actions)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        if bound:
+            p.add_argument("--bound", type=int, help=bound)
         p.add_argument("--json", action="store_true", help="print only the JSON block")
-        return p
 
-    add("check", help="validate rack/module/cocycle/group files")
-    add("involutions", help="enumerate good involutions of a rack")
-    add("aut", help="enumerate symmetric rack automorphisms")
-    add("from-group", help="split a group extension into a dynamical cocycle")
-    add("cohomology", help="cocycles, coboundaries and H in degree 1 or 2")
-    add("dynamical", action_choices=("validate", "extend", "equiv"),
-        help="validate dynamical data, build its extension, test equivalence")
-    add("extension", help="build the affine extension of a module cocycle")
-    add("wells", action_choices=("report", "extend"),
-        help="symmetry sequence report, or lift one pair")
+    add("check", "rack module cocycle group theory basepoint",
+        "validate rack/module/cocycle/group files")
+    add("involutions", "rack", "enumerate good involutions of a rack",
+        bound="largest rack size to enumerate")
+    add("aut", "rack", "enumerate symmetric rack automorphisms",
+        bound="largest rack size to enumerate")
+    add("from-group", "group sub flavor n z",
+        "split a group extension into a dynamical cocycle")
+    add("cohomology", "rack module cocycle theory degree basepoint",
+        "cocycles, coboundaries and H in degree 1 or 2")
+    add("dynamical", "rack dynamical other theory",
+        "validate dynamical data, build its extension, test equivalence",
+        actions=("validate", "extend", "equiv"),
+        bound="candidate images the gauge search may try")
+    add("extension", "rack module cocycle theory",
+        "build the affine extension of a module cocycle")
+    add("wells", "rack module cocycle theory zeta theta",
+        "symmetry sequence report, or lift one pair", actions=("report", "extend"),
+        bound="largest rack size, fiber torsion order and number of 1-cocycles")
     return parser
 
 
+def _usage(message):
+    print(f"symq: error: {message}", file=sys.stderr)
+    raise SystemExit(1)
+
+
 def _require(args, flag):
-    value = getattr(args, flag.replace("-", "_"))
+    value = getattr(args, flag)
     if value is None:
-        print(f"symq: error: --{flag} is required for this command", file=sys.stderr)
-        raise SystemExit(1)
+        _usage(f"--{flag} is required for this command")
     return value
+
+
+def _int_list(args, flag):
+    raw = _require(args, flag)
+    try:
+        return [int(v) for v in raw.split(",")]
+    except ValueError:
+        _usage(f"--{flag} must be comma-separated integers")
 
 
 def _emit(args, lines, data):
@@ -117,14 +144,11 @@ def _perm_entry(word):
 def cmd_check(args):
     lines, data = [], {}
     if args.rack is None and args.group is None:
-        print("symq: error: check needs --rack and/or --group", file=sys.stderr)
-        raise SystemExit(1)
+        _usage("check needs --rack and/or --group")
     if args.module is not None and args.rack is None:
-        print("symq: error: --module needs --rack", file=sys.stderr)
-        raise SystemExit(1)
+        _usage("--module needs --rack")
     if args.cocycle is not None and args.module is None:
-        print("symq: error: --cocycle needs --module", file=sys.stderr)
-        raise SystemExit(1)
+        _usage("--cocycle needs --module")
     if args.rack is not None:
         X = load_rack(args.rack)
         lines.append(f"rack: ok ({X.kind}, size {X.size})")
@@ -169,15 +193,9 @@ def cmd_aut(args):
 
 def cmd_from_group(args):
     G = load_group(_require(args, "group"))
-    raw = _require(args, "sub")
-    try:
-        sub = [int(v) for v in raw.split(",")]
-    except ValueError:
-        print("symq: error: --sub must be comma-separated integers", file=sys.stderr)
-        raise SystemExit(1)
+    sub = _int_list(args, "sub")
     if args.flavor == "core_z" and args.z is None:
-        print("symq: error: --z is required for flavor core_z", file=sys.stderr)
-        raise SystemExit(1)
+        _usage("--z is required for flavor core_z")
     split = from_group_extension(G, sub, flavor=args.flavor, n=args.n, z=args.z)
     fibers = list(split.cocycle.sizes)
     lines = [
@@ -306,18 +324,11 @@ def cmd_extension(args):
 
 
 def _parse_pair(args, m):
-    word = _require(args, "zeta")
+    zeta = tuple(_int_list(args, "zeta"))
     try:
-        zeta = tuple(int(v) for v in word.split(","))
-    except ValueError:
-        print("symq: error: --zeta must be comma-separated integers", file=sys.stderr)
-        raise SystemExit(1)
-    raw = _require(args, "theta")
-    try:
-        spec = json.loads(raw)
+        spec = json.loads(_require(args, "theta"))
     except json.JSONDecodeError:
-        print("symq: error: --theta must be a JSON matrix or scalar", file=sys.stderr)
-        raise SystemExit(1)
+        _usage("--theta must be a JSON matrix or scalar")
     if isinstance(spec, list):
         return AutPair(zeta, _hom(m.A, spec, "--theta"))
     return AutPair(zeta, AbHom.scalar(m.A, _int_value(spec, "--theta")))

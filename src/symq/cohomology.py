@@ -45,11 +45,13 @@ THEORY_SR = "sr"
 THEORY_SQ = "sq"
 
 
-def _check_theory(X, theory):
+def _check_theory(X, theory, basepoint=0):
     if theory not in (THEORY_SR, THEORY_SQ):
         raise ValueError(f"unknown theory {theory!r}, expected 'sr' or 'sq'")
     if theory == THEORY_SQ and X.kind != QUANDLE:
         raise ValueError("the quandle theory needs a quandle carrier")
+    if not 0 <= basepoint < X.size:
+        raise ValueError(f"basepoint {basepoint} is not an element of the base")
 
 
 def bracket(X, seq):
@@ -400,13 +402,6 @@ def delta1(m, lam):
     return out
 
 
-def delta0(m, f, basepoint=0):
-    """Coboundary of a 0-cochain: x |-> -psi_{x invop p, p}(f(p))."""
-    if f.degree != 0:
-        raise ValueError("delta0 expects a 0-cochain")
-    return delta(m, f, basepoint)
-
-
 def is_cochain(m, c):
     """Membership of c in C^degree (eta/phi compatibility), with witnesses."""
     # the rack-theory membership rows are exactly the eta and phi conditions
@@ -416,7 +411,7 @@ def is_cochain(m, c):
 def is_cocycle(m, c, theory=THEORY_SR, basepoint=0):
     """Full cocycle test in the chosen theory, with labeled witnesses."""
     X = m.base
-    _check_theory(X, theory)
+    _check_theory(X, theory, basepoint)
     rows = _membership_rows(X, m, c.degree, theory) + _delta_rows(X, m, c.degree, basepoint)
     return _report(m, c, rows)
 
@@ -487,7 +482,7 @@ def cohomology_presentation(m, degree, theory=THEORY_SR, basepoint=0):
     the basepoint.  The subquotient checks every generator of B against Z.
     """
     X, A = m.base, m.A
-    _check_theory(X, theory)
+    _check_theory(X, theory, basepoint)
     if degree not in (1, 2):
         raise ValueError("only degrees 1 and 2 are presented")
     z_gens = [

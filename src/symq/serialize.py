@@ -11,13 +11,14 @@ Schemas, all indices 0-based:
             where M is an r x r integer matrix, rows indexing the target
             coordinates, and invariant factor 0 means an infinite cyclic
             summand
-  cochain   {"degree": k, "values": {"x1,..,xk": [r ints], ..}} with every
-            tuple present
+  cochain   {"degree": k, "values": {"x1,..,xk": [r ints], ..}}
   dynamical {"fibers": {"x": size, ..}, "alpha": {"x,y": [[..]], ..},
              "beta": {"x": [..], ..}} with alpha["x,y"][s][t] in S_{x*y}
 
-Loaders validate what they build (rack axioms, group axioms, module
-axioms); parse problems raise ValidationError naming the broken field.
+A keyed table has the key "x1,..,xk" (plain decimals) for every k-tuple of
+base elements and no other key.  Loaders validate what they build (rack
+axioms, group axioms, module axioms); parse problems raise ValidationError
+naming the broken field or key.
 """
 
 import json
@@ -81,17 +82,42 @@ def _int_matrix(v, where):
     return [_int_vector(r, f"{where}[{i}]") for i, r in enumerate(v)]
 
 
-def _key_tuple(key, arity, size, where):
-    parts = key.split(",") if key else []
-    if len(parts) != arity:
-        raise ValidationError(f"{where}: key '{key}' must have {arity} indices")
-    try:
-        tup = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValidationError(f"{where}: key '{key}' is not a tuple of integers")
-    if any(v < 0 or v >= size for v in tup):
-        raise ValidationError(f"{where}: key '{key}' out of range 0..{size - 1}")
-    return tup
+def _key(tup):
+    return ",".join(map(str, tup))
+
+
+def _table(entries, arity, size, where, parse):
+    """parse(value, where) of the entry at each arity-tuple over 0..size-1.
+
+    Entries come back in lexicographic tuple order.  The first missing key
+    is found without listing the keys first, so a huge arity fails at once;
+    once every key is present, any other key is refused.
+    """
+    if not isinstance(entries, dict):
+        raise ValidationError(f"{where}: expected an object")
+    out = []
+    for tup in product(range(size), repeat=arity):
+        key = _key(tup)
+        if key not in entries:
+            raise ValidationError(f"{where}: missing key '{key}'")
+        out.append(parse(entries[key], f"{where}['{key}']"))
+    if len(entries) > len(out):
+        keys = set(map(_key, product(range(size), repeat=arity)))
+        stray = next(k for k in entries if k not in keys)
+        raise ValidationError(f"{where}: unexpected key '{stray}'")
+    return out
+
+
+def _keyed(n, arity, value):
+    return {_key(t): value(*t) for t in product(range(n), repeat=arity)}
+
+
+def _rows(flat, n):
+    return [flat[i:i + n] for i in range(0, n * n, n)]
+
+
+def _lists(rows):
+    return [list(r) for r in rows]
 
 
 # ---------------------------------------------------------------- racks
@@ -118,7 +144,7 @@ def rack_from_dict(obj, where="rack"):
 def rack_to_dict(X):
     return {
         "size": X.size,
-        "table": [list(r) for r in X.rack.table],
+        "table": _lists(X.rack.table),
         "rho": list(X.rho),
         "kind": X.kind,
     }
@@ -150,7 +176,7 @@ def group_from_dict(obj, where="group"):
 
 
 def group_to_dict(G):
-    return {"size": G.size, "mul": [list(r) for r in G.mul], "id": G.identity}
+    return {"size": G.size, "mul": _lists(G.mul), "id": G.identity}
 
 
 def load_group(path):
@@ -171,47 +197,19 @@ def _hom(A, raw, where):
         raise ValidationError(f"{where}: {exc}")
 
 
-def _pair_table(A, spec, n, where):
+def _hom_table(A, spec, arity, n, where):
+    """phi/psi (arity 2) or eta (arity 1): one constant map or a keyed table."""
+    keyed = "by_pair" if arity == 2 else "by_element"
     if not isinstance(spec, dict):
         raise ValidationError(f"{where}: expected an object")
     if "constant" in spec:
-        h = _hom(A, spec["constant"], f"{where}.constant")
-        return [[h] * n for _ in range(n)]
-    if "by_pair" in spec:
-        entries = spec["by_pair"]
-        table = []
-        for x in range(n):
-            row = []
-            for y in range(n):
-                key = f"{x},{y}"
-                if not isinstance(entries, dict) or key not in entries:
-                    raise ValidationError(f"{where}.by_pair: missing key '{key}'")
-                row.append(_hom(A, entries[key], f"{where}.by_pair['{key}']"))
-            table.append(row)
-        for key in entries:
-            _key_tuple(key, 2, n, f"{where}.by_pair")
-        return table
-    raise ValidationError(f"{where}: needs 'constant' or 'by_pair'")
-
-
-def _element_table(A, spec, n, where):
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{where}: expected an object")
-    if "constant" in spec:
-        h = _hom(A, spec["constant"], f"{where}.constant")
-        return [h] * n
-    if "by_element" in spec:
-        entries = spec["by_element"]
-        table = []
-        for x in range(n):
-            key = str(x)
-            if not isinstance(entries, dict) or key not in entries:
-                raise ValidationError(f"{where}.by_element: missing key '{key}'")
-            table.append(_hom(A, entries[key], f"{where}.by_element['{key}']"))
-        for key in entries:
-            _key_tuple(key, 1, n, f"{where}.by_element")
-        return table
-    raise ValidationError(f"{where}: needs 'constant' or 'by_element'")
+        flat = [_hom(A, spec["constant"], f"{where}.constant")] * n**arity
+    elif keyed in spec:
+        flat = _table(spec[keyed], arity, n, f"{where}.{keyed}",
+                      lambda v, w: _hom(A, v, w))
+    else:
+        raise ValidationError(f"{where}: needs 'constant' or '{keyed}'")
+    return _rows(flat, n) if arity == 2 else flat
 
 
 def module_from_dict(obj, base, where="module"):
@@ -224,9 +222,9 @@ def module_from_dict(obj, base, where="module"):
         raise ValidationError(f"{where}.group.invariant_factors: must be >= 0")
     A = AbGroup(tuple(factors))
     n = base.size
-    phi = _pair_table(A, _need(obj, "phi", where), n, f"{where}.phi")
-    psi = _pair_table(A, _need(obj, "psi", where), n, f"{where}.psi")
-    eta = _element_table(A, _need(obj, "eta", where), n, f"{where}.eta")
+    phi = _hom_table(A, _need(obj, "phi", where), 2, n, f"{where}.phi")
+    psi = _hom_table(A, _need(obj, "psi", where), 2, n, f"{where}.psi")
+    eta = _hom_table(A, _need(obj, "eta", where), 1, n, f"{where}.eta")
     m = RackModule(base, A, phi, psi, eta)
     check = validate_module(m)
     if not check.ok:
@@ -238,29 +236,13 @@ def module_to_dict(m):
     out = {"group": {"invariant_factors": list(m.A.orders)}}
     n = m.base.size
     if m.constant:
-        out["phi"] = {"constant": [list(r) for r in m.phi[0][0].matrix]}
-        out["psi"] = {"constant": [list(r) for r in m.psi[0][0].matrix]}
-        out["eta"] = {"constant": [list(r) for r in m.eta[0].matrix]}
+        out["phi"] = {"constant": _lists(m.phi[0][0].matrix)}
+        out["psi"] = {"constant": _lists(m.psi[0][0].matrix)}
+        out["eta"] = {"constant": _lists(m.eta[0].matrix)}
     else:
-        out["phi"] = {
-            "by_pair": {
-                f"{x},{y}": [list(r) for r in m.phi[x][y].matrix]
-                for x in range(n)
-                for y in range(n)
-            }
-        }
-        out["psi"] = {
-            "by_pair": {
-                f"{x},{y}": [list(r) for r in m.psi[x][y].matrix]
-                for x in range(n)
-                for y in range(n)
-            }
-        }
-        out["eta"] = {
-            "by_element": {
-                str(x): [list(r) for r in m.eta[x].matrix] for x in range(n)
-            }
-        }
+        out["phi"] = {"by_pair": _keyed(n, 2, lambda x, y: _lists(m.phi[x][y].matrix))}
+        out["psi"] = {"by_pair": _keyed(n, 2, lambda x, y: _lists(m.psi[x][y].matrix))}
+        out["eta"] = {"by_element": _keyed(n, 1, lambda x: _lists(m.eta[x].matrix))}
     return out
 
 
@@ -279,33 +261,21 @@ def cochain_from_dict(obj, size, group, where="cocycle"):
     degree = _int_value(_need(obj, "degree", where), f"{where}.degree")
     if degree < 0:
         raise ValidationError(f"{where}.degree: must be >= 0")
-    entries = _need(obj, "values", where)
-    if not isinstance(entries, dict):
-        raise ValidationError(f"{where}.values: expected an object")
-    values = []
-    for tup in product(range(size), repeat=degree):
-        key = ",".join(str(v) for v in tup)
-        if key not in entries:
-            raise ValidationError(f"{where}.values: missing key '{key}'")
-        vec = _int_vector(entries[key], f"{where}.values['{key}']")
+
+    def coordinates(v, w):
+        vec = _int_vector(v, w)
         if len(vec) != group.rank:
-            raise ValidationError(
-                f"{where}.values['{key}']: expected {group.rank} coordinates"
-            )
-        values.append(tuple(vec))
-    for key in entries:
-        _key_tuple(key, degree, size, f"{where}.values")
+            raise ValidationError(f"{w}: expected {group.rank} coordinates")
+        return tuple(vec)
+
+    values = _table(_need(obj, "values", where), degree, size, f"{where}.values",
+                    coordinates)
     return Cochain(degree, size, group, values)
 
 
 def cochain_to_dict(c):
-    return {
-        "degree": c.degree,
-        "values": {
-            ",".join(str(v) for v in tup): list(val)
-            for tup, val in zip(product(range(c.size), repeat=c.degree), c.values)
-        },
-    }
+    keys = map(_key, product(range(c.size), repeat=c.degree))
+    return {"degree": c.degree, "values": dict(zip(keys, map(list, c.values)))}
 
 
 def load_cochain(path, size, group):
@@ -319,49 +289,27 @@ def save_cochain(c, path):
 # -------------------------------------------------------------- dynamical
 
 
+def _positive(v, where):
+    if _int_value(v, where) <= 0:
+        raise ValidationError(f"{where}: must be positive")
+    return v
+
+
 def dynamical_from_dict(obj, base, where="dynamical"):
     """Raw (sizes, alpha, beta) tables; validation is the caller's verb."""
     n = base.size
-    fibers = _need(obj, "fibers", where)
-    sizes = []
-    for x in range(n):
-        key = str(x)
-        if not isinstance(fibers, dict) or key not in fibers:
-            raise ValidationError(f"{where}.fibers: missing key '{key}'")
-        sz = _int_value(fibers[key], f"{where}.fibers['{key}']")
-        if sz <= 0:
-            raise ValidationError(f"{where}.fibers['{key}']: must be positive")
-        sizes.append(sz)
-    alpha_spec = _need(obj, "alpha", where)
-    alpha = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            key = f"{x},{y}"
-            if not isinstance(alpha_spec, dict) or key not in alpha_spec:
-                raise ValidationError(f"{where}.alpha: missing key '{key}'")
-            row.append(_int_matrix(alpha_spec[key], f"{where}.alpha['{key}']"))
-        alpha.append(row)
-    beta_spec = _need(obj, "beta", where)
-    beta = []
-    for x in range(n):
-        key = str(x)
-        if not isinstance(beta_spec, dict) or key not in beta_spec:
-            raise ValidationError(f"{where}.beta: missing key '{key}'")
-        beta.append(_int_vector(beta_spec[key], f"{where}.beta['{key}']"))
-    return tuple(sizes), alpha, beta
+    sizes = _table(_need(obj, "fibers", where), 1, n, f"{where}.fibers", _positive)
+    alpha = _table(_need(obj, "alpha", where), 2, n, f"{where}.alpha", _int_matrix)
+    beta = _table(_need(obj, "beta", where), 1, n, f"{where}.beta", _int_vector)
+    return tuple(sizes), _rows(alpha, n), beta
 
 
 def dynamical_to_dict(dc):
     n = dc.base.size
     return {
-        "fibers": {str(x): dc.sizes[x] for x in range(n)},
-        "alpha": {
-            f"{x},{y}": [list(r) for r in dc.alpha[x][y]]
-            for x in range(n)
-            for y in range(n)
-        },
-        "beta": {str(x): list(dc.beta[x]) for x in range(n)},
+        "fibers": _keyed(n, 1, lambda x: dc.sizes[x]),
+        "alpha": _keyed(n, 2, lambda x, y: _lists(dc.alpha[x][y])),
+        "beta": _keyed(n, 1, lambda x: list(dc.beta[x])),
     }
 
 

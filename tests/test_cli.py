@@ -3,12 +3,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from symq.cli import main
+from symq.cli import _build_parser, main
 from symq.racks import trivial_rack
-from symq.serialize import fixture_path, save_rack
+from symq.serialize import fixture_path, load_json, save_rack
 
 RACK = str(fixture_path("rack_t2.json"))
 TAK3 = str(fixture_path("rack_takasaki3.json"))
@@ -102,6 +103,19 @@ class TestCohomologyVerb:
         assert out == ""
         assert f"basepoint {basepoint} is not an element of the base" in err
 
+    @pytest.mark.parametrize("basepoint", ["99", "-3"])
+    @pytest.mark.parametrize("verb", [
+        ["cohomology", "--degree", "2"],
+        ["check", "--cocycle", CZ4, "--theory", "sr"],
+    ], ids=["cohomology", "check"])
+    def test_basepoint_outside_the_base_is_validation_in_degree_2(self, verb, basepoint, capsys):
+        # degree 2 never reads the basepoint, but an element outside the base is still refused
+        code, out, err = run(verb + ["--rack", RACK, "--module", MZ4, "--basepoint", basepoint],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert f"basepoint {basepoint} is not an element of the base" in err
+
     def test_class_of_cocycle(self, capsys):
         code, out, _ = run(
             ["cohomology", "--rack", RACK, "--module", MZ4,
@@ -154,6 +168,167 @@ class TestWellsVerb:
         assert code == 2
         assert out == ""
         assert err.startswith("--theta")
+
+
+def write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def by_pair_m0_z4():
+    # module_m0_z4 written out pair by pair
+    return {
+        "group": {"invariant_factors": [4]},
+        "phi": {"by_pair": {f"{x},{y}": [[1]] for x in range(2) for y in range(2)}},
+        "psi": {"by_pair": {f"{x},{y}": [[0]] for x in range(2) for y in range(2)}},
+        "eta": {"by_element": {"0": [[3]], "1": [[3]]}},
+    }
+
+
+def edit(obj, table, key, value):
+    """obj with table[key] = value, or table[key] deleted when value is None."""
+    obj = json.loads(json.dumps(obj))
+    entries = obj
+    for field in table:
+        entries = entries[field]
+    if value is None:
+        del entries[key]
+    else:
+        entries[key] = value
+    return obj
+
+
+class TestKeyedTables:
+    """Each table keyed by tuples holds every tuple once and nothing else."""
+
+    def check_module(self, tmp_path, capsys, obj):
+        return run(["check", "--rack", RACK, "--module", write(tmp_path, "m.json", obj)], capsys)
+
+    def check_cochain(self, tmp_path, capsys, obj):
+        path = write(tmp_path, "c.json", obj)
+        return run(["check", "--rack", RACK, "--module", MZ4, "--cocycle", path], capsys)
+
+    def validate_dynamical(self, tmp_path, capsys, obj):
+        path = write(tmp_path, "d.json", obj)
+        return run(["dynamical", "validate", "--rack", RACK, "--dynamical", path,
+                    "--theory", "sr"], capsys)
+
+    def test_valid_tables_load(self, tmp_path, capsys):
+        assert self.check_module(tmp_path, capsys, by_pair_m0_z4())[0] == 0
+        c1 = {"degree": 1, "values": {"0": [1], "1": [3]}}
+        assert self.check_cochain(tmp_path, capsys, c1)[0] == 0
+        dyn = load_json(DYN)
+        assert self.validate_dynamical(tmp_path, capsys, dyn)[0] == 0
+
+    @pytest.mark.parametrize("table,key,value,message", [
+        (("phi", "by_pair"), "01,0", [[3]], "unexpected key '01,0'"),
+        (("psi", "by_pair"), "2,0", [[0]], "unexpected key '2,0'"),
+        (("eta", "by_element"), "0,0", [[3]], "unexpected key '0,0'"),
+        (("phi", "by_pair"), "1,0", None, "phi.by_pair: missing key '1,0'"),
+        (("eta", "by_element"), "1", None, "eta.by_element: missing key '1'"),
+    ], ids=["phi-padded", "psi-out-of-range", "eta-pair", "phi-missing", "eta-missing"])
+    def test_module_keys(self, tmp_path, capsys, table, key, value, message):
+        code, out, err = self.check_module(tmp_path, capsys, edit(by_pair_m0_z4(), table, key, value))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("01", [2], "unexpected key '01'"),
+        (" 1", [2], "unexpected key ' 1'"),
+        ("1", None, "values: missing key '1'"),
+    ], ids=["padded", "spaced", "missing"])
+    def test_cochain_keys(self, tmp_path, capsys, key, value, message):
+        c1 = {"degree": 1, "values": {"0": [1], "1": [3]}}
+        code, out, err = self.check_cochain(tmp_path, capsys, edit(c1, ("values",), key, value))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("table,key,value,message", [
+        (("fibers",), "5", 4, "fibers: unexpected key '5'"),
+        (("alpha",), "0,7", [[0, 1, 2, 3]] * 4, "alpha: unexpected key '0,7'"),
+        (("beta",), "9", [0, 1, 2, 3], "beta: unexpected key '9'"),
+        (("fibers",), "1", None, "fibers: missing key '1'"),
+        (("alpha",), "1,1", None, "alpha: missing key '1,1'"),
+        (("beta",), "0", None, "beta: missing key '0'"),
+    ], ids=["fibers-stray", "alpha-stray", "beta-stray",
+            "fibers-missing", "alpha-missing", "beta-missing"])
+    def test_dynamical_keys(self, tmp_path, capsys, table, key, value, message):
+        dyn = load_json(DYN)
+        code, out, err = self.validate_dynamical(tmp_path, capsys, edit(dyn, table, key, value))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_huge_degree_fails_at_the_first_missing_key(self, tmp_path, capsys):
+        # 2**40 keys: the reader must not list them before it finds a gap
+        start = time.perf_counter()
+        code, _, err = self.check_cochain(tmp_path, capsys, {"degree": 40, "values": {"0": [1]}})
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert f"missing key '{','.join(['0'] * 40)}'" in err
+
+
+# the flags each verb reads, --json included
+VERB_FLAGS = {
+    "check": {"rack", "module", "cocycle", "group", "theory", "basepoint", "json"},
+    "involutions": {"rack", "bound", "json"},
+    "aut": {"rack", "bound", "json"},
+    "from-group": {"group", "sub", "flavor", "n", "z", "json"},
+    "cohomology": {"rack", "module", "cocycle", "theory", "degree", "basepoint", "json"},
+    "dynamical": {"rack", "dynamical", "other", "theory", "bound", "json"},
+    "extension": {"rack", "module", "cocycle", "theory", "json"},
+    "wells": {"rack", "module", "cocycle", "theory", "zeta", "theta", "bound", "json"},
+}
+# one acceptable value for every flag any verb has; None for a switch
+FLAG_VALUES = {
+    "rack": "f", "module": "f", "cocycle": "f", "group": "f", "dynamical": "f",
+    "other": "f", "theory": "sr", "degree": "1", "basepoint": "0", "bound": "3",
+    "sub": "0", "flavor": "core", "n": "2", "z": "1", "zeta": "0", "theta": "1",
+    "json": None,
+}
+
+
+class TestFlags:
+    def accepts(self, verb, flag):
+        value = FLAG_VALUES[flag]
+        try:
+            _build_parser().parse_args([verb, f"--{flag}"] + ([value] if value else []))
+        except SystemExit:
+            return False
+        return True
+
+    def test_each_verb_accepts_exactly_the_flags_it_reads(self, capsys):
+        accepted = {
+            verb: {flag for flag in FLAG_VALUES if self.accepts(verb, flag)}
+            for verb in VERB_FLAGS
+        }
+        assert accepted == VERB_FLAGS
+        assert sum(map(len, accepted.values())) == 45
+
+    @pytest.mark.parametrize("argv", [
+        ["aut", "--rack", TAK3, "--theory", "sq"],
+        WELLS + ["report", "--basepoint", "1"],
+        ["cohomology", "--rack", RACK, "--module", MZ4, "--bound", "3"],
+        ["check", "--rack", RACK, "--base", "1"],
+    ], ids=["aut-theory", "wells-basepoint", "cohomology-bound", "check-abbreviated"])
+    def test_a_flag_the_verb_does_not_read_is_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["from-group", "--group", S3, "--sub", "0,x"],
+        WELLS + ["extend", "--zeta", "1,x", "--theta", "1"],
+    ], ids=["sub", "zeta"])
+    def test_comma_separated_integers(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 1
+        assert "must be comma-separated integers" in capsys.readouterr().err
 
 
 class TestDegreeZeroCheck:

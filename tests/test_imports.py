@@ -1,4 +1,4 @@
-"""Every module-level import in src/symq is used, and none samples (stdlib ast, no linter)."""
+"""Every module-level import in src/symq is used, none samples, none asserts (stdlib ast)."""
 
 import ast
 from pathlib import Path
@@ -51,6 +51,22 @@ def test_the_check_sees_a_nested_random_import(tmp_path):
     path = tmp_path / "sample.py"
     path.write_text("def f():\n    from random import Random\n    return Random\n")
     assert imported_modules(path) == {"random"}
+
+
+def has_assert(path):
+    return any(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(path.read_text())))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_asserts(path):
+    # python -O strips assert statements; every verification is an explicit raise
+    assert not has_assert(path)
+
+
+def test_the_check_sees_a_nested_assert(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("class C:\n    def f(self, x):\n        assert x, 'never under -O'\n")
+    assert has_assert(path)
 
 
 def test_the_check_sees_an_unused_import(tmp_path):
