@@ -22,6 +22,8 @@ factorization.
     'Z2'
 """
 
+from itertools import compress
+
 from .errors import InfiniteGroupUnsupported, NotASubgroup
 from . import limits
 
@@ -46,15 +48,21 @@ def _identity(n):
 
 
 def mat_mul(A, B):
-    """Product of integer matrices given as lists of rows."""
-    if not A:
-        return []
-    inner = len(A[0])
+    """Product of integer matrices given as lists of rows, over nonzero entries only."""
+    return list(_product_rows(A, B))
+
+
+def _product_rows(A, B):
+    # the rows of A @ B one at a time; A may be any iterable of rows
     cols = len(B[0]) if B else 0
-    out = []
+    support = [list(compress(range(cols), brow)) for brow in B]
     for row in A:
-        out.append([sum(row[k] * B[k][j] for k in range(inner)) for j in range(cols)])
-    return out
+        acc = [0] * cols
+        for a, brow, nonzero in zip(row, B, support):
+            if a:
+                for j in nonzero:
+                    acc[j] += a * brow[j]
+        yield acc
 
 
 def mat_vec(A, v):
@@ -84,6 +92,10 @@ class SmithDecomposition:
 def smith_normal_form(M):
     """Smith normal form of an integer matrix (list of rows, possibly empty).
 
+    Each pivot is the least |entry| of the block left to reduce, ties broken
+    in row-major order; the scan stops at the first unit.  U @ M @ V == D is
+    checked exactly on every call, never sampled (AssertionError if not).
+
     >>> smith_normal_form([[2, 0], [0, 3]]).diagonal()
     [1, 6]
     """
@@ -107,30 +119,29 @@ def smith_normal_form(M):
 
     def col_op(i, j, p, q, u, v):
         # cols i,j <- (p*ci + q*cj, u*ci + v*cj); det(p*v - q*u) = 1
-        for row in D:
-            a, b = row[i], row[j]
-            row[i] = p * a + q * b
-            row[j] = u * a + v * b
-        for row in V:
-            a, b = row[i], row[j]
-            row[i] = p * a + q * b
-            row[j] = u * a + v * b
+        for mat in (D, V):
+            for row in mat:
+                a, b = row[i], row[j]
+                row[i] = p * a + q * b
+                row[j] = u * a + v * b
 
-    def swap_rows(i, j):
-        if i == j:
-            return
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
+    def add_row(i, j, u):
+        # row j += u * row i at the nonzero entries of row i; then Uinv's
+        # column i -= u * its column j, where that column is nonzero
+        for mat in (D, U):
+            ri, rj = mat[i], mat[j]
+            for k in compress(range(len(ri)), ri):
+                rj[k] += u * ri[k]
         for row in Uinv:
-            row[i], row[j] = row[j], row[i]
+            if row[j]:
+                row[i] -= u * row[j]
 
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+    def add_col(i, j, u):
+        # col j += u * col i, in the rows where col i is nonzero
+        for mat in (D, V):
+            for row in mat:
+                if row[i]:
+                    row[j] += u * row[i]
 
     def negate_row(i):
         D[i] = [-x for x in D[i]]
@@ -138,19 +149,32 @@ def smith_normal_form(M):
         for row in Uinv:
             row[i] = -row[i]
 
-    t = 0
-    while t < min(m, n):
-        # deterministic pivot: least |value|, ties by position
-        piv = None
+    def pivot(t):
+        # the first least |entry| in row-major order; a unit ends the scan
+        piv, best = None, 0
         for i in range(t, m):
-            for j in range(t, n):
-                v = D[i][j]
-                if v != 0 and (piv is None or abs(v) < abs(D[piv[0]][piv[1]])):
-                    piv = (i, j)
+            row = D[i][t:]
+            low = min(map(abs, filter(None, row)), default=0)
+            if low and (piv is None or low < best):
+                piv = (i, t + min(row.index(v) for v in (low, -low) if v in row))
+                best = low
+                if low == 1:
+                    break
+        return piv
+
+    for t in range(min(m, n)):
+        piv = pivot(t)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        i, j = piv  # bring the pivot to (t, t)
+        if i != t:
+            for mat in (D, U):
+                mat[t], mat[i] = mat[i], mat[t]
+            for row in Uinv:
+                row[t], row[i] = row[i], row[t]
+        if j != t:
+            for row in D + V:
+                row[t], row[j] = row[j], row[t]
         while True:
             for i in range(t + 1, m):
                 b = D[i][t]
@@ -158,7 +182,7 @@ def smith_normal_form(M):
                     continue
                 a = D[t][t]
                 if b % a == 0:
-                    row_op(t, i, 1, 0, -(b // a), 1)
+                    add_row(t, i, -(b // a))
                 else:
                     g, p, q = _egcd(a, b)
                     row_op(t, i, p, q, -(b // g), a // g)
@@ -168,7 +192,7 @@ def smith_normal_form(M):
                     continue
                 a = D[t][t]
                 if b % a == 0:
-                    col_op(t, j, 1, 0, -(b // a), 1)
+                    add_col(t, j, -(b // a))
                 else:
                     g, p, q = _egcd(a, b)
                     col_op(t, j, p, q, -(b // g), a // g)
@@ -176,7 +200,6 @@ def smith_normal_form(M):
                 D[t][j] == 0 for j in range(t + 1, n)
             ):
                 break
-        t += 1
 
     for i in range(min(m, n)):
         if D[i][i] < 0:
@@ -195,15 +218,16 @@ def smith_normal_form(M):
                 if a != 0 and b % a == 0:
                     continue
                 changed = True
-                col_op(i, j, 1, 1, 0, 1)  # col_i += col_j
+                add_col(j, i, 1)  # col_i += col_j
                 g, p, q = _egcd(D[i][i], D[j][i])
                 row_op(i, j, p, q, -(D[j][i] // g), D[i][i] // g)
                 if D[i][j] != 0:
-                    col_op(i, j, 1, 0, -(D[i][j] // D[i][i]), 1)
+                    add_col(i, j, -(D[i][j] // D[i][i]))
                 if D[j][j] < 0:
                     negate_row(j)
 
-    if mat_mul(mat_mul(U, [[int(x) for x in row] for row in M]), V) != D:
+    # one row of U @ M @ V at a time, so that no product matrix is held
+    if any(row != d for row, d in zip(_product_rows(_product_rows(U, M), V), D, strict=True)):
         raise AssertionError("smith normal form internal check failed")
     return SmithDecomposition(U, D, V, Uinv)
 
@@ -303,7 +327,7 @@ class AbHom:
     construction.
     """
 
-    __slots__ = ("source", "target", "matrix", "_system")
+    __slots__ = ("source", "target", "matrix", "_system", "_hash")
 
     def __init__(self, source, target, matrix):
         rows = [tuple(int(x) for x in row) for row in matrix]
@@ -326,6 +350,7 @@ class AbHom:
         self.target = target
         self.matrix = tuple(canon)
         self._system = None
+        self._hash = None
 
     def _factored(self):
         if self._system is None:
@@ -409,7 +434,9 @@ class AbHom:
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
+        if self._hash is None:
+            self._hash = hash((self.source, self.target, self.matrix))
+        return self._hash
 
     def __repr__(self):
         return f"AbHom({self.source!r} -> {self.target!r}, {[list(r) for r in self.matrix]})"

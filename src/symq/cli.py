@@ -60,11 +60,13 @@ def _build_parser():
     parser = _Parser(prog="symq", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="verb", parser_class=_Parser, required=True)
 
-    def add(name, flags, help, actions=(), bound=None):
-        # each verb takes exactly the flags its command reads
+    def add(name, flags, help, actions=None, bound=None):
+        # each verb takes exactly the flags its command reads; actions maps
+        # each action to the flags that only it reads, checked in main
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         if actions:
-            p.add_argument("action", nargs="?", default=actions[0], choices=actions)
+            p.add_argument("action", nargs="?", default=next(iter(actions)), choices=actions)
+            p.set_defaults(action_flags=actions)
         for flag in flags.split():
             p.add_argument(f"--{flag}", **_FLAGS[flag])
         if bound:
@@ -83,12 +85,13 @@ def _build_parser():
         "cocycles, coboundaries and H in degree 1 or 2")
     add("dynamical", "rack dynamical other theory",
         "validate dynamical data, build its extension, test equivalence",
-        actions=("validate", "extend", "equiv"),
+        actions={"validate": "", "extend": "", "equiv": "other bound"},
         bound="candidate images the gauge search may try")
     add("extension", "rack module cocycle theory",
         "build the affine extension of a module cocycle")
     add("wells", "rack module cocycle theory zeta theta",
-        "symmetry sequence report, or lift one pair", actions=("report", "extend"),
+        "symmetry sequence report, or lift one pair",
+        actions={"report": "bound", "extend": "zeta theta"},
         bound="largest rack size, fiber torsion order and number of 1-cocycles")
     return parser
 
@@ -394,6 +397,10 @@ _DISPATCH = {
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for action, flags in getattr(args, "action_flags", {}).items():
+        for flag in flags.split():
+            if action != args.action and getattr(args, flag) is not None:
+                _usage(f"--{flag} is not read by '{args.verb} {args.action}'")
     try:
         return _DISPATCH[args.verb](args)
     except ValidationError as exc:

@@ -15,10 +15,11 @@ Schemas, all indices 0-based:
   dynamical {"fibers": {"x": size, ..}, "alpha": {"x,y": [[..]], ..},
              "beta": {"x": [..], ..}} with alpha["x,y"][s][t] in S_{x*y}
 
-A keyed table has the key "x1,..,xk" (plain decimals) for every k-tuple of
-base elements and no other key.  Loaders validate what they build (rack
-axioms, group axioms, module axioms); parse problems raise ValidationError
-naming the broken field or key.
+An object has exactly the fields shown, and a phi/psi/eta spec exactly one
+of its two forms.  A keyed table has the key "x1,..,xk" (plain decimals)
+for every k-tuple of base elements and no other key.  Loaders validate what
+they build (rack axioms, group axioms, module axioms); parse problems raise
+ValidationError naming the broken field or key.
 """
 
 import json
@@ -56,12 +57,16 @@ def save_json(obj, path):
         fh.write("\n")
 
 
-def _need(obj, field, where):
+def _fields(obj, names, where):
+    """The values of the named fields of an object that has no other field."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: expected an object")
-    if field not in obj:
-        raise ValidationError(f"{where}: missing field '{field}'")
-    return obj[field]
+    for field in list(names) + list(obj):  # a missing field is named before a stray one
+        if field not in obj:
+            raise ValidationError(f"{where}: missing field '{field}'")
+        if field not in names:
+            raise ValidationError(f"{where}: unexpected field '{field}'")
+    return [obj[field] for field in names]
 
 
 def _int_value(v, where):
@@ -124,10 +129,10 @@ def _lists(rows):
 
 
 def rack_from_dict(obj, where="rack"):
-    size = _int_value(_need(obj, "size", where), f"{where}.size")
-    table = _int_matrix(_need(obj, "table", where), f"{where}.table")
-    rho = _int_vector(_need(obj, "rho", where), f"{where}.rho")
-    kind = _need(obj, "kind", where)
+    size, table, rho, kind = _fields(obj, ("size", "table", "rho", "kind"), where)
+    size = _int_value(size, f"{where}.size")
+    table = _int_matrix(table, f"{where}.table")
+    rho = _int_vector(rho, f"{where}.rho")
     if kind not in (RACK, QUANDLE):
         raise ValidationError(f"{where}.kind: must be 'rack' or 'quandle'")
     if len(table) != size:
@@ -162,9 +167,10 @@ def save_rack(X, path):
 
 
 def group_from_dict(obj, where="group"):
-    size = _int_value(_need(obj, "size", where), f"{where}.size")
-    mul = _int_matrix(_need(obj, "mul", where), f"{where}.mul")
-    ident = _int_value(_need(obj, "id", where), f"{where}.id")
+    size, mul, ident = _fields(obj, ("size", "mul", "id"), where)
+    size = _int_value(size, f"{where}.size")
+    mul = _int_matrix(mul, f"{where}.mul")
+    ident = _int_value(ident, f"{where}.id")
     if len(mul) != size:
         raise ValidationError(f"{where}.mul: expected {size} rows")
     if ident < 0 or ident >= size:
@@ -200,31 +206,26 @@ def _hom(A, raw, where):
 def _hom_table(A, spec, arity, n, where):
     """phi/psi (arity 2) or eta (arity 1): one constant map or a keyed table."""
     keyed = "by_pair" if arity == 2 else "by_element"
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{where}: expected an object")
-    if "constant" in spec:
-        flat = [_hom(A, spec["constant"], f"{where}.constant")] * n**arity
-    elif keyed in spec:
-        flat = _table(spec[keyed], arity, n, f"{where}.{keyed}",
-                      lambda v, w: _hom(A, v, w))
+    form = "constant" if isinstance(spec, dict) and "constant" in spec else keyed
+    (value,) = _fields(spec, (form,), where)
+    if form == "constant":
+        flat = [_hom(A, value, f"{where}.constant")] * n**arity
     else:
-        raise ValidationError(f"{where}: needs 'constant' or '{keyed}'")
+        flat = _table(value, arity, n, f"{where}.{keyed}", lambda v, w: _hom(A, v, w))
     return _rows(flat, n) if arity == 2 else flat
 
 
 def module_from_dict(obj, base, where="module"):
-    gspec = _need(obj, "group", where)
-    factors = _int_vector(
-        _need(gspec, "invariant_factors", f"{where}.group"),
-        f"{where}.group.invariant_factors",
-    )
+    gspec, phi, psi, eta = _fields(obj, ("group", "phi", "psi", "eta"), where)
+    (factors,) = _fields(gspec, ("invariant_factors",), f"{where}.group")
+    factors = _int_vector(factors, f"{where}.group.invariant_factors")
     if any(d < 0 for d in factors):
         raise ValidationError(f"{where}.group.invariant_factors: must be >= 0")
     A = AbGroup(tuple(factors))
     n = base.size
-    phi = _hom_table(A, _need(obj, "phi", where), 2, n, f"{where}.phi")
-    psi = _hom_table(A, _need(obj, "psi", where), 2, n, f"{where}.psi")
-    eta = _hom_table(A, _need(obj, "eta", where), 1, n, f"{where}.eta")
+    phi = _hom_table(A, phi, 2, n, f"{where}.phi")
+    psi = _hom_table(A, psi, 2, n, f"{where}.psi")
+    eta = _hom_table(A, eta, 1, n, f"{where}.eta")
     m = RackModule(base, A, phi, psi, eta)
     check = validate_module(m)
     if not check.ok:
@@ -258,7 +259,8 @@ def save_module(m, path):
 
 
 def cochain_from_dict(obj, size, group, where="cocycle"):
-    degree = _int_value(_need(obj, "degree", where), f"{where}.degree")
+    degree, values = _fields(obj, ("degree", "values"), where)
+    degree = _int_value(degree, f"{where}.degree")
     if degree < 0:
         raise ValidationError(f"{where}.degree: must be >= 0")
 
@@ -268,8 +270,7 @@ def cochain_from_dict(obj, size, group, where="cocycle"):
             raise ValidationError(f"{w}: expected {group.rank} coordinates")
         return tuple(vec)
 
-    values = _table(_need(obj, "values", where), degree, size, f"{where}.values",
-                    coordinates)
+    values = _table(values, degree, size, f"{where}.values", coordinates)
     return Cochain(degree, size, group, values)
 
 
@@ -298,9 +299,10 @@ def _positive(v, where):
 def dynamical_from_dict(obj, base, where="dynamical"):
     """Raw (sizes, alpha, beta) tables; validation is the caller's verb."""
     n = base.size
-    sizes = _table(_need(obj, "fibers", where), 1, n, f"{where}.fibers", _positive)
-    alpha = _table(_need(obj, "alpha", where), 2, n, f"{where}.alpha", _int_matrix)
-    beta = _table(_need(obj, "beta", where), 1, n, f"{where}.beta", _int_vector)
+    sizes, alpha, beta = _fields(obj, ("fibers", "alpha", "beta"), where)
+    sizes = _table(sizes, 1, n, f"{where}.fibers", _positive)
+    alpha = _table(alpha, 2, n, f"{where}.alpha", _int_matrix)
+    beta = _table(beta, 1, n, f"{where}.beta", _int_vector)
     return tuple(sizes), _rows(alpha, n), beta
 
 

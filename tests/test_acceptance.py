@@ -95,6 +95,22 @@ def test_criterion_1_dihedral_vanishing():
     emit(1, "dihedral-vanishing", worst, 1)
 
 
+def test_large_regime_presentation():
+    """The degree-2 quandle presentation of takasaki(6) over Z4, a system of
+    hundreds of rows, stays inside its budget; its cocycle generators pass
+    the row-by-row cocycle test and every class survives a section."""
+    X = takasaki(6)
+    m = dihedral_kamada_module(X, AbGroup([4]))
+    t0 = time.perf_counter()
+    pres = cohomology_presentation(m, 2, THEORY_SQ)
+    dt = time.perf_counter() - t0
+    assert pres.group.orders == (2, 2)
+    assert all(is_cocycle(m, c, THEORY_SQ)[0] for c in pres.cocycle_gens)
+    for cls in itertools.product(range(2), repeat=2):
+        assert pres.project(pres.section(cls)) == cls
+    emit("large", "presentation-t6-z4-sq", dt, 3)
+
+
 def test_criterion_2_obstructed_symmetry():
     """The alternating integral cocycle on the 2-point quandle obstructs -id."""
     t0 = time.perf_counter()

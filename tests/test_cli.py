@@ -271,6 +271,50 @@ class TestKeyedTables:
         assert f"missing key '{','.join(['0'] * 40)}'" in err
 
 
+class TestUnknownFields:
+    """An object in an input file has only the fields its schema names."""
+
+    def check_module(self, tmp_path, capsys, obj):
+        return run(["check", "--rack", RACK, "--module", write(tmp_path, "m.json", obj)], capsys)
+
+    def refused(self, result, message):
+        code, out, err = result
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_module_with_an_extra_top_level_field(self, tmp_path, capsys):
+        obj = dict(load_json(MZ4), ph1=7)
+        self.refused(self.check_module(tmp_path, capsys, obj), "unexpected field 'ph1'")
+
+    def test_map_spec_with_both_forms(self, tmp_path, capsys):
+        obj = load_json(MZ4)
+        obj["phi"]["by_pair"] = {"x": 1}
+        self.refused(self.check_module(tmp_path, capsys, obj), "phi: unexpected field 'by_pair'")
+
+    def test_cochain_with_an_extra_field(self, tmp_path, capsys):
+        obj = dict(load_json(CZ4), extra=1)
+        path = write(tmp_path, "c.json", obj)
+        result = run(["check", "--rack", RACK, "--module", MZ4, "--cocycle", path], capsys)
+        self.refused(result, "unexpected field 'extra'")
+
+    @pytest.mark.parametrize("flag,fixture,field", [
+        ("--rack", RACK, "name"),
+        ("--group", S3, "order"),
+    ], ids=["rack", "group"])
+    def test_other_objects(self, tmp_path, capsys, flag, fixture, field):
+        path = write(tmp_path, "x.json", dict(load_json(fixture), **{field: 1}))
+        self.refused(run(["check", flag, path], capsys), f"unexpected field '{field}'")
+
+    def test_dynamical_and_group_spec(self, tmp_path, capsys):
+        path = write(tmp_path, "d.json", dict(load_json(DYN), gamma={}))
+        result = run(["dynamical", "validate", "--rack", RACK, "--dynamical", path], capsys)
+        self.refused(result, "unexpected field 'gamma'")
+        obj = load_json(MZ4)
+        obj["group"]["orders"] = [4]
+        self.refused(self.check_module(tmp_path, capsys, obj), "group: unexpected field 'orders'")
+
+
 # the flags each verb reads, --json included
 VERB_FLAGS = {
     "check": {"rack", "module", "cocycle", "group", "theory", "basepoint", "json"},
@@ -319,6 +363,21 @@ class TestFlags:
             main(argv)
         assert e.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (WELLS + ["extend", "--zeta", "1,0", "--theta", "1", "--bound", "1"], "bound"),
+        (WELLS + ["--zeta", "1,0"], "zeta"),
+        (WELLS + ["report", "--theta", "1"], "theta"),
+        (["dynamical", "validate", "--rack", RACK, "--dynamical", DYN, "--other", "X"], "other"),
+        (["dynamical", "extend", "--rack", RACK, "--dynamical", DYN, "--bound", "3"], "bound"),
+        (["dynamical", "--rack", RACK, "--dynamical", DYN, "--other", DYN], "other"),
+    ], ids=["wells-extend-bound", "wells-default-zeta", "wells-report-theta",
+            "dynamical-validate-other", "dynamical-extend-bound", "dynamical-default-other"])
+    def test_a_flag_the_action_does_not_read_is_usage(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 1
+        assert f"--{flag} is not read by" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["from-group", "--group", S3, "--sub", "0,x"],

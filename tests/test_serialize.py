@@ -156,6 +156,19 @@ class TestErrors:
             module_from_dict(obj, t2)
         assert "M6" in err.value.report() or "M9" in err.value.report()
 
+    @pytest.mark.parametrize("spec", [5, [[1]], {}, {"matrix": [[1]]}],
+                             ids=["int", "list", "empty", "other-field"])
+    def test_map_spec_must_be_one_form(self, t2, spec):
+        obj = {
+            "group": {"invariant_factors": [4]},
+            "phi": spec,
+            "psi": {"constant": [[0]]},
+            "eta": {"constant": [[-1]]},
+        }
+        with pytest.raises(ValidationError) as err:
+            module_from_dict(obj, t2)
+        assert "module.phi:" in str(err.value)
+
     def test_cochain_requires_every_tuple(self, t2):
         m = module("m0_z4", t2)
         obj = {"degree": 2, "values": {"0,0": [0], "0,1": [0], "1,0": [0]}}
