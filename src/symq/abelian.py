@@ -10,7 +10,9 @@ system: the columns of a map next to one torsion column d_i * e_i per
 finite order of its target group.  `_Factored` builds that system and runs
 Smith normal form on it once, on first demand; each AbHom owns at most one,
 so every kernel basis, solution and inverse of that map is read off the same
-factorization.
+factorization.  A factorization is U, D and V only: no inverse of U is
+tracked.  A Subquotient keeps U of its relations, and its section solves
+U @ u = w through a `_Factored` of U, made once, on the first call.
 
     >>> G = AbGroup([4])
     >>> f = AbHom(G, G, [[2]])
@@ -72,16 +74,16 @@ def mat_vec(A, v):
 class SmithDecomposition:
     """U @ M @ V = D with D diagonal under a divisibility chain.
 
-    U and V are unimodular; Uinv is the exact integer inverse of U.
+    U and V are unimodular.  Only U, D and V are kept: no inverse is tracked,
+    and a caller that needs U^-1 @ w solves U @ u = w instead.
     """
 
-    __slots__ = ("U", "D", "V", "Uinv")
+    __slots__ = ("U", "D", "V")
 
-    def __init__(self, U, D, V, Uinv):
+    def __init__(self, U, D, V):
         self.U = U
         self.D = D
         self.V = V
-        self.Uinv = Uinv
 
     def diagonal(self):
         m = len(self.D)
@@ -102,8 +104,7 @@ def smith_normal_form(M):
     m = len(M)
     n = len(M[0]) if m else 0
     D = [[int(x) for x in row] for row in M]
-    U, Uinv = _identity(m), _identity(m)
-    V = _identity(n)
+    U, V = _identity(m), _identity(n)
 
     def row_op(i, j, p, q, u, v):
         # rows i,j <- (p*ri + q*rj, u*ri + v*rj); the 2x2 block has det 1
@@ -111,11 +112,6 @@ def smith_normal_form(M):
             ri, rj = mat[i], mat[j]
             mat[i] = [p * a + q * b for a, b in zip(ri, rj)]
             mat[j] = [u * a + v * b for a, b in zip(ri, rj)]
-        # Uinv <- Uinv * block^{-1}, i.e. new columns (v*ci - u*cj, -q*ci + p*cj)
-        for row in Uinv:
-            a, b = row[i], row[j]
-            row[i] = a * v - b * u
-            row[j] = -a * q + b * p
 
     def col_op(i, j, p, q, u, v):
         # cols i,j <- (p*ci + q*cj, u*ci + v*cj); det(p*v - q*u) = 1
@@ -126,15 +122,11 @@ def smith_normal_form(M):
                 row[j] = u * a + v * b
 
     def add_row(i, j, u):
-        # row j += u * row i at the nonzero entries of row i; then Uinv's
-        # column i -= u * its column j, where that column is nonzero
+        # row j += u * row i at the nonzero entries of row i
         for mat in (D, U):
             ri, rj = mat[i], mat[j]
             for k in compress(range(len(ri)), ri):
                 rj[k] += u * ri[k]
-        for row in Uinv:
-            if row[j]:
-                row[i] -= u * row[j]
 
     def add_col(i, j, u):
         # col j += u * col i, in the rows where col i is nonzero
@@ -146,8 +138,6 @@ def smith_normal_form(M):
     def negate_row(i):
         D[i] = [-x for x in D[i]]
         U[i] = [-x for x in U[i]]
-        for row in Uinv:
-            row[i] = -row[i]
 
     def pivot(t):
         # the first least |entry| in row-major order; a unit ends the scan
@@ -170,8 +160,6 @@ def smith_normal_form(M):
         if i != t:
             for mat in (D, U):
                 mat[t], mat[i] = mat[i], mat[t]
-            for row in Uinv:
-                row[t], row[i] = row[i], row[t]
         if j != t:
             for row in D + V:
                 row[t], row[j] = row[j], row[t]
@@ -229,7 +217,7 @@ def smith_normal_form(M):
     # one row of U @ M @ V at a time, so that no product matrix is held
     if any(row != d for row, d in zip(_product_rows(_product_rows(U, M), V), D, strict=True)):
         raise AssertionError("smith normal form internal check failed")
-    return SmithDecomposition(U, D, V, Uinv)
+    return SmithDecomposition(U, D, V)
 
 
 class AbGroup:
@@ -422,9 +410,6 @@ class AbHom:
             return g
         return None
 
-    def is_invertible(self):
-        return self.inverse() is not None
-
     def __eq__(self, other):
         return (
             isinstance(other, AbHom)
@@ -560,10 +545,11 @@ def subgroup_elements(group, gens, cap=None):
 
 
 def solve(f, b):
-    """Some x with f(x) = b, or None; deterministic and canonical.
+    """Some x with f(x) = b, or None; deterministic.
 
-    When the kernel is small enough to enumerate, the lexicographically
-    least solution is returned.
+    The lexicographically least solution is returned only when ker f is
+    finite with at most 4,096 elements; otherwise x is the particular
+    solution read off the factorization, reduced into f.source.
     """
     b = f.target.reduce(b)
     if f.target.rank == 0:
@@ -591,7 +577,7 @@ class Subquotient:
     """
 
     __slots__ = ("ambient", "sub_gens", "by_gens", "group", "_orders_full",
-                 "_kept", "_U", "_Uinv", "_memb")
+                 "_kept", "_U", "_U_system", "_memb")
 
     def __init__(self, ambient, sub_gens, by_gens):
         self.ambient = ambient
@@ -608,30 +594,19 @@ class Subquotient:
             if u is None:
                 raise NotASubgroup("a by-generator is outside the subgroup")
             by_coords.append(u)
-        if k == 0:
-            self.group = AbGroup(())
-            self._orders_full = ()
-            self._kept = ()
-            self._U = []
-            self._Uinv = []
-            return
-        # relations among the sub-generators inside the ambient group
-        rel_cols = self._memb.kernel() + by_coords
-        rel_matrix = [[col[i] for col in rel_cols] for i in range(k)]
-        snf = smith_normal_form(rel_matrix) if rel_cols else None
-        if snf is None:
-            orders = [0] * k
-            U = _identity(k)
-            Uinv = _identity(k)
+        # relations among the sub-generators inside the ambient group; with
+        # no sub-generators there are none, and nothing more is factored
+        rel_cols = self._memb.kernel() + by_coords if k else []
+        if rel_cols:
+            snf = smith_normal_form([[col[i] for col in rel_cols] for i in range(k)])
+            diag, self._U = snf.diagonal(), snf.U
         else:
-            diag = snf.diagonal()
-            orders = [diag[i] if i < len(diag) else 0 for i in range(k)]
-            U, Uinv = snf.U, snf.Uinv
+            diag, self._U = [], _identity(k)
+        orders = [diag[i] if i < len(diag) else 0 for i in range(k)]
         self._orders_full = tuple(orders)
         self._kept = tuple(i for i, d in enumerate(orders) if d != 1)
         self.group = AbGroup(tuple(orders[i] for i in self._kept))
-        self._U = U
-        self._Uinv = Uinv
+        self._U_system = None
 
     def contains(self, element):
         """Membership of an ambient element in the subgroup (not the quotient)."""
@@ -654,14 +629,15 @@ class Subquotient:
         w_full = [0] * len(self._orders_full)
         for pos, i in enumerate(self._kept):
             w_full[i] = class_vector[pos]
-        u = mat_vec(self._Uinv, w_full)
+        if self._U_system is None:
+            k = len(self._U)
+            self._U_system = _Factored(self._U, k, AbGroup([0] * k))
+        # U is unimodular, so U @ u = w_full has exactly one integer solution
+        u = self._U_system.solve(w_full)
         total = self.ambient.zero()
         for coeff, g in zip(u, self.sub_gens):
             total = self.ambient.add(total, self.ambient.scale(coeff, g))
         return total
-
-    def is_zero_class(self, element):
-        return self.project(element) == self.group.zero()
 
 
 def quotient(ambient, sub_generators, by_generators):

@@ -222,10 +222,6 @@ class Cochain:
             self.degree, self.size, self.group, [self.group.neg(a) for a in self.values]
         )
 
-    def is_zero(self):
-        z = self.group.zero()
-        return all(v == z for v in self.values)
-
     def __eq__(self, other):
         return (
             isinstance(other, Cochain)
@@ -505,8 +501,10 @@ def coboundary_witness(m, c, theory=THEORY_SR, basepoint=0):
 
     Degree-2 input: tau is an eta-compatible 1-cochain (the witness system
     stacks the coboundary rows over the membership rows).  Degree-1 input:
-    tau is a 0-cochain for the given basepoint.  The returned witness is
-    the canonical (lexicographically least) solution.
+    tau is a 0-cochain for the given basepoint.  The witness is the one
+    `abelian.solve` returns: the lexicographically least solution when the
+    solution set is finite with at most 4,096 elements, otherwise the
+    particular solution read off the factorization.
     """
     ok, diags = is_cocycle(m, c, theory, basepoint)
     if not ok:

@@ -1,4 +1,4 @@
-"""Every module-level import in src/symq is used, none samples, none asserts (stdlib ast)."""
+"""src/symq: every import used, none samples, none asserts, one factors (stdlib ast)."""
 
 import ast
 from pathlib import Path
@@ -73,3 +73,38 @@ def test_the_check_sees_an_unused_import(tmp_path):
     path = tmp_path / "sample.py"
     path.write_text("import os\nimport sys.path\nfrom a import b as c, d\n\nprint(sys, d)\n")
     assert unused_imports(path) == ["c", "os"]
+
+
+def elimination_calls(path):
+    """Lines calling smith_normal_form: by name, as an attribute or under an import alias."""
+    tree = ast.parse(path.read_text())
+    names = {"smith_normal_form"} | {
+        a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for a in node.names if a.name == "smith_normal_form" and a.asname
+    }
+    return sorted(
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) in names or getattr(node.func, "attr", None) in names)
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name != "abelian.py"),
+    ids=lambda p: p.name,
+)
+def test_one_elimination_core(path):
+    # every factorization goes through abelian.py, where the pins watch it;
+    # __init__.py only re-exports smith_normal_form
+    assert elimination_calls(path) == []
+
+
+def test_the_check_sees_a_second_elimination_path(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from . import abelian\n"
+        "from .abelian import smith_normal_form as snf\n\n"
+        "def f(M):\n"
+        "    return abelian.smith_normal_form(M), snf(M)\n"
+    )
+    assert elimination_calls(path) == [5, 5]

@@ -167,7 +167,7 @@ def direct_diagnostics(m):
     pairs = [(x, y) for x in range(n) for y in range(n)]
     triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
     found = {
-        "phi-invertible": [(x, y) for x, y in pairs if not phi[x][y].is_invertible()],
+        "phi-invertible": [(x, y) for x, y in pairs if phi[x][y].inverse() is None],
         "M1": [(x, y, z) for x, y, z in triples
                if phi[op(x, y)][z].compose(phi[x][y])
                != phi[op(x, z)][op(y, z)].compose(phi[x][z])],

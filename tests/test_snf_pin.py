@@ -3,10 +3,12 @@
 The digests below were recorded from an earlier implementation of
 smith_normal_form (a dense pivot scan and dense row and column steps).  Any
 change to the pivot order, to the elementary steps or to the divisibility
-repair changes U, D, V or Uinv and fails here directly.  Each case digests
-its inputs and its outputs separately, so a change in how a presentation
-assembles its constraint systems is told apart from a change in the
-factorization.
+repair changes U, D or V and fails here directly.  The outputs digested are
+U, D, V and the exact inverse of U, computed here, so the digests are the
+ones recorded when the factorization still carried that inverse.  Each case
+digests its inputs and its outputs separately, so a change in how a
+presentation assembles its constraint systems is told apart from a change in
+the factorization.
 
 Record a digest with `digests(pairs)` on the reference code.
 """
@@ -22,13 +24,15 @@ from symq.cohomology import cohomology_presentation
 from symq.modules import dihedral_kamada_module
 from symq.racks import takasaki
 
+from helpers import inverse
+
 
 def digests(pairs):
     """(inputs, outputs) sha256 prefixes of (M, SmithDecomposition) pairs."""
     inputs, outputs = hashlib.sha256(), hashlib.sha256()
     for M, s in pairs:
         inputs.update(repr([list(row) for row in M]).encode())
-        outputs.update(repr((s.U, s.D, s.V, s.Uinv)).encode())
+        outputs.update(repr((s.U, s.D, s.V, inverse(s.U))).encode())
     return inputs.hexdigest()[:16], outputs.hexdigest()[:16]
 
 
