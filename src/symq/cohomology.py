@@ -31,14 +31,8 @@ coboundary is (x,y) |-> phi_{x,y} lam(x) - lam(x*y) + psi_{x,y} lam(y).
 import itertools
 
 from . import limits
-from .abelian import AbGroup, AbHom, Subquotient, kernel, mat_mul, mat_vec, solve
-from .errors import (
-    Diagnostic,
-    NotACocycle,
-    NotASubgroup,
-    SizeBoundExceeded,
-    ValidationError,
-)
+from .abelian import AbGroup, AbHom, Subquotient, kernel, mat_mul, solve
+from .errors import Diagnostic, NotACocycle, NotASubgroup, SizeBoundExceeded, ValidationError
 from .racks import QUANDLE
 
 THEORY_SR = "sr"
@@ -197,19 +191,14 @@ class Cochain:
             raise ValueError("wrong number of arguments")
         return self.values[_flat(xs, self.size)]
 
+    def _key(self):
+        return (self.degree, self.size, self.group, self.values)
+
     def _binop(self, other, fn):
-        if (self.degree, self.size, self.group) != (
-            other.degree,
-            other.size,
-            other.group,
-        ):
+        if self._key()[:3] != other._key()[:3]:
             raise ValueError("cochain shape mismatch")
-        return Cochain(
-            self.degree,
-            self.size,
-            self.group,
-            [fn(a, b) for a, b in zip(self.values, other.values)],
-        )
+        values = [fn(a, b) for a, b in zip(self.values, other.values)]
+        return Cochain(self.degree, self.size, self.group, values)
 
     def add(self, other):
         return self._binop(other, self.group.add)
@@ -218,21 +207,13 @@ class Cochain:
         return self._binop(other, self.group.sub)
 
     def neg(self):
-        return Cochain(
-            self.degree, self.size, self.group, [self.group.neg(a) for a in self.values]
-        )
+        return Cochain(self.degree, self.size, self.group, map(self.group.neg, self.values))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and self.degree == other.degree
-            and self.size == other.size
-            and self.group == other.group
-            and self.values == other.values
-        )
+        return isinstance(other, Cochain) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.degree, self.size, self.group, self.values))
+        return hash(self._key())
 
     def __repr__(self):
         return f"Cochain(degree={self.degree}, size={self.size}, values={list(self.values)})"
@@ -252,8 +233,9 @@ def _vec_to_cochain(degree, size, group, vec):
 # constraint rows: each condition is stated once, as a row
 # (label, witness, terms) with terms a list of (coeff, h, flat_index), read as
 #   sum coeff * h(f_k) = 0  over the terms, on a flat cochain vector f.
-# _rows_to_hom stacks rows into a constraint matrix; _row_values evaluates
-# them on one cochain, which gives delta and the witness reports.
+# A module's _Complex keeps each row list compiled; _rows_to_hom lays the
+# compiled rows out as a constraint matrix, and _row_values evaluates them on
+# one cochain, which gives delta and the witness reports.
 
 
 def _eta_rows(X, m, degree):
@@ -315,48 +297,110 @@ def _membership_rows(X, m, degree, theory):
     return rows
 
 
-def _rows_to_hom(A, n_unknowns, rows):
+def _compile(A, rows):
+    # (heads, compiled): each row's (label, witness), and per integer row of
+    # the constraint matrix its nonzero (column, coefficient) entries, summed
+    # from coeff * h.matrix
     r = A.rank
-    source = AbGroup(A.orders * n_unknowns)
-    target = AbGroup(A.orders * len(rows))
-    mat = [[0] * (r * n_unknowns) for _ in range(r * len(rows))]
-    for k, (_, _, terms) in enumerate(rows):
+    compiled = []
+    for _, _, terms in rows:
+        acc = [{} for _ in range(r)]
         for coeff, h, idx in terms:
-            for i in range(r):
-                for j in range(r):
-                    mat[k * r + i][idx * r + j] += coeff * h.matrix[i][j]
-    return AbHom(source, target, mat)
+            for i, hrow in enumerate(h.matrix):
+                for j, a in enumerate(hrow):
+                    if a:
+                        col = idx * r + j
+                        acc[i][col] = acc[i].get(col, 0) + coeff * a
+        compiled += [tuple((j, a) for j, a in sorted(d.items()) if a) for d in acc]
+    return [row[:2] for row in rows], compiled
 
 
-def _row_values(m, c, rows):
+class _Complex:
+    """The cochain complex of one module, each piece built on first use and kept.
+
+    Row sets are keyed by what they read: membership rows by degree and
+    theory, delta rows by degree (and by basepoint in degree 0 only).  The
+    witness maps and the degree-2 presentations are kept too, so each is
+    factored once however many extensions and checks read it.
+    """
+
+    __slots__ = ("module", "_pieces")
+
+    def __init__(self, module):
+        self.module = module
+        self._pieces = {}
+
+    def _get(self, key, build):
+        if key not in self._pieces:
+            self._pieces[key] = build()
+        return self._pieces[key]
+
+    def membership(self, degree, theory):
+        m = self.module
+        return self._get(("membership", degree, theory),
+                         lambda: _compile(m.A, _membership_rows(m.base, m, degree, theory)))
+
+    def delta(self, degree, basepoint):
+        m = self.module
+        return self._get(("delta", degree, basepoint if degree == 0 else 0),
+                         lambda: _compile(m.A, _delta_rows(m.base, m, degree, basepoint)))
+
+    def witness_map(self, degree, theory, basepoint):
+        return self._get(("witness", degree, theory, basepoint),
+                         lambda: _witness_map(self.module, degree, theory, basepoint))
+
+    def presentation(self, theory):
+        return self._get(("presentation", theory),
+                         lambda: cohomology_presentation(self.module, 2, theory))
+
+
+def _complex(m):
+    if m._complex is None:
+        m._complex = _Complex(m)
+    return m._complex
+
+
+def _rows_to_hom(A, n_unknowns, *pieces):
+    # the compiled rows of the pieces, stacked in order, as a constraint matrix
+    mat, conditions = [], 0
+    for heads, compiled in pieces:
+        conditions += len(heads)
+        for entries in compiled:
+            row = [0] * (A.rank * n_unknowns)
+            for j, a in entries:
+                row[j] = a
+            mat.append(row)
+    return AbHom(AbGroup(A.orders * n_unknowns), AbGroup(A.orders * conditions), mat)
+
+
+def _row_values(m, c, piece):
     """Value sum coeff * h(c_k) of each row on the cochain c, in A."""
     if c.size != m.base.size or c.group != m.A:
         raise ValueError("cochain does not match the base or group of the module")
-    out = []
-    for _, _, terms in rows:
-        total = [0] * m.A.rank
-        for coeff, h, idx in terms:
-            total = [a + coeff * b for a, b in zip(total, mat_vec(h.matrix, c.values[idx]))]
-        out.append(m.A.reduce(total))
-    return out
+    vec = _cochain_to_vec(c)
+    orders = m.A.orders
+    r = len(orders)
+    flat = [sum(a * vec[j] for j, a in entries) for entries in piece[1]]
+    return [tuple(x % d if d else x for x, d in zip(flat[k * r:k * r + r], orders))
+            for k in range(len(piece[0]))]
 
 
-def _report(m, c, rows):
+def _report(m, c, *pieces):
     """(ok, diagnostics) with the witnesses of the failing rows per label."""
     found = {}
     zero = m.A.zero()
-    for (label, witness, _), value in zip(rows, _row_values(m, c, rows)):
-        if value != zero:
-            found.setdefault(label, []).append(witness)
+    for piece in pieces:
+        for (label, witness), value in zip(piece[0], _row_values(m, c, piece)):
+            if value != zero:
+                found.setdefault(label, []).append(witness)
     diags = [Diagnostic(k, v) for k, v in found.items()]
     return (not diags, diags)
 
 
 def delta(m, f, basepoint=0):
     """Coboundary: (delta f)(t) = sum h(f(u)) over terms h.(u) of d(t)."""
-    X = m.base
-    values = _row_values(m, f, _delta_rows(X, m, f.degree, basepoint))
-    return Cochain(f.degree + 1, X.size, m.A, values)
+    values = _row_values(m, f, _complex(m).delta(f.degree, basepoint))
+    return Cochain(f.degree + 1, m.base.size, m.A, values)
 
 
 class CochainSpace:
@@ -376,9 +420,7 @@ def cochain_space(m, degree, theory=THEORY_SR):
     _check_theory(X, theory)
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    n_unknowns = X.size ** degree
-    rows = _membership_rows(X, m, degree, theory)
-    constraint = _rows_to_hom(A, n_unknowns, rows)
+    constraint = _rows_to_hom(A, X.size ** degree, _complex(m).membership(degree, theory))
     gens = [
         _vec_to_cochain(degree, X.size, A, v) for v in kernel(constraint)
     ]
@@ -401,31 +443,21 @@ def delta1(m, lam):
 def is_cochain(m, c):
     """Membership of c in C^degree (eta/phi compatibility), with witnesses."""
     # the rack-theory membership rows are exactly the eta and phi conditions
-    return _report(m, c, _membership_rows(m.base, m, c.degree, THEORY_SR))
+    return _report(m, c, _complex(m).membership(c.degree, THEORY_SR))
 
 
 def is_cocycle(m, c, theory=THEORY_SR, basepoint=0):
     """Full cocycle test in the chosen theory, with labeled witnesses."""
-    X = m.base
-    _check_theory(X, theory, basepoint)
-    rows = _membership_rows(X, m, c.degree, theory) + _delta_rows(X, m, c.degree, basepoint)
-    return _report(m, c, rows)
+    _check_theory(m.base, theory, basepoint)
+    cx = _complex(m)
+    return _report(m, c, cx.membership(c.degree, theory), cx.delta(c.degree, basepoint))
 
 
 class CohomologyPresentation:
     """Z, B and H = Z/B in one degree, with projection to class vectors."""
 
-    __slots__ = (
-        "module",
-        "degree",
-        "theory",
-        "basepoint",
-        "group",
-        "cocycle_gens",
-        "coboundary_gens",
-        "_ambient",
-        "_sub",
-    )
+    __slots__ = ("module", "degree", "theory", "basepoint", "group",
+                 "cocycle_gens", "coboundary_gens", "_ambient", "_sub")
 
     def __init__(self, module, degree, theory, basepoint, z_gens, b_gens):
         X, A = module.base, module.A
@@ -490,10 +522,11 @@ def cohomology_presentation(m, degree, theory=THEORY_SR, basepoint=0):
 
 
 def _witness_map(m, degree, theory, basepoint=0):
-    # tau |-> (delta tau, membership rows): kernel Z^degree, solved for (c, 0) by witnesses
-    X = m.base
-    rows = _delta_rows(X, m, degree, basepoint) + _membership_rows(X, m, degree, theory)
-    return _rows_to_hom(m.A, X.size ** degree, rows)
+    # tau |-> (delta tau, membership rows): kernel Z^degree, solved for (c, 0) by
+    # witnesses; a new map on every call, read off the module's kept rows
+    cx = _complex(m)
+    return _rows_to_hom(m.A, m.base.size ** degree,
+                        cx.delta(degree, basepoint), cx.membership(degree, theory))
 
 
 def coboundary_witness(m, c, theory=THEORY_SR, basepoint=0):
@@ -511,7 +544,7 @@ def coboundary_witness(m, c, theory=THEORY_SR, basepoint=0):
         raise NotACocycle(
             "input is not a cocycle: " + "; ".join(d.axiom for d in diags)
         )
-    return _witness(m, c, _witness_map(m, c.degree - 1, theory, basepoint), basepoint)
+    return _witness(m, c, _complex(m).witness_map(c.degree - 1, theory, basepoint), basepoint)
 
 
 def _witness(m, c, hom, basepoint=0):

@@ -33,10 +33,17 @@ _IDENTITIES = {
 }
 
 
-class RackModule:
-    """Module data over a symmetric rack: dense tables of AbHoms on A."""
+_FIELDS = ("base", "A", "phi", "psi", "eta", "constant")
 
-    __slots__ = ("base", "A", "phi", "psi", "eta", "constant")
+
+class RackModule:
+    """Module data over a symmetric rack: dense tables of AbHoms on A.
+
+    Read-only once built: the cochain complex that cohomology keeps in
+    `_complex`, made on first use, is built from these fields.
+    """
+
+    __slots__ = _FIELDS + ("_complex",)
 
     def __init__(self, base, A, phi, psi, eta):
         n = base.size
@@ -68,6 +75,17 @@ class RackModule:
             and all(h == first_psi for row in psi for h in row)
             and all(h == first_eta for h in eta)
         )
+        self._complex = None
+
+    def __setattr__(self, name, value):
+        if name in _FIELDS and hasattr(self, name):
+            raise AttributeError(f"RackModule.{name} is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if name in _FIELDS:
+            raise AttributeError(f"RackModule.{name} is read-only")
+        object.__delattr__(self, name)
 
     def __repr__(self):
         return (

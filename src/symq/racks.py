@@ -381,11 +381,12 @@ class RackMorphism:
         diags = []
         f = self.map
         src, tgt = self.source, self.target
+        table = tgt.rack.table
         bad_op = [
             (x, y)
-            for x in range(src.size)
-            for y in range(src.size)
-            if f[src.op(x, y)] != tgt.op(f[x], f[y])
+            for x, row in enumerate(src.rack.table)
+            for y, xy in enumerate(row)
+            if f[xy] != table[f[x]][f[y]]
         ]
         if bad_op:
             diags.append(Diagnostic("morphism-op", bad_op))

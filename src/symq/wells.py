@@ -28,38 +28,15 @@ from math import prod
 
 from . import limits
 from .abelian import AbHom, kernel, subgroup_elements
-from .cohomology import (  # coboundary_witness stays importable from this module
-    THEORY_SQ,
-    THEORY_SR,
-    Cochain,
-    _vec_to_cochain,
-    _witness,
-    _witness_map,
-    coboundary_witness,
-    cohomology_presentation,
-    is_cocycle,
-)
+# coboundary_witness stays importable from this module
+from .cohomology import (THEORY_SQ, THEORY_SR, Cochain, _complex, _vec_to_cochain, _witness,
+                         coboundary_witness, is_cocycle)
 from .dynamical import DynamicalCocycle, affine_tables, build_extension
-from .errors import (
-    Diagnostic,
-    InfiniteGroupUnsupported,
-    NotACocycle,
-    NotConstantModule,
-    SearchSpaceExceeded,
-    SizeBoundExceeded,
-    ValidationError,
-)
+from .errors import (Diagnostic, InfiniteGroupUnsupported, NotACocycle, NotConstantModule,
+                     SearchSpaceExceeded, SizeBoundExceeded, ValidationError)
 from .modules import validate_module
-from .racks import (
-    QUANDLE,
-    RackMorphism,
-    _check_group,
-    _compose_words,
-    _invert_word,
-    _isomorphisms,
-    enumerate_automorphisms,
-    is_isomorphism,
-)
+from .racks import (QUANDLE, RackMorphism, _check_group, _compose_words, _invert_word,
+                    _isomorphisms, enumerate_automorphisms, is_isomorphism)
 
 
 class AbelianExtension:
@@ -67,15 +44,17 @@ class AbelianExtension:
 
     Over an infinite A only the cohomological data is kept: obstruction
     classes and lift equations never need the total space itself.  Z^1 and
-    every lift equation are read off one degree-1 witness map, and obstruction
-    classes off the degree-2 presentation; each is built on first use.
-    Each symmetry pair is validated once per extension, and its pair . sigma
-    is formed and cocycle-checked once; every obstruction route reads it.
+    every lift equation are read off the module's degree-1 witness map, and
+    obstruction classes off its degree-2 presentation; both are built once per
+    module and shared by all its extensions.  Each symmetry pair is validated
+    once per extension, and its pair . sigma is formed and cocycle-checked
+    once; every obstruction route reads it, and the right-hand side of its
+    lift equation is formed once.
     """
 
     __slots__ = (
         "module", "sigma", "theory", "extension", "rack",
-        "_d1", "_presentation", "_sigma_class", "_acted",
+        "_sigma_class", "_acted", "_lift_targets",
     )
 
     def __init__(self, module, sigma, theory, extension):
@@ -84,22 +63,17 @@ class AbelianExtension:
         self.theory = theory
         self.extension = extension
         self.rack = extension.rack if extension is not None else None
-        self._d1 = None
-        self._presentation = None
         self._sigma_class = None
         self._acted = {}
+        self._lift_targets = {}
 
     def _degree1_map(self):
-        if self._d1 is None:
-            self._d1 = _witness_map(self.module, 1, self.theory)
-        return self._d1
+        return _complex(self.module).witness_map(1, self.theory, 0)
 
     @property
     def presentation(self):
-        """The degree-2 cohomology presentation of the module."""
-        if self._presentation is None:
-            self._presentation = cohomology_presentation(self.module, 2, self.theory)
-        return self._presentation
+        """The degree-2 cohomology presentation of the module, shared."""
+        return _complex(self.module).presentation(self.theory)
 
     @property
     def size(self):
@@ -256,11 +230,8 @@ class AutPair:
         return AutPair(_invert_word(self.zeta), th)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, AutPair)
-            and self.zeta == other.zeta
-            and self.theta == other.theta
-        )
+        return (isinstance(other, AutPair)
+                and (self.zeta, self.theta) == (other.zeta, other.theta))
 
     def __hash__(self):
         return hash((self.zeta, self.theta))
@@ -415,11 +386,8 @@ class LiftedAutomorphism:
         )
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LiftedAutomorphism)
-            and self.pair == other.pair
-            and self.lam == other.lam
-        )
+        return (isinstance(other, LiftedAutomorphism)
+                and (self.pair, self.lam) == (other.pair, other.lam))
 
     def __hash__(self):
         return hash((self.pair, self.lam))
@@ -428,47 +396,53 @@ class LiftedAutomorphism:
         return f"LiftedAutomorphism(pair={self.pair!r}, lam={list(self.lam.values)})"
 
 
+def _lift_target(ext, pair):
+    # theta(sigma(x, y)) - sigma(zeta x, zeta y) per pair (x, y), once per
+    # validated pair, straight from sigma and theta rather than pair . sigma
+    target = ext._lift_targets.get(pair)
+    if target is None:
+        _acted(ext, pair)
+        n, A, s, z = ext.module.base.size, ext.module.A, ext.sigma.values, pair.zeta
+        target = ext._lift_targets[pair] = [
+            A.sub(pair.theta(s[x * n + y]), s[z[x] * n + z[y]])
+            for x in range(n) for y in range(n)
+        ]
+    return target
+
+
 def _check_lift(ext, pair, lam):
-    # eta-compatibility of lam and the lift equation, straight from the
-    # product formula; independent of any coboundary sign convention
+    # eta-compatibility of lam and the lift equation
+    #   phi(lam x) + psi(lam y) - lam(x * y) = theta(sigma(x, y)) - sigma(zeta x, zeta y)
+    # straight from the product formula; independent of any coboundary sign
     m = ext.module
     X, A = m.base, m.A
-    _acted(ext, pair)
+    target = _lift_target(ext, pair)
     if lam.degree != 1 or lam.size != X.size or lam.group != A:
         raise ValueError("lam must be a 1-cochain on the base with values in A")
     phi, psi, eta = m.phi[0][0], m.psi[0][0], m.eta[0]
-    bad = [x for x in range(X.size) if lam.value(X.rho[x]) != eta(lam.value(x))]
+    lv = lam.values
+    bad = [x for x in range(X.size) if lv[X.rho[x]] != eta(lv[x])]
     if bad:
         raise ValidationError(
             "lam is not compatible with the involutions",
             [Diagnostic("eta-twist", bad)],
         )
-    z = pair.zeta
-    sigma = ext.sigma
-    bad = []
-    for x in range(X.size):
-        for y in range(X.size):
-            lhs = A.add(lam.value(X.op(x, y)), pair.theta(sigma.value(x, y)))
-            rhs = A.add(
-                A.add(phi(lam.value(x)), psi(lam.value(y))),
-                sigma.value(z[x], z[y]),
-            )
-            if lhs != rhs:
-                bad.append((x, y))
+    ph, ps = [phi(v) for v in lv], [psi(v) for v in lv]
+    n = X.size
+    bad = [(x, y) for x in range(n) for y in range(n)
+           if A.reduce([a + b - c for a, b, c in zip(ph[x], ps[y], lv[X.op(x, y)])])
+           != target[x * n + y]]
     if bad:
         raise ValidationError("the lift equation fails", [Diagnostic("lift", bad)])
 
 
 def _lift_permutation(ext, pair, lam):
+    # theta is applied once per fiber element, not once per point of E
     A = ext.module.A
-    elems = A.elements()
-    dext = ext.extension
-    perm = []
-    for i in range(ext.rack.size):
-        x, s = dext.pair_of(i)
-        fib = A.add(lam.value(x), pair.theta(elems[s]))
-        perm.append(dext.index_of((pair.zeta[x], A.element_index(fib))))
-    return tuple(perm)
+    moved = [pair.theta(e) for e in A.elements()]
+    index_of = ext.extension.index_of
+    return tuple(index_of((pair.zeta[x], A.element_index(A.add(lam.values[x], moved[s]))))
+                 for x, s in ext.extension.labels)
 
 
 def extend_pair(ext, pair):
@@ -615,20 +589,9 @@ class WellsReport:
     the image of restriction is the vanishing locus of the obstruction.
     """
 
-    __slots__ = (
-        "extension",
-        "pairs",
-        "classes",
-        "image",
-        "stab",
-        "z1_size",
-        "kernel_size",
-        "image_size",
-        "aut_size",
-        "exact_at_cocycles",
-        "exact_at_symmetries",
-        "exact_at_pairs",
-    )
+    __slots__ = ("extension", "pairs", "classes", "image", "stab",
+                 "z1_size", "kernel_size", "image_size", "aut_size",
+                 "exact_at_cocycles", "exact_at_symmetries", "exact_at_pairs")
 
     def __init__(self, **kw):
         for k in self.__slots__:

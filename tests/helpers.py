@@ -1,6 +1,9 @@
-"""Exact matrix helpers that only the tests need."""
+"""Exact matrix helpers and a term-by-term cochain reference, for the tests only."""
 
 from fractions import Fraction
+from itertools import product
+
+from symq.cohomology import boundary
 
 
 def det(M):
@@ -51,3 +54,67 @@ def inverse(M):
     if any(Fraction(x).denominator != 1 for row in out for x in row):
         raise AssertionError("matrix is not unimodular")
     return [[int(x) for x in row] for row in out]
+
+
+# ---------------------------------------------------------------------------
+# A term-by-term reference for the cochain conditions, read straight from
+# `boundary` and the structure maps, with no constraint rows: the tests hold
+# delta, is_cochain and is_cocycle to it value for value.
+
+
+def _apply(m, kind, pair, value):
+    if kind == "one":
+        return value
+    return (m.phi if kind == "phi" else m.psi)[pair[0]][pair[1]](value)
+
+
+def reference_delta(m, f, basepoint=0):
+    """Values of delta f, one per (degree+1)-tuple: sum of h(f(u)) over d(t)."""
+    X, A = m.base, m.A
+    out = []
+    for t in product(range(X.size), repeat=f.degree + 1):
+        total = A.zero()
+        for coeff, kind, pair, u in boundary(X, f.degree + 1, t, basepoint).terms:
+            total = A.add(total, A.scale(coeff, _apply(m, kind, pair, f.value(*u))))
+        out.append(total)
+    return out
+
+
+def reference_failures(m, c, theory="sr", basepoint=None):
+    """(label, witnesses) of each violated condition on c, in report order.
+
+    The eta and phi conditions of C^degree, the degenerate condition of the
+    quandle theory, and, when a basepoint is given, the cocycle condition.
+    """
+    X, A = m.base, m.A
+    n, deg = X.size, c.degree
+    found = {}
+
+    def bracket(seq):
+        acc = seq[0]
+        for x in seq[1:]:
+            acc = X.op(acc, x)
+        return acc
+
+    tuples = list(product(range(n), repeat=deg)) if deg else []
+    for t in tuples:
+        # eta_{[t]} c(t) = c(rho(t_1), t_2, ..)
+        if m.eta[bracket(t)](c.value(*t)) != c.value(X.rho[t[0]], *t[1:]):
+            found.setdefault("eta-twist", []).append(t)
+    for i in range(2, deg + 1):
+        for t in tuples:
+            # phi_{[t without t_i], [t_i ..]} c(t_1*t_i, .., rho(t_i), ..) = -c(t)
+            w = (bracket(t[: i - 1] + t[i:]), bracket(t[i - 1:]))
+            moved = tuple(X.op(x, t[i - 1]) for x in t[: i - 1]) + (X.rho[t[i - 1]],) + t[i:]
+            if A.add(m.phi[w[0]][w[1]](c.value(*moved)), c.value(*t)) != A.zero():
+                found.setdefault("phi-twist", []).append((i,) + t)
+    if theory == "sq":
+        for t in tuples:
+            if any(a == b for a, b in zip(t, t[1:])) and c.value(*t) != A.zero():
+                found.setdefault("degenerate", []).append(t)
+    if basepoint is not None:
+        cells = product(range(n), repeat=deg + 1)
+        bad = [t for t, v in zip(cells, reference_delta(m, c, basepoint)) if v != A.zero()]
+        if bad:
+            found["cocycle"] = bad
+    return list(found.items())

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import symq.cohomology
-from symq.abelian import AbGroup, mat_mul
+from symq.abelian import AbGroup, AbHom, mat_mul
 from symq.cohomology import (
     THEORY_SQ,
     THEORY_SR,
@@ -21,11 +21,12 @@ from symq.cohomology import (
     is_cocycle,
     verify_chain_complex,
 )
-from symq.errors import NotACocycle, ValidationError
-from symq.modules import dihedral_kamada_module
-from symq.racks import takasaki
+from symq.errors import Diagnostic, NotACocycle, ValidationError
+from symq.modules import RackModule, dihedral_kamada_module
+from symq.racks import QUANDLE, takasaki
 
 from conftest import cochain, module, rack
+from helpers import reference_delta, reference_failures
 from test_modules import manual_constant
 
 
@@ -296,3 +297,72 @@ class TestBruteForceCount:
         for theory in (THEORY_SR, THEORY_SQ):
             pres = cohomology_presentation(m, 2, theory)
             assert pres.cocycle_group().order() == self.brute_z2(m, theory)
+
+
+def random_module(base, A, rng):
+    """Unchecked tables of random endomorphisms: every row reads other maps."""
+    def h():
+        return AbHom(A, A, [[rng.randint(-2, 2) for _ in A.orders] for _ in A.orders])
+
+    n = base.size
+    return RackModule(base, A, [[h() for _ in range(n)] for _ in range(n)],
+                      [[h() for _ in range(n)] for _ in range(n)], [h() for _ in range(n)])
+
+
+def random_cochain(m, degree, rng):
+    values = [tuple(rng.randint(-3, 3) if d == 0 else rng.randrange(d) for d in m.A.orders)
+              for _ in range(m.base.size ** degree)]
+    return Cochain(degree, m.base.size, m.A, values)
+
+
+REFERENCE_RACKS = {f"takasaki({n})": takasaki(n) for n in (3, 4, 5)}
+REFERENCE_RACKS.update(
+    (name, rack(name)) for name in ("t2", "t4", "core_z4", "core_z4_shift", "conj_s3"))
+REFERENCE_GROUPS = ([0], [3], [4], [2, 2])
+
+
+class TestCompiledRowsMatchTheReference:
+    """delta, is_cochain and is_cocycle against helpers' term-by-term reference."""
+
+    def check(self, m, rng):
+        theories = (THEORY_SR, THEORY_SQ) if m.base.kind == QUANDLE else (THEORY_SR,)
+        for degree in (0, 1, 2):
+            samples = [random_cochain(m, degree, rng) for _ in range(2)]
+            samples.append(Cochain.zero(degree, m.base.size, m.A))
+            if degree:
+                samples.append(delta(m, random_cochain(m, degree - 1, rng)))
+            for c in samples:
+                for p in sorted({0, m.base.size - 1}):
+                    assert list(delta(m, c, p).values) == reference_delta(m, c, p)
+                assert found(is_cochain(m, c)) == expected(m, c)
+                for theory in theories:
+                    got = found(is_cocycle(m, c, theory, basepoint=0))
+                    assert got == expected(m, c, theory, basepoint=0)
+
+    @pytest.mark.parametrize("orders", REFERENCE_GROUPS, ids=str)
+    @pytest.mark.parametrize("name", REFERENCE_RACKS)
+    def test_dihedral_kamada_modules(self, name, orders):
+        X = REFERENCE_RACKS[name]
+        self.check(dihedral_kamada_module(X, AbGroup(orders)), random.Random(name))
+
+    @pytest.mark.parametrize("orders", REFERENCE_GROUPS, ids=str)
+    @pytest.mark.parametrize("name", ["takasaki3", "t2", "core_z4_shift"])
+    def test_random_structure_maps(self, name, orders):
+        rng = random.Random(name)
+        self.check(random_module(rack(name), AbGroup(orders), rng), rng)
+
+    def test_fixture_modules(self):
+        for name, base in (("m0_z", "t2"), ("m0_z4", "t2"), ("tw_z3", "takasaki3")):
+            self.check(module(name, rack(base)), random.Random(name))
+
+
+def found(result):
+    ok, diags = result
+    assert ok == (not diags)
+    return [(d.axiom, d.witnesses, d.truncated) for d in diags]
+
+
+def expected(m, c, theory=THEORY_SR, basepoint=None):
+    # the reference's full witness lists, truncated as a report truncates them
+    diags = [Diagnostic(k, v) for k, v in reference_failures(m, c, theory, basepoint)]
+    return [(d.axiom, d.witnesses, d.truncated) for d in diags]

@@ -131,6 +131,16 @@ class TestShapeAndSampling:
         with pytest.raises(ValueError):
             RackModule(base, A, [[other, h], [h, h]], [[h, h], [h, h]], [h, h])
 
+    @pytest.mark.parametrize("field", ["base", "A", "phi", "psi", "eta", "constant"])
+    def test_fields_are_read_only(self, field):
+        # the cochain complex kept on a module is built from these fields
+        m = dihedral_kamada_module(rack("t2"), AbGroup([4]))
+        before = getattr(m, field)
+        with pytest.raises(AttributeError):
+            setattr(m, field, getattr(dihedral_kamada_module(rack("t2"), AbGroup([3])), field))
+        with pytest.raises(AttributeError):
+            delattr(m, field)
+        assert getattr(m, field) is before
 
 
 class TestCoverage:

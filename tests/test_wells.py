@@ -1,5 +1,6 @@
 """Affine extensions, symmetry pairs, lifting, and the exactness report."""
 
+import random
 import time
 
 import pytest
@@ -12,7 +13,9 @@ from symq.cohomology import (
     Cochain,
     _cochain_to_vec,
     _vec_to_cochain,
+    cochain_space,
     cohomology_presentation,
+    delta,
 )
 from symq.errors import (
     InfiniteGroupUnsupported,
@@ -26,6 +29,7 @@ from symq.modules import RackModule, dihedral_kamada_module
 from symq.racks import good_involution_diagnostics, takasaki, trivial_rack
 from symq.wells import (
     AutPair,
+    LiftedAutomorphism,
     act_on_cocycle,
     brute_force_fiber_automorphisms,
     build_abelian_extension,
@@ -80,6 +84,27 @@ def lift_constructions(monkeypatch):
         original(self, extension, pair, lam)
 
     monkeypatch.setattr(symq.wells.LiftedAutomorphism, "__init__", counting)
+    return calls
+
+
+@pytest.fixture
+def cohomology_builds(monkeypatch):
+    """Record the row sets, witness maps and presentations symq.cohomology forms."""
+    calls = []
+
+    def record(name, key):
+        original = getattr(symq.cohomology, name)
+
+        def counting(*args, **kwargs):
+            calls.append((name,) + key(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(symq.cohomology, name, counting)
+
+    record("_delta_rows", lambda X, m, degree, basepoint=0: (degree,))
+    record("_membership_rows", lambda X, m, degree, theory: (degree, theory))
+    record("_witness_map", lambda m, degree, theory, basepoint=0: (degree,))
+    record("cohomology_presentation", lambda m, degree, theory="sr", basepoint=0: (degree,))
     return calls
 
 
@@ -307,11 +332,19 @@ class TestLifting:
     def test_lifting_builds_no_presentation(self, monkeypatch):
         # the degree-2 presentation is built on first read, and lifting a
         # pair whose obstruction vanishes never reads it
-        monkeypatch.setattr(symq.wells, "cohomology_presentation", None)
+        monkeypatch.setattr(symq.cohomology, "cohomology_presentation", None)
         ext = z4_extension()
         lift = extend_pair(ext, AutPair.identity(ext.module))
         assert lift is not None
         assert sorted(lift.perm) == list(range(8))
+
+    def test_headline_report_builds_each_row_set_once(self, cohomology_builds):
+        X = rack("takasaki3")
+        m = dihedral_kamada_module(X, AbGroup([4]))
+        wells_report(build_abelian_extension(m, Cochain.zero(2, X.size, m.A), THEORY_SR))
+        rows = [c for c in cohomology_builds if c[0].endswith("_rows")]
+        assert sorted(rows) == [("_delta_rows", 1), ("_delta_rows", 2),
+                                ("_membership_rows", 1, "sr"), ("_membership_rows", 2, "sr")]
 
     def test_second_lift_makes_no_factorization(self, snf_calls):
         ext = z4_extension()
@@ -320,6 +353,47 @@ class TestLifting:
         built = len(snf_calls)
         assert extend_pair(ext, pair) == first
         assert len(snf_calls) == built
+
+    def test_lift_diagnostics_follow_the_product_formula(self):
+        # every lift candidate is judged at every (x, y), against the affine
+        # product recomputed here term by term
+        rng = random.Random(5)
+        X4 = rack("takasaki4")
+        m4 = dihedral_kamada_module(X4, AbGroup([4]))
+        pres = cohomology_presentation(m4, 2, THEORY_SQ)
+        shift = module("m0_z", rack("core_z4_shift"))
+        nu = Cochain.zero(1, 4, shift.A)
+        for g in cochain_space(shift, 1, THEORY_SR).gens:
+            nu = nu.add(Cochain(1, 4, shift.A, [(rng.randint(-3, 3) * v[0],) for v in g.values]))
+        exts = [z4_extension(), z_extension(),
+                build_abelian_extension(m4, pres.section(pres.group.elements()[-1]), THEORY_SQ),
+                build_abelian_extension(shift, delta(shift, nu), THEORY_SR)]
+        for ext in exts:
+            m, sigma = ext.module, ext.sigma
+            X, A = m.base, m.A
+            phi, psi, eta = m.phi[0][0], m.psi[0][0], m.eta[0]
+            for pair in enumerate_aut_pairs(ext):
+                lams = [Cochain(1, X.size, A, [(rng.randrange(4),) for _ in range(X.size)])
+                        for _ in range(4)]
+                lift = extend_pair(ext, pair)
+                if lift is not None:
+                    lams += [lift.lam, lift.lam.add(Cochain(1, X.size, A, [(1,)] * X.size))]
+                for lam in lams:
+                    lv = lam.value
+                    twisted = [x for x in range(X.size) if lv(X.rho[x]) != eta(lv(x))]
+                    unlifted = [
+                        (x, y) for x in range(X.size) for y in range(X.size)
+                        if A.add(lv(X.op(x, y)), pair.theta(sigma.value(x, y)))
+                        != A.add(A.add(phi(lv(x)), psi(lv(y))),
+                                 sigma.value(pair.zeta[x], pair.zeta[y]))]
+                    want = ([("eta-twist", twisted)] if twisted
+                            else [("lift", unlifted)] if unlifted else [])
+                    try:
+                        LiftedAutomorphism(ext, pair, lam)
+                        got = []
+                    except ValidationError as e:
+                        got = [(d.axiom, d.witnesses) for d in e.diagnostics]
+                    assert got == want
 
     def test_lift_over_z_is_symbolic(self):
         ext = z_extension()
@@ -362,7 +436,7 @@ class TestEnumerationAndReport:
         vecs = subgroup_elements(AbGroup(m.A.orders * X.size),
                                  [_cochain_to_vec(c) for c in pres.cocycle_gens])
         # Z^1 is read off the extension's witness map, with no presentation
-        monkeypatch.setattr(symq.wells, "cohomology_presentation", None)
+        monkeypatch.setattr(symq.cohomology, "cohomology_presentation", None)
         assert z1_elements(ext) == [_vec_to_cochain(1, X.size, m.A, v) for v in vecs]
 
     def test_aut_group_size(self):
@@ -464,14 +538,30 @@ class TestFourTermSequence:
         assert brute == sorted(brute)
         assert affine_part(ext, brute) == {xi.perm for xi in enumerate_autA_extension(ext)}
 
+    def test_every_class_shares_one_complex(self, cohomology_builds):
+        # all extensions of one module read one degree-2 presentation, one
+        # degree-1 witness map and one copy of each row set
+        X = rack("takasaki4")
+        m = dihedral_kamada_module(X, AbGroup([4]))
+        pres = build_abelian_extension(m, Cochain.zero(2, X.size, m.A), THEORY_SQ).presentation
+        assert len(pres.group.elements()) == 4
+        for cls in pres.group.elements():
+            ext = build_abelian_extension(m, pres.section(cls), THEORY_SQ)
+            assert ext.presentation is pres
+            assert wells_report(ext).exact
+        assert cohomology_builds.count(("cohomology_presentation", 2)) == 1
+        assert cohomology_builds.count(("_witness_map", 1)) == 1
+        assert sorted(set(cohomology_builds)) == sorted(cohomology_builds)
+
     def test_sweep_of_classes(self):
-        # budget: 5 s for all 59 extensions
+        # budget: 5 s for all 64 extensions
         t0 = time.perf_counter()
         cases = [(X, orders, theory, None)
                  for X in (rack("t2"), trivial_rack(2))
                  for orders in ([2], [3], [4])
                  for theory in (THEORY_SQ, THEORY_SR)]
         cases += [(rack("takasaki3"), orders, THEORY_SQ, None) for orders in ([2], [3], [4])]
+        cases += [(rack("takasaki4"), orders, THEORY_SQ, None) for orders in ([3], [4])]
         cases.append((rack("core_z4"), [4], THEORY_SQ, 2))
         checked = 0
         for X, orders, theory, limit in cases:
@@ -485,5 +575,5 @@ class TestFourTermSequence:
                 lifts = {xi.perm for xi in enumerate_autA_extension(ext)}
                 assert affine_part(ext, brute_force_fiber_automorphisms(ext)) == lifts
                 checked += 1
-        assert checked == 59
+        assert checked == 64
         assert time.perf_counter() - t0 < 5
