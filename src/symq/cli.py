@@ -12,11 +12,11 @@ import sys
 from .abelian import AbHom
 from .cohomology import THEORY_SQ, THEORY_SR, cohomology_presentation, is_cocycle
 from .dynamical import (
+    DynamicalCocycle,
     are_cohomologous_dynamical,
     build_extension,
     dynamical_diagnostics,
     from_group_extension,
-    validate_dynamical,
 )
 from .errors import SymqError, ValidationError
 from .racks import QUANDLE, cycle_notation, enumerate_automorphisms, enumerate_good_involutions
@@ -275,7 +275,7 @@ def cmd_dynamical(args):
             lines = [f"dynamical cocycle: ok (fibers {list(sizes)})"]
             _emit(args, lines, {"ok": True, "fibers": list(sizes)})
             return 0
-        dc = validate_dynamical(X, sizes, alpha, beta, quandle)
+        dc = DynamicalCocycle(X, sizes, alpha, beta, quandle)
         ext = build_extension(dc)
         lines = [
             f"total: size {ext.rack.size} ({ext.rack.kind})",
@@ -289,8 +289,8 @@ def cmd_dynamical(args):
         }
         _emit(args, lines, data)
         return 0
-    dc1 = validate_dynamical(X, *load_dynamical(_require(args, "dynamical"), X), quandle=quandle)
-    dc2 = validate_dynamical(X, *load_dynamical(_require(args, "other"), X), quandle=quandle)
+    dc1 = DynamicalCocycle(X, *load_dynamical(_require(args, "dynamical"), X), quandle=quandle)
+    dc2 = DynamicalCocycle(X, *load_dynamical(_require(args, "other"), X), quandle=quandle)
     gauge = are_cohomologous_dynamical(dc1, dc2, args.bound)
     if gauge is None:
         _emit(args, ["NOT EQUIVALENT"], {"equivalent": False})

@@ -24,6 +24,7 @@ over the base.
 """
 
 from . import limits
+from .cohomology import THEORY_SQ, THEORY_SR, is_cocycle
 from .errors import (
     Diagnostic,
     InfiniteGroupUnsupported,
@@ -57,10 +58,12 @@ def _resolve_quandle_flag(X, quandle):
 
 
 class DynamicalCocycle:
-    """Shape-checked fiber data over a base; axioms live in validate_dynamical.
+    """Fiber data over a base, valid by construction.
 
-    quandle=True asks the glued extension to be a quandle (condition (6));
-    the default follows the kind of the base.
+    The constructor runs every axiom once, shape included, and raises a
+    ValidationError with the diagnostics when one fails.  quandle=True asks
+    the glued extension to be a quandle (condition (6)); the default follows
+    the kind of the base.
     """
 
     __slots__ = ("base", "sizes", "alpha", "beta", "quandle")
@@ -68,11 +71,9 @@ class DynamicalCocycle:
     def __init__(self, base, sizes, alpha, beta, quandle=None):
         n = base.size
         sizes = tuple(int(s) for s in sizes)
-        if len(sizes) != n or any(s <= 0 for s in sizes):
-            raise ValueError("need one positive fiber size per base element")
-        shape = _shape_problems(base, sizes, alpha, beta)
-        if shape:
-            raise ValueError(f"malformed fiber tables: {shape[:4]}")
+        diags = dynamical_diagnostics(base, sizes, alpha, beta, quandle)
+        if diags:
+            raise ValidationError("fiber data is not a dynamical cocycle", diags)
         self.base = base
         self.sizes = sizes
         self.alpha = tuple(
@@ -105,6 +106,8 @@ class DynamicalCocycle:
 def _shape_problems(X, sizes, alpha, beta):
     problems = []
     n = X.size
+    if len(sizes) != n or any(s <= 0 for s in sizes):
+        return [("sizes", "one positive size per base element")]
     if len(alpha) != n or any(len(alpha[x]) != n for x in range(n)):
         return [("alpha", "outer shape")]
     if len(beta) != n:
@@ -125,6 +128,17 @@ def _shape_problems(X, sizes, alpha, beta):
     return problems
 
 
+_AXIOMS = (
+    "fiber-size",
+    "alpha-bijective",
+    "alpha-cocycle",
+    "beta-alpha",
+    "left-inverse",
+    "beta-involution",
+    "idempotence",
+)
+
+
 def dynamical_diagnostics(X, sizes, alpha, beta, quandle=None):
     """Axiom diagnostics for raw fiber tables; shape problems short-circuit."""
     quandle = _resolve_quandle_flag(X, quandle)
@@ -137,18 +151,16 @@ def dynamical_diagnostics(X, sizes, alpha, beta, quandle=None):
     def hit(axiom, w):
         found.setdefault(axiom, []).append(w)
 
-    mismatched = set()
     for x in range(n):
         for y in range(n):
             if sizes[x] != sizes[X.op(x, y)]:
                 hit("fiber-size", (x, y))
-                mismatched.add((x, y))
         if sizes[x] != sizes[X.rho[x]]:
             hit("fiber-size", (x,))
 
     for x in range(n):
         for y in range(n):
-            if (x, y) in mismatched:
+            if sizes[x] != sizes[X.op(x, y)]:
                 continue
             full = set(range(sizes[X.op(x, y)]))
             for t in range(sizes[y]):
@@ -157,8 +169,7 @@ def dynamical_diagnostics(X, sizes, alpha, beta, quandle=None):
 
     if found:
         # later axioms compose maps whose endpoints already disagree
-        order = ["fiber-size", "alpha-bijective"]
-        return [Diagnostic(a, found[a]) for a in order if a in found]
+        return [Diagnostic(a, found[a]) for a in _AXIOMS if a in found]
 
     op, rho = X.op, X.rho
     for x in range(n):
@@ -191,24 +202,7 @@ def dynamical_diagnostics(X, sizes, alpha, beta, quandle=None):
                 if alpha[x][x][s][s] != s:
                     hit("idempotence", (x, s))
 
-    order = [
-        "fiber-size",
-        "alpha-bijective",
-        "alpha-cocycle",
-        "beta-alpha",
-        "left-inverse",
-        "beta-involution",
-        "idempotence",
-    ]
-    return [Diagnostic(a, found[a]) for a in order if a in found]
-
-
-def validate_dynamical(X, sizes, alpha, beta, quandle=None):
-    """Checked constructor: returns a DynamicalCocycle or raises with diagnostics."""
-    diags = dynamical_diagnostics(X, sizes, alpha, beta, quandle)
-    if diags:
-        raise ValidationError("fiber data is not a dynamical cocycle", diags)
-    return DynamicalCocycle(X, sizes, alpha, beta, quandle)
+    return [Diagnostic(a, found[a]) for a in _AXIOMS if a in found]
 
 
 class DynamicalExtension:
@@ -236,11 +230,12 @@ class DynamicalExtension:
 
 
 def build_extension(dc):
-    """Glue the total symmetric rack of a valid dynamical cocycle."""
+    """Glue the total symmetric rack of a dynamical cocycle.
+
+    The cocycle passed its axioms when it was constructed; the glued table is
+    still checked to be a rack with a good involution.
+    """
     X = dc.base
-    diags = dynamical_diagnostics(X, dc.sizes, dc.alpha, dc.beta, dc.quandle)
-    if diags:
-        raise ValidationError("fiber data is not a dynamical cocycle", diags)
     labels = [(x, s) for x in range(X.size) for s in range(dc.sizes[x])]
     index = {p: i for i, p in enumerate(labels)}
     total = len(labels)
@@ -392,26 +387,30 @@ def affine_tables(m, sigma):
     return (size,) * n, alpha, beta
 
 
-def from_cocycle(m, sigma, theory=None):
-    """Dynamical cocycle of a module 2-cocycle; every route is verified.
-
-    The module axioms and the cocycle conditions are rechecked, the affine
-    tables are built, and the dynamical axioms are confirmed on the result.
-    The quandle theory asks for a quandle extension, the rack theory for a
-    rack extension; the default follows the kind of the base.
-    """
-    from .cohomology import THEORY_SQ, is_cocycle
-
+def _checked_theory(m, sigma, theory):
+    # the module axioms and the cocycle conditions, once per cocycle; the
+    # default theory follows the kind of the base
     if theory is None:
-        theory = THEORY_SQ if m.base.kind == QUANDLE else "sr"
+        theory = THEORY_SQ if m.base.kind == QUANDLE else THEORY_SR
     check = validate_module(m)
     if not check.ok:
         raise ValidationError("coefficients are not a module", check.diagnostics)
     ok, diags = is_cocycle(m, sigma, theory)
     if not ok:
         raise NotACocycle("not a 2-cocycle: " + "; ".join(d.axiom for d in diags))
-    sizes, alpha, beta = affine_tables(m, sigma)
-    return validate_dynamical(m.base, sizes, alpha, beta, quandle=theory == THEORY_SQ)
+    return theory
+
+
+def from_cocycle(m, sigma, theory=None):
+    """Dynamical cocycle of a module 2-cocycle; every route is verified.
+
+    The module axioms and the cocycle conditions are checked, the affine
+    tables are built, and the dynamical axioms are confirmed on the result.
+    The quandle theory asks for a quandle extension, the rack theory for a
+    rack extension; the default follows the kind of the base.
+    """
+    theory = _checked_theory(m, sigma, theory)
+    return DynamicalCocycle(m.base, *affine_tables(m, sigma), quandle=theory == THEORY_SQ)
 
 
 def from_surjection(f):
@@ -428,17 +427,20 @@ def from_surjection(f):
         raise NotSurjective("the morphism misses part of the base")
     src, X = f.source, f.target
     fibers = [[e for e in range(src.size) if f.map[e] == x] for x in range(X.size)]
-    pos = {}
-    for x, fib in enumerate(fibers):
-        for s, e in enumerate(fib):
-            pos[e] = (x, s)
+    return _reglue(src, X, fibers), fibers
+
+
+def _reglue(src, X, fibers):
+    # the cocycle of src over X that names fibers[x][s] as (x, s); the
+    # extension it glues is checked to be src again
+    pos = {e: s for fib in fibers for s, e in enumerate(fib)}
     n = X.size
     sizes = tuple(len(fib) for fib in fibers)
     alpha = [
         [
             [
                 [
-                    pos[src.op(fibers[x][s], fibers[y][t])][1]
+                    pos[src.op(fibers[x][s], fibers[y][t])]
                     for t in range(sizes[y])
                 ]
                 for s in range(sizes[x])
@@ -448,14 +450,14 @@ def from_surjection(f):
         for x in range(n)
     ]
     beta = [
-        [pos[src.rho[fibers[x][s]]][1] for s in range(sizes[x])] for x in range(n)
+        [pos[src.rho[fibers[x][s]]] for s in range(sizes[x])] for x in range(n)
     ]
-    dc = validate_dynamical(X, sizes, alpha, beta, quandle=src.kind == QUANDLE)
+    dc = DynamicalCocycle(X, sizes, alpha, beta, quandle=src.kind == QUANDLE)
     ext = build_extension(dc)
     carry = [fibers[x][s] for (x, s) in ext.labels]
     if not is_isomorphism(RackMorphism(ext.rack, src, carry)):
         raise AssertionError("reglued extension does not match the source")
-    return dc, fibers
+    return dc
 
 
 class GroupExtensionSplitting:
@@ -526,42 +528,12 @@ def from_group_extension(G, sub_elements, flavor="conj", n=1, z=None):
     for q in range(Q.size):
         members = [e for e in range(G.size) if coset_of[e] == q]
         kappa.append(G.identity if coset_of[G.identity] == q else min(members))
-    a_index = {a: i for i, a in enumerate(A)}
-    size = len(A)
+    # fiber x is the coset kappa(x) A, its element s named kappa(x) A[s]
+    dc = _reglue(total, base, [[G.m(k, a) for a in A] for k in kappa])
 
-    def mu(x, s):
-        return G.m(kappa[x], A[s])
-
-    def unmu(x, e):
-        return a_index[G.m(G.inv[kappa[x]], e)]
-
-    nq = Q.size
-    alpha = [
-        [
-            [
-                [
-                    unmu(base.op(x, y), total.op(mu(x, s), mu(y, t)))
-                    for t in range(size)
-                ]
-                for s in range(size)
-            ]
-            for y in range(nq)
-        ]
-        for x in range(nq)
-    ]
-    beta = [
-        [unmu(base.rho[x], total.rho[mu(x, s)]) for s in range(size)]
-        for x in range(nq)
-    ]
-    dc = validate_dynamical(base, (size,) * nq, alpha, beta, quandle=True)
-    ext = build_extension(dc)
-    carry = [mu(x, s) for (x, s) in ext.labels]
-    if not is_isomorphism(RackMorphism(ext.rack, total, carry)):
-        raise AssertionError("section regluing does not match the group quandle")
-
-    i0 = a_index[G.identity]
+    i0 = A.index(G.identity)
     theta = {
-        (x, y): A[dc.alpha[x][y][i0][i0]] for x in range(nq) for y in range(nq)
+        (x, y): A[dc.alpha[x][y][i0][i0]] for x in range(Q.size) for y in range(Q.size)
     }
     return GroupExtensionSplitting(
         group=G,

@@ -1,6 +1,4 @@
-"""Default enumeration bounds, overridable via the SYMQ_MAX_ENUM env variable."""
-
-import os
+"""Default enumeration bounds; a caller overrides one by passing its own bound."""
 
 GOOD_INVOLUTION_SIZE = 10
 AUTOMORPHISM_SIZE = 12
@@ -12,12 +10,7 @@ SUBGROUP_ENUM = 10 ** 4
 
 
 def resolve(explicit, default):
-    """Pick the effective bound: explicit argument, else env override, else default."""
+    """Pick the effective bound: explicit argument, else default."""
     if explicit is not None:
         return explicit
-    env = os.environ.get("SYMQ_MAX_ENUM")
-    if env is None:
-        return default
-    if not env.strip().isdecimal():
-        raise ValueError(f"SYMQ_MAX_ENUM must be a non-negative integer, got {env!r}")
-    return int(env)
+    return default

@@ -29,13 +29,12 @@ from math import prod
 from . import limits
 from .abelian import AbHom, kernel, subgroup_elements
 # coboundary_witness stays importable from this module
-from .cohomology import (THEORY_SQ, THEORY_SR, Cochain, _complex, _vec_to_cochain, _witness,
+from .cohomology import (THEORY_SQ, Cochain, _complex, _vec_to_cochain, _witness,
                          coboundary_witness, is_cocycle)
-from .dynamical import DynamicalCocycle, affine_tables, build_extension
-from .errors import (Diagnostic, InfiniteGroupUnsupported, NotACocycle, NotConstantModule,
+from .dynamical import DynamicalCocycle, _checked_theory, affine_tables, build_extension
+from .errors import (Diagnostic, InfiniteGroupUnsupported, NotConstantModule,
                      SearchSpaceExceeded, SizeBoundExceeded, ValidationError)
-from .modules import validate_module
-from .racks import (QUANDLE, RackMorphism, _check_group, _compose_words, _invert_word,
+from .racks import (RackMorphism, _check_group, _compose_words, _invert_word,
                     _isomorphisms, enumerate_automorphisms, is_isomorphism)
 
 
@@ -114,17 +113,10 @@ def build_abelian_extension(m, sigma, theory=None):
     X = m.base
     if sigma.degree != 2 or sigma.size != X.size or sigma.group != m.A:
         raise ValueError("sigma must be a 2-cochain on the base with values in A")
-    if theory is None:
-        theory = THEORY_SQ if X.kind == QUANDLE else THEORY_SR
-    check = validate_module(m)
-    if not check.ok:
-        raise ValidationError("coefficients are not a module", check.diagnostics)
-    ok, diags = is_cocycle(m, sigma, theory)
-    if not ok:
-        raise NotACocycle("not a 2-cocycle: " + "; ".join(d.axiom for d in diags))
+    theory = _checked_theory(m, sigma, theory)
     dext = None
     if m.A.is_finite():
-        # build_extension runs the dynamical axioms once on the glued tables
+        # constructing the cocycle runs the dynamical axioms once on the glued tables
         dc = DynamicalCocycle(X, *affine_tables(m, sigma), quandle=theory == THEORY_SQ)
         dext = build_extension(dc)
         _check_affine_table(m, sigma, dext)
@@ -546,18 +538,17 @@ def gamma_restriction(ext, xi):
             "fibers are not moved by one affine map",
             [Diagnostic("fiber-affine", [])],
         )
-    bad = []
-    for x in range(X.size):
-        lam_x = elems[fiber[x][zero_idx]]
-        for s, e in enumerate(elems):
-            if elems[fiber[x][s]] != A.add(lam_x, theta(e)):
-                bad.append((x, s))
+    # the lift of (zeta, theta) with lam(x) the image of (x, 0), built once
+    # and compared label by label
+    pair = AutPair(tuple(zeta), theta)
+    lam = Cochain(1, X.size, A, [elems[fiber[x][zero_idx]] for x in range(X.size)])
+    expected = _lift_permutation(ext, pair, lam)
+    bad = [dext.pair_of(i) for i in range(rack.size) if perm[i] != expected[i]]
     if bad:
         raise ValidationError(
             "fibers are not moved by one affine map",
             [Diagnostic("fiber-affine", bad)],
         )
-    pair = AutPair(tuple(zeta), theta)
     _acted(ext, pair)
     return pair
 

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from symq import limits
 from symq.cli import _build_parser, main
 from symq.racks import trivial_rack
 from symq.serialize import fixture_path, load_json, save_rack
@@ -429,20 +430,18 @@ class TestOtherVerbs:
     def test_aut_over_the_search_cap_exits_2(self, capsys, tmp_path, monkeypatch):
         path = str(tmp_path / "trivial7.json")
         save_rack(trivial_rack(7), path)
-        monkeypatch.setenv("SYMQ_MAX_ENUM", "5000")
+        monkeypatch.setattr(limits, "GAUGE_SEARCH", 5000)
         code, out, err = run(["aut", "--rack", path], capsys)
         assert code == 2
         assert out == ""
         assert "candidate images" in err
 
-    @pytest.mark.parametrize("value", ["lots", "-1"])
-    def test_bad_search_cap_override_exits_2(self, capsys, monkeypatch, value):
-        # an override that cannot be a bound must not leave the default in force
-        monkeypatch.setenv("SYMQ_MAX_ENUM", value)
-        code, out, err = run(["aut", "--rack", TAK3], capsys)
-        assert code == 2
-        assert out == ""
-        assert "SYMQ_MAX_ENUM" in err and repr(value) in err
+    def test_no_environment_variable_moves_a_bound(self, capsys, monkeypatch):
+        # SYMQ_MAX_ENUM once overrode every bound at once; it is not read
+        monkeypatch.setenv("SYMQ_MAX_ENUM", "1")
+        code, out, _ = run(["aut", "--rack", TAK3, "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["count"] == 6
 
     def test_from_group(self, capsys):
         code, out, _ = run(

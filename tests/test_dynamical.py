@@ -1,12 +1,16 @@
 """Dynamical cocycles: validation, gluing, gauge action, group splittings."""
 
+import hashlib
 import random
 
 import pytest
 
+import symq.cli
+import symq.dynamical
 from symq.abelian import AbGroup
 from symq.cohomology import THEORY_SR, delta1
 from symq.dynamical import (
+    DynamicalCocycle,
     Gauge,
     are_cohomologous_dynamical,
     build_extension,
@@ -15,7 +19,6 @@ from symq.dynamical import (
     from_group_extension,
     from_surjection,
     gauge_transform,
-    validate_dynamical,
 )
 from symq.errors import (
     InfiniteGroupUnsupported,
@@ -23,7 +26,7 @@ from symq.errors import (
     NotSurjective,
     ValidationError,
 )
-from symq.groups import FiniteGroup
+from symq.groups import FiniteGroup, is_normal
 from symq.modules import dihedral_kamada_module
 from symq.racks import (
     RackMorphism,
@@ -31,6 +34,8 @@ from symq.racks import (
     takasaki,
     trivial_rack,
 )
+from symq.serialize import fixture_path
+from symq.wells import build_abelian_extension
 
 from conftest import cochain, module, rack
 from test_cohomology import random_one_cochain
@@ -70,7 +75,7 @@ class TestValidation:
             caught = bool(dynamical_diagnostics(X, dc.sizes, alpha, dc.beta, False))
             if not caught:
                 try:
-                    build_extension(validate_dynamical(X, dc.sizes, alpha, dc.beta, False))
+                    build_extension(DynamicalCocycle(X, dc.sizes, alpha, dc.beta, False))
                 except (ValidationError, ValueError):
                     caught = True
             assert caught
@@ -80,6 +85,64 @@ class TestValidation:
         dc = from_cocycle(m, c, THEORY_SR)
         diags = dynamical_diagnostics(X, dc.sizes, dc.alpha, dc.beta, True)
         assert any(d.axiom == "idempotence" for d in diags)
+
+
+class TestShape:
+    @pytest.mark.parametrize("sizes", [(1, 1), (1, 1, 1, 1), (1, 0, 1)],
+                             ids=["short", "long", "empty-fiber"])
+    def test_one_positive_size_per_base_element(self, sizes):
+        X = takasaki(3)
+        alpha = [[[[0]] for _ in range(3)] for _ in range(3)]
+        beta = [[0]] * 3
+        assert not dynamical_diagnostics(X, (1, 1, 1), alpha, beta)
+        assert [d.axiom for d in dynamical_diagnostics(X, sizes, alpha, beta)] == ["fiber-map"]
+        with pytest.raises(ValidationError) as e:
+            DynamicalCocycle(X, sizes, alpha, beta)
+        assert [d.axiom for d in e.value.diagnostics] == ["fiber-map"]
+
+
+@pytest.fixture
+def axiom_passes(monkeypatch):
+    """Count the runs of dynamical_diagnostics, from the library and from the CLI."""
+    calls = []
+    original = symq.dynamical.dynamical_diagnostics
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(symq.dynamical, "dynamical_diagnostics", counting)
+    monkeypatch.setattr(symq.cli, "dynamical_diagnostics", counting)
+    return calls
+
+
+DYN = str(fixture_path("dynamical_t2_z4.json"))
+
+
+def dynamical_cli(action, *flags):
+    argv = ["dynamical", action, "--rack", str(fixture_path("rack_t2.json")), "--dynamical", DYN]
+    assert symq.cli.main(argv + ["--theory", "sr", *flags]) == 0
+
+
+def s3_over_a3():
+    S3 = FiniteGroup.symmetric(3)
+    return from_group_extension(S3, [a for a in range(6) if S3.order_of(a) in (1, 3)])
+
+
+class TestOneAxiomPass:
+    @pytest.mark.parametrize("route,passes", [
+        (s3_over_a3, 1),
+        (lambda: from_surjection(RackMorphism(rack("core_z4"), takasaki(2), (0, 1, 0, 1))), 1),
+        (lambda: build_extension(from_cocycle(*z4_alpha_cocycle()[1:], THEORY_SR)), 1),
+        (lambda: build_abelian_extension(*z4_alpha_cocycle()[1:], THEORY_SR), 1),
+        (lambda: dynamical_cli("extend"), 1),
+        # the two inputs and the cocycle the found gauge transports
+        (lambda: dynamical_cli("equiv", "--other", DYN), 3),
+    ], ids=["from_group_extension", "from_surjection", "from_cocycle", "build_abelian_extension",
+            "cli-extend", "cli-equiv"])
+    def test_each_cocycle_is_checked_once(self, axiom_passes, route, passes):
+        route()
+        assert len(axiom_passes) == passes
 
 
 class TestExtension:
@@ -290,3 +353,81 @@ class TestFromGroupExtension:
         split = from_group_extension(S3, A3, flavor="conj")
         assert split.quotient.size == 2
         assert split.cocycle.sizes == (3, 3)
+
+
+def permutation_group(gens, n):
+    """The group the permutation words generate, on sorted words; (p*q)(i) = p(q(i))."""
+    ident = tuple(range(n))
+    reached, todo = {ident}, [ident]
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = tuple(p[g[i]] for i in range(n))
+            if q not in reached:
+                reached.add(q)
+                todo.append(q)
+    elems = sorted(reached)
+    index = {p: i for i, p in enumerate(elems)}
+    mul = [[index[tuple(p[q[i]] for i in range(n))] for q in elems] for p in elems]
+    return FiniteGroup(mul, identity=index[ident])
+
+
+def normal_subgroups(G):
+    """Every normal subgroup, as sorted element lists; each is generated by two elements."""
+    found = set()
+    for a in range(G.size):
+        for b in range(G.size):
+            reached, todo = {G.identity}, [G.identity]
+            while todo:
+                h = todo.pop()
+                for g in (a, b):
+                    if G.mul[h][g] not in reached:
+                        reached.add(G.mul[h][g])
+                        todo.append(G.mul[h][g])
+            if is_normal(G, reached):
+                found.add(tuple(sorted(reached)))
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def splitting_outcome(G, sub, flavor, n, z):
+    """sizes, alpha, beta, sorted theta and kappa of a splitting, or its exception."""
+    try:
+        split = from_group_extension(G, sub, flavor=flavor, n=n, z=z)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    dc = split.cocycle
+    return dc.sizes, dc.alpha, dc.beta, sorted(split.theta.items()), split.kappa
+
+
+SPLIT_GROUPS = {
+    "Z4": lambda: FiniteGroup.cyclic(4),
+    "Z6": lambda: FiniteGroup.cyclic(6),
+    "Z8": lambda: FiniteGroup.cyclic(8),
+    "S3": lambda: FiniteGroup.symmetric(3),
+    "D4": lambda: permutation_group([(1, 2, 3, 0), (0, 3, 2, 1)], 4),
+    "S4": lambda: FiniteGroup.symmetric(4),
+}
+
+
+class TestGroupSplittingPin:
+    """from_group_extension on every normal subgroup and flavor, recorded from
+    an earlier implementation that glued group splittings on a route of their own."""
+
+    @pytest.mark.parametrize("name,count,digest", [
+        ("Z4", 12, "67049da272c5920e"),
+        ("Z6", 16, "4a05b9a2c92d2773"),
+        ("Z8", 16, "71f88cc43cdabb79"),
+        ("S3", 9, "4969466c44bac1a3"),
+        ("D4", 24, "816ec651741f63ba"),
+        ("S4", 12, "ef7b210f9f8d2f20"),
+    ])
+    def test_splittings_match_the_record(self, name, count, digest):
+        G = SPLIT_GROUPS[name]()
+        involutions = [z for z in range(G.size) if z != G.identity
+                       and G.mul[z][z] == G.identity and G.is_central(z)]
+        flavors = [("conj", 1, None), ("conj", 2, None), ("core", 1, None)]
+        flavors += [("core_z", 1, z) for z in involutions]
+        outcomes = [splitting_outcome(G, sub, *f)
+                    for sub in normal_subgroups(G) for f in flavors]
+        assert (len(outcomes), hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16]) \
+            == (count, digest)

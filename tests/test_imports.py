@@ -1,4 +1,4 @@
-"""src/symq: every import used, none samples, none asserts, one factors (stdlib ast)."""
+"""src/symq: every import used, none samples, none asserts, one factors, one axiom pass."""
 
 import ast
 from pathlib import Path
@@ -108,3 +108,48 @@ def test_the_check_sees_a_second_elimination_path(tmp_path):
         "    return abelian.smith_normal_form(M), snf(M)\n"
     )
     assert elimination_calls(path) == [5, 5]
+
+
+def axiom_pass_callers(path):
+    """(enclosing definition, line) of each call to dynamical_diagnostics, aliases included."""
+    tree = ast.parse(path.read_text())
+    names = {"dynamical_diagnostics"} | {
+        a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for a in node.names if a.name == "dynamical_diagnostics" and a.asname
+    }
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
+            if getattr(func, "id", None) in names or getattr(func, "attr", None) in names:
+                found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(tree, ())
+    return sorted(found)
+
+
+def test_one_axiom_pass_per_cocycle():
+    # a DynamicalCocycle is valid by construction, so nothing else reruns the
+    # axioms; the CLI's validate action reports on tables it never builds
+    callers = {(path.name, scope) for path in SRC.glob("*.py")
+               for scope, _ in axiom_pass_callers(path)}
+    assert callers == {("dynamical.py", "DynamicalCocycle.__init__"), ("cli.py", "cmd_dynamical")}
+
+
+def test_the_check_sees_a_second_axiom_pass(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from . import dynamical\n"
+        "from .dynamical import dynamical_diagnostics as axioms\n\n"
+        "class C:\n"
+        "    def __init__(self, X):\n"
+        "        dynamical.dynamical_diagnostics(X)\n\n"
+        "def build(dc):\n"
+        "    return [axioms(dc)]\n"
+    )
+    assert axiom_pass_callers(path) == [("C.__init__", 6), ("build", 9)]

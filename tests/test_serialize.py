@@ -5,7 +5,7 @@ import json
 import pytest
 
 from symq.cohomology import THEORY_SR, Cochain
-from symq.dynamical import from_cocycle, validate_dynamical
+from symq.dynamical import DynamicalCocycle, from_cocycle
 from symq.errors import ValidationError
 from symq.serialize import (
     cochain_from_dict,
@@ -89,7 +89,7 @@ class TestRoundTrips:
         p = tmp_path / "d.json"
         save_dynamical(dc, p)
         sizes, alpha, beta = load_dynamical(p, X)
-        assert validate_dynamical(X, sizes, alpha, beta, quandle=False) == dc
+        assert DynamicalCocycle(X, sizes, alpha, beta, quandle=False) == dc
 
     def test_bundled_dynamical_fixture(self):
         X = rack("t2")

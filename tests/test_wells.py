@@ -1,5 +1,6 @@
 """Affine extensions, symmetry pairs, lifting, and the exactness report."""
 
+import hashlib
 import random
 import time
 
@@ -577,3 +578,70 @@ class TestFourTermSequence:
                 checked += 1
         assert checked == 64
         assert time.perf_counter() - t0 < 5
+
+
+def gamma_extension(name):
+    """The four extensions of the gamma_restriction pin, each at its last H^2 class."""
+    if name == "t2/Z4/sr":
+        return z4_extension()
+    X, orders, theory = {
+        "t2/Z3/sq": (rack("t2"), [3], THEORY_SQ),
+        "takasaki3/Z4/sr": (rack("takasaki3"), [4], THEORY_SR),
+        "takasaki3/Z2xZ2/sq": (rack("takasaki3"), [2, 2], THEORY_SQ),
+    }[name]
+    m = dihedral_kamada_module(X, AbGroup(orders))
+    pres = cohomology_presentation(m, 2, theory)
+    return build_abelian_extension(m, pres.section(pres.group.elements()[-1]), theory)
+
+
+def gamma_corpus(ext, seed):
+    """Brute-force maps, then seeded fiber-preserving and arbitrary permutations.
+
+    The fiber-preserving ones are random (zeta, fiberwise permutation) maps and
+    brute-force maps with two images swapped inside one fiber.
+    """
+    rng = random.Random(seed)
+    brute = brute_force_fiber_automorphisms(ext)
+    index_of, labels = ext.extension.index_of, ext.extension.labels
+    n, k, size = ext.module.base.size, len(ext.module.A.elements()), ext.rack.size
+    perms = list(brute)
+    for _ in range(200):
+        zeta = rng.sample(range(n), n)
+        moves = [rng.sample(range(k), k) for _ in range(n)]
+        perms.append(tuple(index_of((zeta[x], moves[x][s])) for x, s in labels))
+    for _ in range(150):
+        perm = list(rng.choice(brute))
+        x = rng.randrange(n)
+        s, t = rng.sample(range(k), 2)
+        i, j = index_of((x, s)), index_of((x, t))
+        perm[i], perm[j] = perm[j], perm[i]
+        perms.append(tuple(perm))
+    perms += [tuple(rng.sample(range(size), size)) for _ in range(50)]
+    return perms
+
+
+def gamma_outcome(ext, perm):
+    """The pair gamma_restriction returns, or its exception with every diagnostic."""
+    try:
+        pair = gamma_restriction(ext, perm)
+    except (ValidationError, ValueError) as exc:
+        diags = [(d.axiom, d.witnesses, d.truncated) for d in getattr(exc, "diagnostics", [])]
+        return type(exc).__name__, str(exc), diags
+    return pair.zeta, pair.theta.matrix
+
+
+class TestGammaRestrictionPin:
+    """Verdicts and witnesses of gamma_restriction, recorded from an earlier
+    implementation that applied theta once per point of E."""
+
+    @pytest.mark.parametrize("name,count,digest", [
+        ("t2/Z4/sr", 408, "b7c92b26b8bbb543"),
+        ("t2/Z3/sq", 412, "56e0607cdaedba84"),
+        ("takasaki3/Z4/sr", 424, "67f2b1f481b493a0"),
+        ("takasaki3/Z2xZ2/sq", 544, "e3b4829fa317f54c"),
+    ])
+    def test_verdicts_match_the_record(self, name, count, digest):
+        ext = gamma_extension(name)
+        outcomes = [gamma_outcome(ext, perm) for perm in gamma_corpus(ext, 20261018)]
+        assert (len(outcomes), hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16]) \
+            == (count, digest)
