@@ -14,6 +14,11 @@ factorization.  A factorization is U, D and V only: no inverse of U is
 tracked.  A Subquotient keeps U of its relations, and its section solves
 U @ u = w through a `_Factored` of U, made once, on the first call.
 
+Smith normal form takes the pivots and steps, and so the U, D and V, of a
+dense scan, but works sparsely: the pivot scan reads a cached least entry
+per row, V is held by columns so that column steps on it are sparse row
+steps, and a column step on D visits only rows where its source can be nonzero.
+
     >>> G = AbGroup([4])
     >>> f = AbHom(G, G, [[2]])
     >>> kernel(f)
@@ -86,17 +91,19 @@ class SmithDecomposition:
         self.V = V
 
     def diagonal(self):
-        m = len(self.D)
-        n = len(self.D[0]) if m else 0
-        return [self.D[i][i] for i in range(min(m, n))]
+        return [row[i] for i, row in enumerate(self.D) if i < len(row)]
 
 
 def smith_normal_form(M):
     """Smith normal form of an integer matrix (list of rows, possibly empty).
 
     Each pivot is the least |entry| of the block left to reduce, ties broken
-    in row-major order; the scan stops at the first unit.  U @ M @ V == D is
-    checked exactly on every call, never sampled (AssertionError if not).
+    in row-major order; the scan stops at the first unit.  Each row's least
+    nonzero |entry| in the block is cached until the row changes (a column
+    gcd step changes them all).  V is held as its columns while eliminating.
+    A column step on D visits the pivot row only, or, once a gcd step has
+    mixed the pivot column, that column's support.  U @ M @ V == D is checked
+    exactly on every call, never sampled (AssertionError if not).
 
     >>> smith_normal_form([[2, 0], [0, 3]]).diagonal()
     [1, 6]
@@ -104,90 +111,94 @@ def smith_normal_form(M):
     m = len(M)
     n = len(M[0]) if m else 0
     D = [[int(x) for x in row] for row in M]
-    U, V = _identity(m), _identity(n)
+    U, Vt = _identity(m), _identity(n)  # Vt[j] is column j of V
+    low = [None] * m  # least nonzero |D[i][t:]| (0 if none); None: recompute
 
-    def row_op(i, j, p, q, u, v):
-        # rows i,j <- (p*ri + q*rj, u*ri + v*rj); the 2x2 block has det 1
-        for mat in (D, U):
-            ri, rj = mat[i], mat[j]
-            mat[i] = [p * a + q * b for a, b in zip(ri, rj)]
-            mat[j] = [u * a + v * b for a, b in zip(ri, rj)]
+    def nonzero(row):
+        return list(compress(range(len(row)), row))
+
+    def combine(mat, i, j, p, q, u, v):
+        # rows i,j of mat <- (p*ri + q*rj, u*ri + v*rj); det(p*v - q*u) = 1
+        ri, rj = mat[i], mat[j]
+        mat[i] = [p * a + q * b for a, b in zip(ri, rj)]
+        mat[j] = [u * a + v * b for a, b in zip(ri, rj)]
+
+    def add(mat, i, j, u, nz):
+        # row j of mat += u * row i, whose nonzero positions are nz
+        ri, rj = mat[i], mat[j]
+        for k in nz:
+            rj[k] += u * ri[k]
+
+    def row_op(i, j, *block):
+        combine(D, i, j, *block)
+        combine(U, i, j, *block)
+        low[i] = low[j] = None
 
     def col_op(i, j, p, q, u, v):
-        # cols i,j <- (p*ci + q*cj, u*ci + v*cj); det(p*v - q*u) = 1
-        for mat in (D, V):
-            for row in mat:
-                a, b = row[i], row[j]
-                row[i] = p * a + q * b
-                row[j] = u * a + v * b
+        for row in D:
+            row[i], row[j] = p * row[i] + q * row[j], u * row[i] + v * row[j]
+        combine(Vt, i, j, p, q, u, v)
+        low[:] = [None] * m
 
-    def add_row(i, j, u):
-        # row j += u * row i at the nonzero entries of row i
-        for mat in (D, U):
-            ri, rj = mat[i], mat[j]
-            for k in compress(range(len(ri)), ri):
-                rj[k] += u * ri[k]
-
-    def add_col(i, j, u):
-        # col j += u * col i, in the rows where col i is nonzero
-        for mat in (D, V):
-            for row in mat:
-                if row[i]:
-                    row[j] += u * row[i]
+    def add_col(i, j, u, rows, nz):
+        # col j += u * col i; rows holds every row where col i of D is nonzero
+        for r in rows:
+            if D[r][i]:
+                D[r][j] += u * D[r][i]
+                low[r] = None
+        add(Vt, i, j, u, nz)
 
     def negate_row(i):
         D[i] = [-x for x in D[i]]
         U[i] = [-x for x in U[i]]
 
-    def pivot(t):
-        # the first least |entry| in row-major order; a unit ends the scan
-        piv, best = None, 0
-        for i in range(t, m):
-            row = D[i][t:]
-            low = min(map(abs, filter(None, row)), default=0)
-            if low and (piv is None or low < best):
-                piv = (i, t + min(row.index(v) for v in (low, -low) if v in row))
-                best = low
-                if low == 1:
-                    break
-        return piv
-
     for t in range(min(m, n)):
-        piv = pivot(t)
-        if piv is None:
+        # the first least |entry| in row-major order; a unit ends the scan.  Cached
+        # minima stay valid as t advances: column t - 1 is zero below row t - 1
+        i, best = None, 0
+        for r in range(t, m):
+            if low[r] is None:
+                low[r] = min(map(abs, filter(None, D[r][t:])), default=0)
+            if low[r] and (i is None or low[r] < best):
+                i, best = r, low[r]
+                if best == 1:
+                    break
+        if i is None:
             break
-        i, j = piv  # bring the pivot to (t, t)
-        if i != t:
-            for mat in (D, U):
+        j = next(k for k in range(t, n) if abs(D[i][k]) == best)
+        if i != t:  # bring the pivot to (t, t)
+            for mat in (D, U, low):
                 mat[t], mat[i] = mat[i], mat[t]
         if j != t:
-            for row in D + V:
+            for row in D:
                 row[t], row[j] = row[j], row[t]
-        while True:
-            for i in range(t + 1, m):
-                b = D[i][t]
-                if b == 0:
-                    continue
-                a = D[t][t]
+            Vt[t], Vt[j] = Vt[j], Vt[t]
+        mixed = True
+        while mixed:
+            nz = None  # nonzero positions of row t of D and of U while unchanged
+            for i in [r for r in range(t + 1, m) if D[r][t]]:
+                b, a = D[i][t], D[t][t]
                 if b % a == 0:
-                    add_row(t, i, -(b // a))
+                    nz = nz or (nonzero(D[t]), nonzero(U[t]))
+                    add(D, t, i, -(b // a), nz[0])
+                    add(U, t, i, -(b // a), nz[1])
+                    low[i] = None
                 else:
                     g, p, q = _egcd(a, b)
                     row_op(t, i, p, q, -(b // g), a // g)
-            for j in range(t + 1, n):
-                b = D[t][j]
-                if b == 0:
-                    continue
-                a = D[t][t]
+                    nz = None
+            # now column t is clear below row t, and this pass clears row t; a
+            # gcd step in it can make column t nonzero below row t again
+            mixed, support, nz = False, [t], None
+            for j in compress(range(t + 1, n), D[t][t + 1:]):
+                b, a = D[t][j], D[t][t]
                 if b % a == 0:
-                    add_col(t, j, -(b // a))
+                    nz = nz or nonzero(Vt[t])
+                    add_col(t, j, -(b // a), support, nz)
                 else:
                     g, p, q = _egcd(a, b)
                     col_op(t, j, p, q, -(b // g), a // g)
-            if all(D[i][t] == 0 for i in range(t + 1, m)) and all(
-                D[t][j] == 0 for j in range(t + 1, n)
-            ):
-                break
+                    mixed, support, nz = True, [r for r in range(t, m) if D[r][t]], None
 
     for i in range(min(m, n)):
         if D[i][i] < 0:
@@ -201,20 +212,19 @@ def smith_normal_form(M):
         for i in range(r):
             for j in range(i + 1, r):
                 a, b = D[i][i], D[j][j]
-                if b == 0 and a == 0:
-                    continue
-                if a != 0 and b % a == 0:
+                if (b % a == 0) if a else b == 0:
                     continue
                 changed = True
-                add_col(j, i, 1)  # col_i += col_j
+                add_col(j, i, 1, range(m), nonzero(Vt[j]))  # col_i += col_j
                 g, p, q = _egcd(D[i][i], D[j][i])
                 row_op(i, j, p, q, -(D[j][i] // g), D[i][i] // g)
                 if D[i][j] != 0:
-                    add_col(i, j, -(D[i][j] // D[i][i]))
+                    add_col(i, j, -(D[i][j] // D[i][i]), range(m), nonzero(Vt[i]))
                 if D[j][j] < 0:
                     negate_row(j)
 
     # one row of U @ M @ V at a time, so that no product matrix is held
+    V = [list(col) for col in zip(*Vt)]
     if any(row != d for row, d in zip(_product_rows(_product_rows(U, M), V), D, strict=True)):
         raise AssertionError("smith normal form internal check failed")
     return SmithDecomposition(U, D, V)

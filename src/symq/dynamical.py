@@ -83,6 +83,17 @@ class DynamicalCocycle:
         self.beta = tuple(tuple(beta[x]) for x in range(n))
         self.quandle = _resolve_quandle_flag(base, quandle)
 
+    # the axioms were checked on these fields, so they are never replaced
+    def __setattr__(self, name, value):
+        if name in self.__slots__ and hasattr(self, name):
+            raise AttributeError(f"DynamicalCocycle.{name} is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if name in self.__slots__:
+            raise AttributeError(f"DynamicalCocycle.{name} is read-only")
+        object.__delattr__(self, name)
+
     def __eq__(self, other):
         return (
             isinstance(other, DynamicalCocycle)

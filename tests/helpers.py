@@ -1,7 +1,8 @@
-"""Exact matrix helpers and a term-by-term cochain reference, for the tests only."""
+"""Exact matrix helpers, a dense Smith normal form and a term-by-term cochain
+reference, for the tests only."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 
 from symq.cohomology import boundary
 
@@ -54,6 +55,138 @@ def inverse(M):
     if any(Fraction(x).denominator != 1 for row in out for x in row):
         raise AssertionError("matrix is not unimodular")
     return [[int(x) for x in row] for row in out]
+
+
+def _egcd(a, b):
+    # (g, p, q) with p*a + q*b = g = gcd(a, b) >= 0
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def dense_smith_normal_form(M):
+    """(U, D, V) from a dense Smith normal form: the reference for the sparse core.
+
+    A copy of the earlier smith_normal_form: a pivot scan of every row slice
+    on each step, row and column steps over whole rows and columns, and the
+    same pivot rule, steps and divisibility repair.
+    """
+    m = len(M)
+    n = len(M[0]) if m else 0
+    D = [[int(x) for x in row] for row in M]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, p, q, u, v):
+        for mat in (D, U):
+            ri, rj = mat[i], mat[j]
+            mat[i] = [p * a + q * b for a, b in zip(ri, rj)]
+            mat[j] = [u * a + v * b for a, b in zip(ri, rj)]
+
+    def col_op(i, j, p, q, u, v):
+        for mat in (D, V):
+            for row in mat:
+                a, b = row[i], row[j]
+                row[i] = p * a + q * b
+                row[j] = u * a + v * b
+
+    def add_row(i, j, u):
+        for mat in (D, U):
+            ri, rj = mat[i], mat[j]
+            for k in compress(range(len(ri)), ri):
+                rj[k] += u * ri[k]
+
+    def add_col(i, j, u):
+        for mat in (D, V):
+            for row in mat:
+                if row[i]:
+                    row[j] += u * row[i]
+
+    def negate_row(i):
+        D[i] = [-x for x in D[i]]
+        U[i] = [-x for x in U[i]]
+
+    def pivot(t):
+        piv, best = None, 0
+        for i in range(t, m):
+            row = D[i][t:]
+            low = min(map(abs, filter(None, row)), default=0)
+            if low and (piv is None or low < best):
+                piv = (i, t + min(row.index(v) for v in (low, -low) if v in row))
+                best = low
+                if low == 1:
+                    break
+        return piv
+
+    for t in range(min(m, n)):
+        piv = pivot(t)
+        if piv is None:
+            break
+        i, j = piv
+        if i != t:
+            for mat in (D, U):
+                mat[t], mat[i] = mat[i], mat[t]
+        if j != t:
+            for row in D + V:
+                row[t], row[j] = row[j], row[t]
+        while True:
+            for i in range(t + 1, m):
+                b = D[i][t]
+                if b == 0:
+                    continue
+                a = D[t][t]
+                if b % a == 0:
+                    add_row(t, i, -(b // a))
+                else:
+                    g, p, q = _egcd(a, b)
+                    row_op(t, i, p, q, -(b // g), a // g)
+            for j in range(t + 1, n):
+                b = D[t][j]
+                if b == 0:
+                    continue
+                a = D[t][t]
+                if b % a == 0:
+                    add_col(t, j, -(b // a))
+                else:
+                    g, p, q = _egcd(a, b)
+                    col_op(t, j, p, q, -(b // g), a // g)
+            if all(D[i][t] == 0 for i in range(t + 1, m)) and all(
+                D[t][j] == 0 for j in range(t + 1, n)
+            ):
+                break
+
+    for i in range(min(m, n)):
+        if D[i][i] < 0:
+            negate_row(i)
+
+    r = min(m, n)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(r):
+            for j in range(i + 1, r):
+                a, b = D[i][i], D[j][j]
+                if b == 0 and a == 0:
+                    continue
+                if a != 0 and b % a == 0:
+                    continue
+                changed = True
+                add_col(j, i, 1)
+                g, p, q = _egcd(D[i][i], D[j][i])
+                row_op(i, j, p, q, -(D[j][i] // g), D[i][i] // g)
+                if D[i][j] != 0:
+                    add_col(i, j, -(D[i][j] // D[i][i]))
+                if D[j][j] < 0:
+                    negate_row(j)
+    return U, D, V
 
 
 # ---------------------------------------------------------------------------

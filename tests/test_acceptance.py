@@ -108,7 +108,18 @@ def test_large_regime_presentation():
     assert all(is_cocycle(m, c, THEORY_SQ)[0] for c in pres.cocycle_gens)
     for cls in itertools.product(range(2), repeat=2):
         assert pres.project(pres.section(cls)) == cls
-    emit("large", "presentation-t6-z4-sq", dt, 3)
+    emit("large", "presentation-t6-z4-sq", dt, 1)
+
+
+def test_larger_regime_presentation():
+    """The degree-2 quandle presentation of takasaki(7) over Z4 vanishes
+    inside its budget."""
+    m = dihedral_kamada_module(takasaki(7), AbGroup([4]))
+    t0 = time.perf_counter()
+    pres = cohomology_presentation(m, 2, THEORY_SQ)
+    dt = time.perf_counter() - t0
+    assert pres.group.orders == ()
+    emit("large", "presentation-t7-z4-sq", dt, 2.5)
 
 
 def test_criterion_2_obstructed_symmetry():

@@ -86,6 +86,22 @@ class TestValidation:
         diags = dynamical_diagnostics(X, dc.sizes, dc.alpha, dc.beta, True)
         assert any(d.axiom == "idempotence" for d in diags)
 
+    @pytest.mark.parametrize("field", ["base", "sizes", "alpha", "beta", "quandle"])
+    def test_fields_are_read_only(self, field):
+        # reversed fibers break the involution: were beta assignable, the
+        # glued extension would fail its own check instead of validation
+        X, m, c = z4_alpha_cocycle()
+        dc = from_cocycle(m, c, THEORY_SR)
+        before = getattr(dc, field)
+        bad = {"base": rack("t4"), "sizes": (2, 2), "alpha": (), "quandle": True,
+               "beta": tuple(tuple(reversed(b)) for b in dc.beta)}[field]
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(dc, field, bad)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(dc, field)
+        assert getattr(dc, field) is before
+        assert build_extension(dc).rack.size == 8
+
 
 class TestShape:
     @pytest.mark.parametrize("sizes", [(1, 1), (1, 1, 1, 1), (1, 0, 1)],

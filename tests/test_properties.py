@@ -34,7 +34,7 @@ from symq.racks import (
 from symq.wells import act_on_cocycle, enumerate_aut_pairs
 
 from conftest import module, rack
-from helpers import det
+from helpers import dense_smith_normal_form, det
 from test_modules import manual_constant
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -73,6 +73,17 @@ def matrices(draw):
     return [[draw(small_ints) for _ in range(cols)] for _ in range(rows)]
 
 
+@st.composite
+def snf_inputs(draw):
+    # empty, tall, wide and square shapes; entries whose ratios are not all
+    # integers, so that gcd row and column steps and the divisibility repair
+    # occur, and zeros often enough that rows of the block empty out
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    zeros = (0,) * draw(st.integers(0, 12))
+    entries = st.sampled_from((0, 1, -1, 2, -2, 3, -3, 4, 6) + zeros)
+    return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+
 class TestAbelianProperties:
     @SETTINGS
     @given(matrices())
@@ -80,6 +91,13 @@ class TestAbelianProperties:
         s = smith_normal_form(M)
         assert mat_mul(mat_mul(s.U, M), s.V) == s.D
         assert abs(det(s.U)) == 1 and abs(det(s.V)) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(snf_inputs())
+    def test_snf_matches_the_dense_reference(self, M):
+        # the same pivots and steps as a dense scan: U, D and V entry for entry
+        s = smith_normal_form(M)
+        assert (s.U, s.D, s.V) == dense_smith_normal_form(M)
 
     @SETTINGS
     @given(st.permutations(range(3)), st.permutations(range(3)))

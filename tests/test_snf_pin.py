@@ -68,6 +68,11 @@ PRESENTATIONS = {
     (4, (4,), "sq"): ("137dd11b0c93fa6e", "259bb8d54f2b122f"),
     (4, (2, 2), "sr"): ("8bfe1c52bfa2240b", "a5462f65e7fa724b"),
     (4, (2, 2), "sq"): ("8ca9935851cc01d7", "e9e68718ae49cefa"),
+    # larger systems, with more column-mixing gcd steps than t3 and t4
+    (5, (4,), "sr"): ("40e1a2159c38f389", "2c930e3a609b2982"),
+    (5, (4,), "sq"): ("e7713fb707bada67", "06bec56539c3f89d"),
+    (5, (2, 2), "sr"): ("75dbdcf7dee9476c", "836279bf42ba91b1"),
+    (5, (2, 2), "sq"): ("f6b84626b9b22eac", "a51823c2e40e8f26"),
 }
 
 
