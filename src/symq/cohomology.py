@@ -31,7 +31,7 @@ coboundary is (x,y) |-> phi_{x,y} lam(x) - lam(x*y) + psi_{x,y} lam(y).
 import itertools
 
 from . import limits
-from .abelian import AbGroup, AbHom, Subquotient, kernel, mat_mul, solve
+from .abelian import AbGroup, AbHom, Subquotient, kernel, solve
 from .errors import Diagnostic, NotACocycle, NotASubgroup, SizeBoundExceeded, ValidationError
 from .racks import QUANDLE
 
@@ -119,52 +119,43 @@ def boundary(X, n, tup, basepoint=0, psi_sign=1):
     return FormalChain(n - 1, terms)
 
 
-def _signed_terms(m, chain, ident):
-    """(coeff, h, tuple) per term of chain, h a structure map of m or ident."""
-    out = []
-    for coeff, kind, pair, tup in chain.terms:
-        if kind == "one":
-            h = ident
-        else:
-            h = (m.phi if kind == "phi" else m.psi)[pair[0]][pair[1]]
-        out.append((coeff, h, tup))
-    return out
-
-
 def verify_chain_complex(X, m, n, basepoint=0, bound=None, psi_sign=1):
     """Check d o d = 0 from degree n, composing coefficients outer-first.
 
-    Returns (True, None) or (False, (source_tuple, target_tuple, hom)) for
-    the lexicographically first offender.  Tuple count is capped.
+    X must be the base of m, else ValueError.  Each n-tuple's kept delta
+    rows of degree n-1 are multiplied through those of degree n-2, both
+    read with psi_sign, as sparse integer rows.  Returns (True, None) or
+    (False, (source_tuple, target_tuple, hom)) for the lexicographically
+    first offender.  Tuple count is capped.
     """
     if n < 2:
         raise ValueError("need n >= 2 to compose two boundaries")
+    if X != m.base:
+        raise ValueError("the rack is not the base of the module")
     cap = limits.resolve(bound, limits.CHAIN_VERIFY_TUPLES)
     if X.size ** n > cap:
         raise SizeBoundExceeded(
             f"{X.size}^{n} tuples exceed the verification cap {cap}"
         )
-    r = m.A.rank
-    ident = AbHom.identity(m.A)
-    inner = {}  # signed terms of each inner boundary, built once per check
-    products = {}  # h1 o h2 for each pair of maps, formed once per check
-    for tup in _tuples(X.size, n):
-        acc = {}
-        for c1, h1, u in _signed_terms(m, boundary(X, n, tup, basepoint, psi_sign), ident):
-            if u not in inner:
-                inner[u] = _signed_terms(m, boundary(X, n - 1, u, basepoint, psi_sign), ident)
-            for c2, h2, v in inner[u]:
-                key = (h1.matrix, h2.matrix)
-                if key not in products:
-                    products[key] = mat_mul(h1.matrix, h2.matrix)
-                prod = products[key]
-                total = acc.setdefault(v, [[0] * r for _ in range(r)])
-                for i in range(r):
-                    for j in range(r):
-                        total[i][j] += c1 * c2 * prod[i][j]
-        for v in sorted(acc):
-            if any(x % d if d else x for row, d in zip(acc[v], m.A.orders) for x in row):
-                return False, (tup, v, AbHom(m.A, m.A, acc[v]))
+    cx = _complex(m)
+    heads, outer = cx.delta(n - 1, basepoint, psi_sign)
+    inner = cx.delta(n - 2, basepoint, psi_sign)[1]
+    orders = m.A.orders
+    r = len(orders)
+    for k, (_, tup) in enumerate(heads):
+        rows = []
+        for entries in outer[k * r:k * r + r]:
+            acc = {}
+            for col, a in entries:
+                for j, b in inner[col]:
+                    acc[j] = acc.get(j, 0) + a * b
+            rows.append(acc)
+        bad = [j for acc, d in zip(rows, orders) for j, x in acc.items() if (x % d if d else x)]
+        if bad:
+            v = min(bad) // r
+            block = [[acc.get(v * r + j, 0) for j in range(r)] for acc in rows]
+            target = next(itertools.islice(_tuples(X.size, n - 2), v, None))
+            return False, (tup, target, AbHom(m.A, m.A, block))
     return True, None
 
 
@@ -277,14 +268,18 @@ def _degenerate_rows(X, m, degree):
     ]
 
 
-def _delta_rows(X, m, degree, basepoint=0):
-    # (delta f)(t) = 0 for every (degree+1)-tuple t
+def _delta_rows(X, m, degree, basepoint=0, psi_sign=1):
+    # (delta f)(t) = 0 for every (degree+1)-tuple t, a term h.(u) of d(t)
+    # reading h(f(u)); the one caller of boundary
     ident = AbHom.identity(m.A)
-    return [
-        ("cocycle", t, [(c, h, _flat(u, X.size)) for c, h, u in
-                        _signed_terms(m, boundary(X, degree + 1, t, basepoint), ident)])
-        for t in _tuples(X.size, degree + 1)
-    ]
+    maps = {"phi": m.phi, "psi": m.psi}
+    rows = []
+    for t in _tuples(X.size, degree + 1):
+        terms = boundary(X, degree + 1, t, basepoint, psi_sign).terms
+        rows.append(("cocycle", t, [
+            (c, ident if kind == "one" else maps[kind][pair[0]][pair[1]], _flat(u, X.size))
+            for c, kind, pair, u in terms]))
+    return rows
 
 
 def _membership_rows(X, m, degree, theory):
@@ -319,9 +314,9 @@ class _Complex:
     """The cochain complex of one module, each piece built on first use and kept.
 
     Row sets are keyed by what they read: membership rows by degree and
-    theory, delta rows by degree (and by basepoint in degree 0 only).  The
-    witness maps and the degree-2 presentations are kept too, so each is
-    factored once however many extensions and checks read it.
+    theory, delta rows by degree and psi_sign (and by basepoint in degree 0
+    only).  The witness maps and the degree-2 presentations are kept too,
+    so each is factored once however many extensions and checks read it.
     """
 
     __slots__ = ("module", "_pieces")
@@ -340,10 +335,10 @@ class _Complex:
         return self._get(("membership", degree, theory),
                          lambda: _compile(m.A, _membership_rows(m.base, m, degree, theory)))
 
-    def delta(self, degree, basepoint):
+    def delta(self, degree, basepoint, psi_sign=1):
         m = self.module
-        return self._get(("delta", degree, basepoint if degree == 0 else 0),
-                         lambda: _compile(m.A, _delta_rows(m.base, m, degree, basepoint)))
+        return self._get(("delta", degree, basepoint if degree == 0 else 0, psi_sign),
+                         lambda: _compile(m.A, _delta_rows(m.base, m, degree, basepoint, psi_sign)))
 
     def witness_map(self, degree, theory, basepoint):
         return self._get(("witness", degree, theory, basepoint),

@@ -1,9 +1,10 @@
-"""Exact matrix helpers, a dense Smith normal form and a term-by-term cochain
-reference, for the tests only."""
+"""Exact matrix helpers, a dense Smith normal form, a nested-loop chain complex
+check and a term-by-term cochain reference, for the tests only."""
 
 from fractions import Fraction
 from itertools import compress, product
 
+from symq.abelian import AbHom, mat_mul
 from symq.cohomology import boundary
 
 
@@ -187,6 +188,47 @@ def dense_smith_normal_form(M):
                 if D[j][j] < 0:
                     negate_row(j)
     return U, D, V
+
+
+def reference_chain_check(X, m, n, basepoint=0, psi_sign=1):
+    """verify_chain_complex's answer by the earlier nested loop: the reference.
+
+    A copy of the earlier verifier without its cap and checks: each outer
+    boundary term h1.(u) is composed with each term h2.(v) of d(u) as the
+    r x r product h1 o h2, summed per v; the first tuple with a nonzero sum
+    is reported at its least such v.
+    """
+    r = m.A.rank
+    ident = AbHom.identity(m.A)
+
+    def signed_terms(chain):
+        # (coeff, h, tuple) per term, h a structure map of m or the identity
+        out = []
+        for coeff, kind, pair, u in chain.terms:
+            h = ident if kind == "one" else (m.phi if kind == "phi" else m.psi)[pair[0]][pair[1]]
+            out.append((coeff, h, u))
+        return out
+
+    inner = {}
+    products = {}
+    for tup in product(range(X.size), repeat=n):
+        acc = {}
+        for c1, h1, u in signed_terms(boundary(X, n, tup, basepoint, psi_sign)):
+            if u not in inner:
+                inner[u] = signed_terms(boundary(X, n - 1, u, basepoint, psi_sign))
+            for c2, h2, v in inner[u]:
+                key = (h1.matrix, h2.matrix)
+                if key not in products:
+                    products[key] = mat_mul(h1.matrix, h2.matrix)
+                prod = products[key]
+                total = acc.setdefault(v, [[0] * r for _ in range(r)])
+                for i in range(r):
+                    for j in range(r):
+                        total[i][j] += c1 * c2 * prod[i][j]
+        for v in sorted(acc):
+            if any(x % d if d else x for row, d in zip(acc[v], m.A.orders) for x in row):
+                return False, (tup, v, AbHom(m.A, m.A, acc[v]))
+    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,12 @@ def test_criterion_3_chain_complex():
     m = module("tw_z3", X)
     ok, witness = verify_chain_complex(X, m, 2, psi_sign=-1)
     assert not ok and witness is not None
-    emit(3, "chain-complex", time.perf_counter() - t0, 30)
+    emit(3, "chain-complex", time.perf_counter() - t0, 5)
+    # cold: a fresh module builds its delta rows inside the timed check
+    t0 = time.perf_counter()
+    m = dihedral_kamada_module(takasaki(6), AbGroup([2, 2]))
+    assert verify_chain_complex(m.base, m, 4) == (True, None)
+    emit(3, "chain-complex-cold-t6-d4", time.perf_counter() - t0, 1)
 
 
 def test_criterion_4_dynamical_biconditional():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import symq.cohomology
-from symq.abelian import AbGroup, AbHom, mat_mul
+from symq.abelian import AbGroup, AbHom
 from symq.cohomology import (
     THEORY_SQ,
     THEORY_SR,
@@ -26,7 +26,7 @@ from symq.modules import RackModule, dihedral_kamada_module
 from symq.racks import QUANDLE, takasaki
 
 from conftest import cochain, module, rack
-from helpers import reference_delta, reference_failures
+from helpers import reference_chain_check, reference_delta, reference_failures
 from test_modules import manual_constant
 
 
@@ -66,28 +66,100 @@ class TestChainComplex:
         ok, witness = verify_chain_complex(X, m, 2, psi_sign=-1)
         assert not ok and witness is not None
 
-    def test_each_product_of_maps_is_formed_once(self, monkeypatch):
+    def test_each_row_set_is_built_once(self, monkeypatch):
+        # a sweep of every basepoint, psi flip included, reads the kept delta
+        # rows: one build per (degree, psi_sign), none per check
         X = rack("takasaki3")
         m = manual_constant(X, AbGroup([3, 3]), 2, 2, 1)  # tw_z3 twice
-        maps = {h.matrix for table in (m.phi, m.psi) for row in table for h in row}
-        maps.add(((1, 0), (0, 1)))
-        calls = []
+        builds = []
+        original = symq.cohomology._delta_rows
 
-        def counting(a, b):
-            calls.append(1)
-            return mat_mul(a, b)
+        def counting(X, m, degree, basepoint=0, psi_sign=1):
+            builds.append((degree, psi_sign))
+            return original(X, m, degree, basepoint, psi_sign)
 
-        monkeypatch.setattr(symq.cohomology, "mat_mul", counting)
+        monkeypatch.setattr(symq.cohomology, "_delta_rows", counting)
         for psi_sign in (1, -1):
-            calls.clear()
-            ok, _ = verify_chain_complex(X, m, 3, psi_sign=psi_sign)
-            assert ok == (psi_sign == 1)
-            assert 0 < len(calls) <= len(maps) ** 2
+            for p in range(X.size):
+                ok, _ = verify_chain_complex(X, m, 3, p, psi_sign=psi_sign)
+                assert ok == (psi_sign == 1)
+        assert sorted(builds) == [(1, -1), (1, 1), (2, -1), (2, 1)]
+
+    def test_the_rack_must_be_the_base_of_the_module(self):
+        over_t4 = module("tw_z3", rack("t4"))
+        assert rack("core_z4") != rack("t4")
+        with pytest.raises(ValueError, match="base"):
+            verify_chain_complex(rack("core_z4"), over_t4, 3)  # same size
+        with pytest.raises(ValueError, match="base"):
+            verify_chain_complex(rack("takasaki3"), module("tw_z3", rack("takasaki4")), 3)
+        assert verify_chain_complex(rack("t4"), over_t4, 3) == (True, None)
 
     def test_boundary_terms_shape(self):
         X = rack("t2")
         ch = boundary(X.rack if hasattr(X, "rack") else X, 2, (0, 1))
         assert ch.degree == 1
+
+
+def same_as_reference(X, m, n, basepoint, psi_sign):
+    """verify_chain_complex against the nested-loop reference, witness map included."""
+    got = verify_chain_complex(X, m, n, basepoint, psi_sign=psi_sign)
+    want = reference_chain_check(X, m, n, basepoint, psi_sign)
+    assert got[0] == want[0]
+    if not got[0]:
+        (tup, v, hom), (want_tup, want_v, want_hom) = got[1], want[1]
+        assert (tup, v, hom.matrix) == (want_tup, want_v, want_hom.matrix)
+    return got
+
+
+def altered(m, kind, x, y, h):
+    """m with phi_{x,y} or psi_{x,y} replaced by h: tables that are no longer a module."""
+    tables = {"phi": [list(row) for row in m.phi], "psi": [list(row) for row in m.psi]}
+    tables[kind][x][y] = h
+    return RackModule(m.base, m.A, tables["phi"], tables["psi"], m.eta)
+
+
+class TestChainCheckMatchesTheReference:
+    """Verdicts and witnesses of d o d = 0 equal the nested-loop reference."""
+
+    @pytest.mark.parametrize(
+        "name", ["t2", "t4", "takasaki3", "takasaki4", "core_z4", "core_z4_shift"])
+    def test_fixture_corpus(self, name):
+        X = rack(name)
+        for mod_name in ("m0_z2", "m0_z4", "m0_z", "tw_z3"):
+            m = module(mod_name, X)
+            for n, p, psi_sign in itertools.product((2, 3, 4), range(X.size), (1, -1)):
+                same_as_reference(X, m, n, p, psi_sign)
+
+    @pytest.mark.parametrize("name", ["takasaki3", "t4", "core_z4"])
+    def test_rank_two_modules(self, name):
+        X = rack(name)
+        for m in (manual_constant(X, AbGroup([3, 3]), 2, 2, 1),
+                  dihedral_kamada_module(X, AbGroup([2, 2])),
+                  dihedral_kamada_module(X, AbGroup([4, 2]))):
+            for n, p, psi_sign in itertools.product((2, 3), range(X.size), (1, -1)):
+                same_as_reference(X, m, n, p, psi_sign)
+
+    def test_first_offender_is_found_past_the_first_tuple(self):
+        X = rack("t4")
+        m = module("tw_z3", X)
+        broken = altered(m, "psi", 3, 3, m.psi[3][3].neg())
+        ok, (tup, v, hom) = same_as_reference(X, broken, 3, 0, 1)
+        assert (tup, v, hom.matrix) == ((0, 3, 3), (3,), ((2,),))
+        # rank 2: the witness block is not symmetric, so it pins rows against columns
+        A = AbGroup([4, 2])
+        broken = altered(dihedral_kamada_module(X, A), "psi", 3, 3, AbHom(A, A, [[0, 2], [1, 1]]))
+        ok, (tup, v, hom) = same_as_reference(X, broken, 3, 0, 1)
+        assert (tup, v, hom.matrix) == ((3, 3, 3), (3,), ((2, 2), (1, 1)))
+        for n, p, psi_sign in itertools.product((2, 3, 4), range(X.size), (1, -1)):
+            same_as_reference(X, broken, n, p, psi_sign)
+
+    def test_the_least_failing_target_is_reported(self):
+        # d o d of (0, 0, 2) is nonzero at the targets (0,) and (2,)
+        X = rack("takasaki3")
+        m = module("tw_z3", X)
+        broken = altered(m, "phi", 1, 1, m.phi[1][1].neg())
+        ok, (tup, v, hom) = same_as_reference(X, broken, 3, 0, 1)
+        assert (tup, v) == ((0, 0, 2), (0,))
 
 
 class TestCoboundaries:

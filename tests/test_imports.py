@@ -1,4 +1,5 @@
-"""src/symq: every import used, none samples, none asserts, one factors, one axiom pass."""
+"""src/symq: every import used, none samples, none asserts, one factors, one axiom pass,
+one reader of the boundary."""
 
 import ast
 from pathlib import Path
@@ -110,12 +111,12 @@ def test_the_check_sees_a_second_elimination_path(tmp_path):
     assert elimination_calls(path) == [5, 5]
 
 
-def axiom_pass_callers(path):
-    """(enclosing definition, line) of each call to dynamical_diagnostics, aliases included."""
+def call_sites(path, name):
+    """(enclosing definition, line) of each call to name, aliases included."""
     tree = ast.parse(path.read_text())
-    names = {"dynamical_diagnostics"} | {
+    names = {name} | {
         a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        for a in node.names if a.name == "dynamical_diagnostics" and a.asname
+        for a in node.names if a.name == name and a.asname
     }
     found = []
 
@@ -137,7 +138,7 @@ def test_one_axiom_pass_per_cocycle():
     # a DynamicalCocycle is valid by construction, so nothing else reruns the
     # axioms; the CLI's validate action reports on tables it never builds
     callers = {(path.name, scope) for path in SRC.glob("*.py")
-               for scope, _ in axiom_pass_callers(path)}
+               for scope, _ in call_sites(path, "dynamical_diagnostics")}
     assert callers == {("dynamical.py", "DynamicalCocycle.__init__"), ("cli.py", "cmd_dynamical")}
 
 
@@ -152,4 +153,25 @@ def test_the_check_sees_a_second_axiom_pass(tmp_path):
         "def build(dc):\n"
         "    return [axioms(dc)]\n"
     )
-    assert axiom_pass_callers(path) == [("C.__init__", 6), ("build", 9)]
+    assert call_sites(path, "dynamical_diagnostics") == [("C.__init__", 6), ("build", 9)]
+
+
+def test_one_statement_of_the_boundary():
+    # delta, the cocycle reports and the d o d check all read the kept delta
+    # rows, so the boundary formula is expanded in one place
+    readers = {(path.name, scope) for path in SRC.glob("*.py")
+               for scope, _ in call_sites(path, "boundary")}
+    assert readers == {("cohomology.py", "_delta_rows")}
+
+
+def test_the_check_sees_a_second_boundary_reader(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from . import cohomology\n"
+        "from .cohomology import boundary as d\n\n"
+        "def _delta_rows(X):\n"
+        "    return cohomology.boundary(X, 2, (0, 0))\n\n"
+        "def verify(X, tuples):\n"
+        "    return [d(X, 3, t) for t in tuples]\n"
+    )
+    assert call_sites(path, "boundary") == [("_delta_rows", 5), ("verify", 8)]

@@ -102,7 +102,7 @@ def cohomology_builds(monkeypatch):
 
         monkeypatch.setattr(symq.cohomology, name, counting)
 
-    record("_delta_rows", lambda X, m, degree, basepoint=0: (degree,))
+    record("_delta_rows", lambda X, m, degree, basepoint=0, psi_sign=1: (degree,))
     record("_membership_rows", lambda X, m, degree, theory: (degree, theory))
     record("_witness_map", lambda m, degree, theory, basepoint=0: (degree,))
     record("cohomology_presentation", lambda m, degree, theory="sr", basepoint=0: (degree,))
