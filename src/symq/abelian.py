@@ -29,10 +29,10 @@ steps, and a column step on D visits only rows where its source can be nonzero.
     'Z2'
 """
 
-from itertools import compress
+from itertools import compress, product
+from math import prod
 
 from .errors import InfiniteGroupUnsupported, NotASubgroup
-from . import limits
 
 
 def _egcd(a, b):
@@ -278,19 +278,13 @@ class AbGroup:
     def order(self):
         if not self.is_finite():
             raise InfiniteGroupUnsupported("group has an infinite cyclic summand")
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
+        return prod(self.orders)
 
     def elements(self):
         """All elements in lexicographic order; finite groups only."""
         if not self.is_finite():
             raise InfiniteGroupUnsupported("cannot enumerate an infinite group")
-        out = [()]
-        for d in self.orders:
-            out = [e + (x,) for e in out for x in range(d)]
-        return [tuple(e) for e in out]
+        return list(product(*map(range, self.orders)))
 
     def element_index(self, v):
         # mixed-radix index matching elements() order
@@ -357,8 +351,7 @@ class AbHom:
 
     @classmethod
     def identity(cls, group):
-        n = group.rank
-        return cls(group, group, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(group, group, _identity(group.rank))
 
     @classmethod
     def zero(cls, source, target):
@@ -450,11 +443,12 @@ class _Factored:
     as large as the ambient group.
     """
 
-    __slots__ = ("ncols", "_rows", "_U", "_V", "_diag")
+    __slots__ = ("ncols", "echelon", "_rows", "_U", "_V", "_diag")
 
     def __init__(self, rows, ncols, group):
         torsion = [i for i, d in enumerate(group.orders) if d]
         self.ncols = ncols
+        self.echelon = None  # abelian.solve's kernel basis, built on its first call
         self._rows = [list(row) + [d if i == t else 0 for t in torsion]
                       for i, (row, d) in enumerate(zip(rows, group.orders))]
         self._U = None
@@ -503,79 +497,86 @@ def kernel(f):
 
     The list may be empty (trivial kernel); zero vectors are dropped.
     """
-    return _kernel_gens(f.source, f._factored())
-
-
-def _kernel_gens(source, system):
     # source torsion relations project to zero, so nothing else is needed
-    gens = []
-    seen = set()
-    for v in system.kernel():
-        g = _orient(source, source.reduce(v))
-        if g != source.zero() and g not in seen:
-            seen.add(g)
-            gens.append(g)
-    return gens
+    source = f.source
+    gens = dict.fromkeys(_orient(source, source.reduce(v)) for v in f._factored().kernel())
+    return [g for g in gens if g != source.zero()]
 
 
 def image(f):
     """Generators of im f: the columns of the matrix, reduced in the target."""
-    gens = []
-    seen = set()
-    for j in range(f.source.rank):
-        g = f.target.reduce(tuple(f.matrix[i][j] for i in range(f.target.rank)))
-        if g != f.target.zero() and g not in seen:
-            seen.add(g)
-            gens.append(g)
-    return gens
+    zero = f.target.zero()
+    return [g for g in dict.fromkeys(map(f.target.reduce, zip(*f.matrix))) if g != zero]
 
 
-def subgroup_elements(group, gens, cap=None):
-    """All elements of the subgroup generated by gens, or None if more than cap.
+def _echelon(group, gens):
+    """Row-echelon basis of the integer lattice spanned by gens and each d_i * e_i.
 
-    Closure under addition of generators: a finite closed subset of a group
-    already contains negatives, and an infinite subgroup hits the cap.
+    One (c, row) per leading column c, c increasing, with row[c] > 0 and zeros
+    before c.  The pivot h_c = row[c] divides d_c, and the subgroup generated
+    by gens is {sum k_c * row_c : 0 <= k_c < d_c / h_c}, each element once.
+    Column c is cleared by Euclid steps from its least |entry|, and entries
+    after it are reduced modulo their orders, so that entries stay small.
     """
-    cap = limits.resolve(cap, limits.SUBGROUP_ENUM)
-    zero = group.zero()
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                s = group.add(e, g)
-                if s not in seen:
-                    if len(seen) >= cap:
-                        return None
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return sorted(seen)
+    orders, n = group.orders, group.rank
+
+    def reduced(row, c):
+        return [x % d if d and j > c else x for j, (x, d) in enumerate(zip(row, orders))]
+
+    pool = [list(g) for g in gens] + [[d * x for x in e] for d, e in zip(orders, _identity(n)) if d]
+    basis = []
+    for c in range(n):
+        live = [row for row in pool if row[c]]
+        pool = [row for row in pool if not row[c]]
+        while len(live) > 1:
+            piv = min(live, key=lambda row: abs(row[c]))
+            rest = [reduced([y - row[c] // piv[c] * x for x, y in zip(piv, row)], c)
+                    for row in live if row is not piv]
+            pool += [row for row in rest if not row[c]]
+            live = [piv] + [row for row in rest if row[c]]
+        if live:
+            piv = live[0] if live[0][c] > 0 else [-x for x in live[0]]
+            basis.append((c, reduced(piv, c)))
+    return basis
+
+
+def subgroup_elements(group, gens, cap):
+    """All elements of the subgroup generated by gens, sorted, or None if more than cap.
+
+    The count prod d_c / h_c is read off the echelon pivots first, so an
+    infinite or oversized subgroup is refused before anything is listed.
+    """
+    basis = _echelon(group, gens)
+    sizes = [group.orders[c] // row[c] for c, row in basis]  # 0 at a pivot on a Z column
+    if 0 in sizes or prod(sizes) > cap:
+        return None
+    out = [group.zero()]
+    for (_, row), n in zip(basis, sizes):
+        out = [group.reduce(tuple(x + k * y for x, y in zip(e, row))) for e in out for k in range(n)]
+    return sorted(out)
 
 
 def solve(f, b):
-    """Some x with f(x) = b, or None; deterministic.
+    """The canonical x with f(x) = b, or None; one rule at every size, no cap.
 
-    The lexicographically least solution is returned only when ker f is
-    finite with at most 4,096 elements; otherwise x is the particular
-    solution read off the factorization, reduced into f.source.
+    A particular solution is reduced against the echelon basis of ker f (with
+    the source relations), built once per map: each pivot coordinate c lands
+    in [0, h_c).  On a finite source that is the lexicographically least
+    solution; on any source it depends only on (f, b), not on the elimination.
     """
     b = f.target.reduce(b)
-    if f.target.rank == 0:
-        return f.source.zero()
     system = f._factored()
     x = system.solve(b)
     if x is None:
         return None
+    if system.echelon is None:
+        system.echelon = _echelon(f.source, system.kernel())
+    for c, row in system.echelon:
+        k = x[c] // row[c]
+        x = [a - k * r for a, r in zip(x, row)]
     v = f.source.reduce(x)
     if f(v) != b:
         raise AssertionError("solve internal check failed")
-    ker = _kernel_gens(f.source, system)
-    if ker:
-        els = subgroup_elements(f.source, ker, cap=4096)
-        if els is not None:
-            v = min(f.source.add(v, k) for k in els)
     return v
 
 

@@ -39,13 +39,11 @@ THEORY_SR = "sr"
 THEORY_SQ = "sq"
 
 
-def _check_theory(X, theory, basepoint=0):
+def _check_theory(X, theory):
     if theory not in (THEORY_SR, THEORY_SQ):
         raise ValueError(f"unknown theory {theory!r}, expected 'sr' or 'sq'")
     if theory == THEORY_SQ and X.kind != QUANDLE:
         raise ValueError("the quandle theory needs a quandle carrier")
-    if not 0 <= basepoint < X.size:
-        raise ValueError(f"basepoint {basepoint} is not an element of the base")
 
 
 def bracket(X, seq):
@@ -100,9 +98,9 @@ def boundary(X, n, tup, basepoint=0, psi_sign=1):
     tup = tuple(tup)
     if len(tup) != n or n < 1:
         raise ValueError("tuple arity mismatch")
+    if not 0 <= basepoint < X.size:
+        raise ValueError(f"basepoint {basepoint} is not an element of the base")
     if n == 1:
-        if not 0 <= basepoint < X.size:
-            raise ValueError(f"basepoint {basepoint} is not an element of the base")
         a = X.left_inverse_op(tup[0], basepoint)
         return FormalChain(0, [(-psi_sign, "psi", (a, basepoint), ())])
     terms = []
@@ -315,8 +313,9 @@ class _Complex:
 
     Row sets are keyed by what they read: membership rows by degree and
     theory, delta rows by degree and psi_sign (and by basepoint in degree 0
-    only).  The witness maps and the degree-2 presentations are kept too,
-    so each is factored once however many extensions and checks read it.
+    only; every degree refuses a basepoint outside the base).  The witness
+    maps and the degree-2 presentations are kept too, so each is factored
+    once however many extensions and checks read it.
     """
 
     __slots__ = ("module", "_pieces")
@@ -337,6 +336,8 @@ class _Complex:
 
     def delta(self, degree, basepoint, psi_sign=1):
         m = self.module
+        if not 0 <= basepoint < m.base.size:
+            raise ValueError(f"basepoint {basepoint} is not an element of the base")
         return self._get(("delta", degree, basepoint if degree == 0 else 0, psi_sign),
                          lambda: _compile(m.A, _delta_rows(m.base, m, degree, basepoint, psi_sign)))
 
@@ -443,7 +444,7 @@ def is_cochain(m, c):
 
 def is_cocycle(m, c, theory=THEORY_SR, basepoint=0):
     """Full cocycle test in the chosen theory, with labeled witnesses."""
-    _check_theory(m.base, theory, basepoint)
+    _check_theory(m.base, theory)
     cx = _complex(m)
     return _report(m, c, cx.membership(c.degree, theory), cx.delta(c.degree, basepoint))
 
@@ -505,7 +506,7 @@ def cohomology_presentation(m, degree, theory=THEORY_SR, basepoint=0):
     the basepoint.  The subquotient checks every generator of B against Z.
     """
     X, A = m.base, m.A
-    _check_theory(X, theory, basepoint)
+    _check_theory(X, theory)
     if degree not in (1, 2):
         raise ValueError("only degrees 1 and 2 are presented")
     z_gens = [
@@ -530,9 +531,8 @@ def coboundary_witness(m, c, theory=THEORY_SR, basepoint=0):
     Degree-2 input: tau is an eta-compatible 1-cochain (the witness system
     stacks the coboundary rows over the membership rows).  Degree-1 input:
     tau is a 0-cochain for the given basepoint.  The witness is the one
-    `abelian.solve` returns: the lexicographically least solution when the
-    solution set is finite with at most 4,096 elements, otherwise the
-    particular solution read off the factorization.
+    `abelian.solve` returns, by one rule at every size and with no cap: the
+    least solution over a finite A, and one fixed by c alone over Z.
     """
     ok, diags = is_cocycle(m, c, theory, basepoint)
     if not ok:

@@ -1,12 +1,11 @@
 """Default enumeration bounds; a caller overrides one by passing its own bound."""
 
-GOOD_INVOLUTION_SIZE = 10
-AUTOMORPHISM_SIZE = 12
-MODULE_AUT_ORDER = 64
+GOOD_INVOLUTION_SIZE = 10  # largest rack whose good involutions are enumerated
+AUTOMORPHISM_SIZE = 12  # largest rack whose automorphisms are enumerated
+MODULE_AUT_ORDER = 64  # torsion order of A above which fiber symmetries are refused
 GAUGE_SEARCH = 10 ** 6  # candidate images tried by the one symmetry search
-CHAIN_VERIFY_TUPLES = 10 ** 6
-ENDO_ENUM = 10 ** 6
-SUBGROUP_ENUM = 10 ** 4
+CHAIN_VERIFY_TUPLES = 10 ** 6  # n-tuples that one d o d = 0 check may visit
+ENDO_ENUM = 10 ** 6  # candidate fiber maps scanned, and 1-cocycles listed
 
 
 def resolve(explicit, default):

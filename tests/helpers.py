@@ -1,5 +1,6 @@
-"""Exact matrix helpers, a dense Smith normal form, a nested-loop chain complex
-check and a term-by-term cochain reference, for the tests only."""
+"""Exact matrix helpers, a dense Smith normal form, a subgroup closure, a
+nested-loop chain complex check and a term-by-term cochain reference, for the
+tests only."""
 
 from fractions import Fraction
 from itertools import compress, product
@@ -188,6 +189,28 @@ def dense_smith_normal_form(M):
                 if D[j][j] < 0:
                     negate_row(j)
     return U, D, V
+
+
+def reference_subgroup_elements(group, gens):
+    """All elements of a finite subgroup, sorted: the reference for subgroup_elements.
+
+    A copy of the earlier breadth-first closure under adding generators,
+    without its cap; a finite closed subset already contains negatives.
+    The caller makes sure the subgroup is finite.
+    """
+    zero = group.zero()
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                s = group.add(e, g)
+                if s not in seen:
+                    seen.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return sorted(seen)
 
 
 def reference_chain_check(X, m, n, basepoint=0, psi_sign=1):

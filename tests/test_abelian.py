@@ -8,6 +8,7 @@ from symq.abelian import (
     AbGroup,
     AbHom,
     Subquotient,
+    _echelon,
     image,
     kernel,
     mat_mul,
@@ -18,7 +19,7 @@ from symq.abelian import (
 )
 from symq.errors import SearchSpaceExceeded
 
-from helpers import det
+from helpers import det, reference_subgroup_elements
 
 
 def random_matrix(rng, rows, cols, span=9):
@@ -120,14 +121,14 @@ class TestKernelImageSolve:
     def test_kernel_matches_enumeration(self, source, target, matrix):
         f = AbHom(source, target, matrix)
         gens = kernel(f)
-        got = set(subgroup_elements(source, gens))
+        got = set(reference_subgroup_elements(source, gens))
         assert got == brute_kernel(f)
 
     @pytest.mark.parametrize("source,target,matrix", SMALL_HOMS)
     def test_image_matches_enumeration(self, source, target, matrix):
         f = AbHom(source, target, matrix)
         gens = image(f)
-        got = set(subgroup_elements(target, gens))
+        got = set(reference_subgroup_elements(target, gens))
         assert got == brute_image(f)
 
     @pytest.mark.parametrize("source,target,matrix", SMALL_HOMS)
@@ -146,9 +147,26 @@ class TestKernelImageSolve:
         assert solve(f, (2,)) is not None
         assert solve(f, (1,)) is None
 
+    def test_solve_past_the_old_walk_size(self):
+        # ker f has 8,192 elements; the least solution moves the last coordinate
+        f = AbHom(AbGroup([2] * 14), AbGroup([2]), [[1] * 14])
+        assert solve(f, (1,)) == (0,) * 13 + (1,)
+
+    def test_echelon_entries_stay_small_over_z(self):
+        # a full-rank lattice in Z^40 from random generators: chained gcd steps
+        # on each column reach entries of 49,398 digits here, Euclid steps from
+        # the least entry keep them at 53
+        rng = random.Random(1)
+        gens = [tuple(rng.randint(-9, 9) for _ in range(40)) for _ in range(40)]
+        basis = _echelon(AbGroup([0] * 40), gens)
+        assert [c for c, _ in basis] == list(range(40))
+        assert max(abs(x) for _, row in basis for x in row) < 10 ** 80
+
     def test_subgroup_cap(self):
         A = AbGroup([0])
         assert subgroup_elements(A, [(1,)], cap=100) is None
+        assert subgroup_elements(AbGroup([4, 2]), [(1, 1)], cap=3) is None
+        assert subgroup_elements(AbGroup([4, 2]), [(1, 1)], cap=4) == [(0, 0), (1, 1), (2, 0), (3, 1)]
 
 
 class TestQuotient:

@@ -158,6 +158,14 @@ class TestWellsVerb:
         assert code == 0
         assert out.splitlines()[0] == "OBSTRUCTED: class=[2]"
 
+    def test_infinite_z1_is_refused(self, capsys):
+        code, out, err = run(
+            ["wells", "--rack", RACK, "--module", MZ, "--cocycle", CZ, "--theory", "sr", "report"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: too many 1-cocycles to enumerate\n"
+
     def test_determinism(self, capsys):
         _, out1, _ = run(WELLS, capsys)
         _, out2, _ = run(WELLS, capsys)

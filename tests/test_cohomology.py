@@ -57,6 +57,22 @@ class TestChainComplex:
             ok, witness = verify_chain_complex(X, m, 2, basepoint=p)
             assert ok, witness
 
+    @pytest.mark.parametrize("basepoint", [99, -1, 3])
+    def test_basepoint_outside_the_base_is_refused_in_every_degree(self, basepoint):
+        # only the boundary of a 1-chain reads the basepoint; every degree refuses one outside the base
+        X = rack("takasaki3")
+        m = module("tw_z3", X)
+        message = f"basepoint {basepoint} is not an element of the base"
+        for n in (2, 3, 4):
+            with pytest.raises(ValueError, match=message):
+                verify_chain_complex(X, m, n, basepoint=basepoint)
+        for degree in (0, 1, 2):
+            with pytest.raises(ValueError, match=message):
+                delta(m, Cochain.zero(degree, X.size, m.A), basepoint=basepoint)
+        for n in (1, 2, 3):
+            with pytest.raises(ValueError, match=message):
+                boundary(X, n, (0,) * n, basepoint=basepoint)
+
     def test_psi_sign_mutation_detected(self):
         # over Z3 psi = 2 differs from -psi = 1, so a sign flip must break d^2 = 0
         X = rack("takasaki3")

@@ -1,5 +1,5 @@
 """src/symq: every import used, none samples, none asserts, one factors, one axiom pass,
-one reader of the boundary."""
+one reader of the boundary, one lister of subgroups."""
 
 import ast
 from pathlib import Path
@@ -175,3 +175,38 @@ def test_the_check_sees_a_second_boundary_reader(tmp_path):
         "    return [d(X, 3, t) for t in tuples]\n"
     )
     assert call_sites(path, "boundary") == [("_delta_rows", 5), ("verify", 8)]
+
+
+def listings_in(path, func):
+    """Lines of the named top-level function that list elements or hold a size literal.
+
+    A listing is a call to subgroup_elements or to a group's elements(); a
+    size literal is any integer constant above 1.
+    """
+    listed = [line for name in ("subgroup_elements", "elements")
+              for scope, line in call_sites(path, name) if scope.split(".")[0] == func]
+    node = next(n for n in ast.parse(path.read_text()).body if getattr(n, "name", None) == func)
+    sizes = [n.lineno for n in ast.walk(node)
+             if isinstance(n, ast.Constant) and type(n.value) is int and n.value > 1]
+    return sorted(listed + sizes)
+
+
+def test_one_lister_of_subgroups():
+    # Z^1 is the only subgroup listed; solve reads the echelon basis instead
+    callers = {(path.name, scope) for path in SRC.glob("*.py")
+               for scope, _ in call_sites(path, "subgroup_elements")}
+    assert callers == {("wells.py", "z1_elements")}
+    assert listings_in(SRC / "abelian.py", "solve") == []
+
+
+def test_the_check_sees_an_enumerating_solve(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from .abelian import subgroup_elements as listing\n\n"
+        "def solve(f, b, x, ker):\n"
+        "    def least(els):\n"
+        "        return min(els + f.source.elements())\n"
+        "    return least(listing(f.source, ker, cap=4096))\n"
+    )
+    assert listings_in(path, "solve") == [5, 6, 6]
+    assert call_sites(path, "subgroup_elements") == [("solve", 6)]

@@ -1,10 +1,19 @@
 """Property-based checks of the algebraic laws on randomized instances."""
 
 import random
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from symq.abelian import AbGroup, mat_mul, quotient, smith_normal_form
+from symq.abelian import (
+    AbGroup,
+    AbHom,
+    mat_mul,
+    quotient,
+    smith_normal_form,
+    solve,
+    subgroup_elements,
+)
 from symq.cohomology import (
     THEORY_SR,
     Cochain,
@@ -34,7 +43,7 @@ from symq.racks import (
 from symq.wells import act_on_cocycle, enumerate_aut_pairs
 
 from conftest import module, rack
-from helpers import dense_smith_normal_form, det
+from helpers import dense_smith_normal_form, det, reference_subgroup_elements
 from test_modules import manual_constant
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -84,6 +93,33 @@ def snf_inputs(draw):
     return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
 
 
+@st.composite
+def subgroups(draw):
+    # a group of mixed orders, Z included, and a few unreduced generators
+    orders = draw(st.lists(st.sampled_from((0, 1, 2, 3, 4, 6)), max_size=3))
+    gens = draw(st.lists(st.tuples(*[small_ints] * len(orders)), max_size=3))
+    return AbGroup(orders), gens
+
+
+@st.composite
+def finite_homs(draw):
+    # entry (i, j) is a multiple of t_i / gcd(t_i, d_j), so the map is well defined
+    finite = st.sampled_from((1, 2, 3, 4, 6))
+    source = AbGroup(draw(st.lists(finite, min_size=1, max_size=3)))
+    target = AbGroup(draw(st.lists(finite, max_size=2)))
+    return AbHom(source, target, [[draw(st.integers(0, 5)) * (t // gcd(t, d))
+                                   for d in source.orders] for t in target.orders])
+
+
+@st.composite
+def maps_over_z(draw):
+    # a map from Z^n, a point of its image, and a permutation of the target rows
+    n = draw(st.integers(1, 4))
+    target = draw(st.lists(st.sampled_from((0, 2, 3, 4, 6)), min_size=1, max_size=4))
+    f = AbHom(AbGroup([0] * n), AbGroup(target), [[draw(small_ints) for _ in range(n)] for _ in target])
+    return f, f(tuple(draw(small_ints) for _ in range(n))), draw(st.permutations(range(len(target))))
+
+
 class TestAbelianProperties:
     @SETTINGS
     @given(matrices())
@@ -98,6 +134,36 @@ class TestAbelianProperties:
         # the same pivots and steps as a dense scan: U, D and V entry for entry
         s = smith_normal_form(M)
         assert (s.U, s.D, s.V) == dense_smith_normal_form(M)
+
+    @settings(max_examples=300, deadline=None)
+    @given(subgroups(), st.sampled_from((1, 6, 24, 10 ** 4)))
+    def test_subgroup_elements_match_the_closure(self, subgroup, cap):
+        group, gens = subgroup
+        got = subgroup_elements(group, gens, cap)
+        if any(g[i] for g in gens for i, d in enumerate(group.orders) if d == 0):
+            assert got is None  # a generator with a nonzero Z coordinate spans an infinite subgroup
+        else:
+            ref = reference_subgroup_elements(group, gens)
+            assert got == (ref if len(ref) <= cap else None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(finite_homs())
+    def test_solve_is_the_least_solution(self, f):
+        least = {}
+        for x in f.source.elements():  # in lexicographic order
+            least.setdefault(f(x), x)
+        for b in f.target.elements():
+            assert solve(f, b) == least.get(b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(maps_over_z())
+    def test_solve_over_z_ignores_the_row_order(self, case):
+        # permuting the target rows changes the elimination, not the solution set
+        f, b, perm = case
+        g = AbHom(f.source, AbGroup([f.target.orders[i] for i in perm]), [f.matrix[i] for i in perm])
+        x = solve(f, b)
+        assert x is not None and f(x) == b
+        assert solve(g, tuple(b[i] for i in perm)) == x
 
     @SETTINGS
     @given(st.permutations(range(3)), st.permutations(range(3)))

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import symq.wells
-from symq.abelian import AbGroup, AbHom, subgroup_elements
+from symq.abelian import AbGroup, AbHom
 from symq.cohomology import (
     THEORY_SQ,
     THEORY_SR,
@@ -47,6 +47,7 @@ from symq.wells import (
 )
 
 from conftest import cochain, module, rack
+from helpers import reference_subgroup_elements
 
 
 def z4_extension():
@@ -434,8 +435,8 @@ class TestEnumerationAndReport:
         m = module("m0_z4", X) if orders is None else dihedral_kamada_module(X, AbGroup(orders))
         ext = build_abelian_extension(m, Cochain.zero(2, X.size, m.A), theory)
         pres = cohomology_presentation(m, 1, theory)
-        vecs = subgroup_elements(AbGroup(m.A.orders * X.size),
-                                 [_cochain_to_vec(c) for c in pres.cocycle_gens])
+        vecs = reference_subgroup_elements(AbGroup(m.A.orders * X.size),
+                                           [_cochain_to_vec(c) for c in pres.cocycle_gens])
         # Z^1 is read off the extension's witness map, with no presentation
         monkeypatch.setattr(symq.cohomology, "cohomology_presentation", None)
         assert z1_elements(ext) == [_vec_to_cochain(1, X.size, m.A, v) for v in vecs]
@@ -508,6 +509,16 @@ class TestEnumerationAndReport:
         rep = wells_report(ext)
         assert len(lift_constructions) <= rep.aut_size + len(rep.pairs) + rep.z1_size
 
+    @pytest.mark.parametrize("run", [z1_elements, wells_report])
+    def test_infinite_z1_is_refused_at_once(self, run):
+        # Z^1 over Z is infinite: its size is read off the echelon pivots, so
+        # the refusal comes before any 1-cocycle is listed
+        ext = z_extension()
+        t0 = time.perf_counter()
+        with pytest.raises(SearchSpaceExceeded, match="too many 1-cocycles to enumerate"):
+            run(ext)
+        assert time.perf_counter() - t0 < 0.5
+
     def test_infinite_fiber_enumeration_unsupported(self):
         ext = z_extension()
         with pytest.raises(InfiniteGroupUnsupported):
@@ -557,27 +568,42 @@ class TestFourTermSequence:
     def test_sweep_of_classes(self):
         # budget: 5 s for all 64 extensions
         t0 = time.perf_counter()
-        cases = [(X, orders, theory, None)
-                 for X in (rack("t2"), trivial_rack(2))
-                 for orders in ([2], [3], [4])
-                 for theory in (THEORY_SQ, THEORY_SR)]
-        cases += [(rack("takasaki3"), orders, THEORY_SQ, None) for orders in ([2], [3], [4])]
-        cases += [(rack("takasaki4"), orders, THEORY_SQ, None) for orders in ([3], [4])]
-        cases.append((rack("core_z4"), [4], THEORY_SQ, 2))
         checked = 0
-        for X, orders, theory, limit in cases:
-            m = dihedral_kamada_module(X, AbGroup(orders))
-            pres = cohomology_presentation(m, 2, theory)
-            for cls in pres.group.elements()[:limit]:
-                ext = build_abelian_extension(m, pres.section(cls), theory)
-                rep = wells_report(ext)
-                assert rep.exact
-                assert rep.aut_size == rep.z1_size * len(rep.stab)
-                lifts = {xi.perm for xi in enumerate_autA_extension(ext)}
-                assert affine_part(ext, brute_force_fiber_automorphisms(ext)) == lifts
-                checked += 1
+        for ext in sweep_extensions():
+            rep = wells_report(ext)
+            assert rep.exact
+            assert rep.aut_size == rep.z1_size * len(rep.stab)
+            lifts = {xi.perm for xi in enumerate_autA_extension(ext)}
+            assert affine_part(ext, brute_force_fiber_automorphisms(ext)) == lifts
+            checked += 1
         assert checked == 64
         assert time.perf_counter() - t0 < 5
+
+    def test_lifts_of_the_sweep_match_the_record(self):
+        # every extend_pair lambda of the sweep, None where the pair is
+        # obstructed, recorded when each witness was the least element of its
+        # coset found by listing the coset
+        lams = [None if xi is None else xi.lam.values
+                for ext in sweep_extensions()
+                for xi in (extend_pair(ext, pair) for pair in enumerate_aut_pairs(ext))]
+        digest = hashlib.sha256(repr(lams).encode()).hexdigest()[:16]
+        assert (len(lams), lams.count(None), digest) == (312, 74, "a22b50f3fc099cdf")
+
+
+def sweep_extensions():
+    """The 64 extensions of the sweep: every H^2 class of 17 module-theory pairs, two of core_z4's."""
+    cases = [(X, orders, theory, None)
+             for X in (rack("t2"), trivial_rack(2))
+             for orders in ([2], [3], [4])
+             for theory in (THEORY_SQ, THEORY_SR)]
+    cases += [(rack("takasaki3"), orders, THEORY_SQ, None) for orders in ([2], [3], [4])]
+    cases += [(rack("takasaki4"), orders, THEORY_SQ, None) for orders in ([3], [4])]
+    cases.append((rack("core_z4"), [4], THEORY_SQ, 2))
+    for X, orders, theory, limit in cases:
+        m = dihedral_kamada_module(X, AbGroup(orders))
+        pres = cohomology_presentation(m, 2, theory)
+        for cls in pres.group.elements()[:limit]:
+            yield build_abelian_extension(m, pres.section(cls), theory)
 
 
 def gamma_extension(name):
