@@ -6,6 +6,7 @@ Every command prints a human-readable summary followed by a machine block;
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -56,7 +57,9 @@ _FLAGS.update({
 })
 
 
+@functools.cache
 def _build_parser():
+    # built on the first request, not at import; it costs more than many requests
     parser = _Parser(prog="symq", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="verb", parser_class=_Parser, required=True)
 

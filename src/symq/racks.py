@@ -192,38 +192,43 @@ def validate_good_involution(rack, rho):
     return FiniteSymmetricRack(rack, rho)
 
 
-def _involution_words(n):
-    # involutive permutation words of {0..n-1} in lexicographic order
+def _involution_words(n, allowed):
+    # involutive words of {0..n-1} with rho(i) in allowed[i], in lexicographic
+    # order; allowed is symmetric, so a swap (i, j) is checked from i alone
     def rec(word, free):
         if not free:
             yield tuple(word)
             return
         i = free[0]
-        word[i] = i
-        for rest in rec(word, free[1:]):
-            yield rest
+        if i in allowed[i]:
+            word[i] = i
+            yield from rec(word, free[1:])
         for j in free[1:]:
-            word[i], word[j] = j, i
-            remaining = [k for k in free[1:] if k != j]
-            for rest in rec(word, remaining):
-                yield rest
+            if j in allowed[i]:
+                word[i], word[j] = j, i
+                yield from rec(word, [k for k in free[1:] if k != j])
         word[i] = None
 
     return rec([None] * n, list(range(n)))
 
 
 def enumerate_good_involutions(rack, bound=None):
-    """All good involutions of the rack, lexicographic by permutation word."""
+    """All good involutions of the rack, lexicographic by permutation word.
+
+    By S3 rho(y) is some z whose right translation inverts that of y, so only
+    those z are tried; every word found is still checked against S1-S3.
+    """
     bound = limits.resolve(bound, limits.GOOD_INVOLUTION_SIZE)
     if rack.size > bound:
         raise SizeBoundExceeded(
             f"good-involution enumeration bounded at size {bound}"
         )
-    out = []
-    for rho in _involution_words(rack.size):
-        if not good_involution_diagnostics(rack, rho):
-            out.append(rho)
-    return out
+    n = rack.size
+    cols = [tuple(rack.op(x, y) for x in range(n)) for y in range(n)]
+    inverse = [tuple(rack.left_inverse_op(x, y) for x in range(n)) for y in range(n)]
+    allowed = [{z for z in range(n) if cols[z] == inverse[y]} for y in range(n)]
+    return [rho for rho in _involution_words(n, allowed)
+            if not good_involution_diagnostics(rack, rho)]
 
 
 def _isomorphisms(S, T, cap, fibers=None):

@@ -1,12 +1,13 @@
 """Exact matrix helpers, a dense Smith normal form, a subgroup closure, a
-nested-loop chain complex check and a term-by-term cochain reference, for the
-tests only."""
+brute-force good-involution search, a nested-loop chain complex check and a
+term-by-term cochain reference, for the tests only."""
 
 from fractions import Fraction
 from itertools import compress, product
 
 from symq.abelian import AbHom, mat_mul
 from symq.cohomology import boundary
+from symq.racks import good_involution_diagnostics
 
 
 def det(M):
@@ -211,6 +212,28 @@ def reference_subgroup_elements(group, gens):
                     nxt.append(s)
         frontier = nxt
     return sorted(seen)
+
+
+def reference_good_involutions(rack):
+    """Every good involution of rack, lexicographic: the reference for enumerate_good_involutions.
+
+    A copy of the earlier search: every involutive word of {0..n-1}, in
+    lexicographic order, kept when good_involution_diagnostics finds nothing.
+    """
+    def words(word, free):
+        if not free:
+            yield tuple(word)
+            return
+        i = free[0]
+        word[i] = i
+        yield from words(word, free[1:])
+        for j in free[1:]:
+            word[i], word[j] = j, i
+            yield from words(word, [k for k in free[1:] if k != j])
+        word[i] = None
+
+    return [rho for rho in words([None] * rack.size, list(range(rack.size)))
+            if not good_involution_diagnostics(rack, rho)]
 
 
 def reference_chain_check(X, m, n, basepoint=0, psi_sign=1):

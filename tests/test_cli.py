@@ -12,6 +12,8 @@ from symq.cli import _build_parser, main
 from symq.racks import trivial_rack
 from symq.serialize import fixture_path, load_json, save_rack
 
+from test_cli_golden import CASES, _record, _recorded, _write_inputs
+
 RACK = str(fixture_path("rack_t2.json"))
 TAK3 = str(fixture_path("rack_takasaki3.json"))
 CORE = str(fixture_path("rack_core_z4.json"))
@@ -524,3 +526,51 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rack"]["ok"] is True
+
+
+class TestParserReuse:
+    """One parser per process: built on the first request, then shared."""
+
+    def test_one_parser(self):
+        assert _build_parser() is _build_parser()
+
+    def test_built_on_the_first_request_not_at_import(self):
+        # count every ArgumentParser made, the verbs' subparsers included
+        script = (
+            "import argparse, contextlib, io\n"
+            "made = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    made.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import symq.cli\n"
+            "counts = [len(made)]\n"
+            "for _ in range(3):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        symq.cli.main(['involutions', '--rack', {CORE!r}])\n"
+            "    counts.append(len(made))\n"
+            "print(counts)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout)
+        assert counts[0] == 0
+        assert counts[1] == counts[2] == counts[3] > 0
+
+    def test_errors_leave_no_state_behind(self, tmp_path, capsys):
+        # a usage error, a validation error, then every recorded case in
+        # reverse order, all through the one shared parser
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as e:
+                main(["involutions", "--rack", CORE, "--theory", "sq"])
+            assert e.value.code == 1
+            errors.append(capsys.readouterr().err)
+            assert run(["check", "--rack", "/no/such.json"], capsys)[0] == 2
+        assert errors[0] == errors[1]
+        assert "unrecognized arguments: --theory sq" in errors[0]
+        _write_inputs(tmp_path)
+        recorded = _recorded()
+        for argv in reversed(CASES):
+            assert _record(argv, tmp_path) == recorded[tuple(argv)]

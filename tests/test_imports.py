@@ -1,5 +1,5 @@
 """src/symq: every import used, none samples, none asserts, one factors, one axiom pass,
-one reader of the boundary, one lister of subgroups."""
+one reader of the boundary, one lister of subgroups, one place that builds the CLI parser."""
 
 import ast
 from pathlib import Path
@@ -210,3 +210,22 @@ def test_the_check_sees_an_enumerating_solve(tmp_path):
     )
     assert listings_in(path, "solve") == [5, 6, 6]
     assert call_sites(path, "subgroup_elements") == [("solve", 6)]
+
+
+def test_the_parser_is_built_on_request():
+    # main builds the cached parser on the first request; a module-level
+    # build would be paid by every import of symq.cli
+    callers = {(path.name, scope) for path in SRC.glob("*.py")
+               for scope, _ in call_sites(path, "_build_parser")}
+    assert callers == {("cli.py", "main")}
+
+
+def test_the_check_sees_a_parser_built_at_import(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from .cli import _build_parser as build\n\n"
+        "PARSER = build()\n\n"
+        "def main(argv):\n"
+        "    return _build_parser().parse_args(argv)\n"
+    )
+    assert call_sites(path, "_build_parser") == [("", 3), ("main", 6)]

@@ -3,6 +3,7 @@
 import random
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from symq.abelian import (
@@ -43,7 +44,12 @@ from symq.racks import (
 from symq.wells import act_on_cocycle, enumerate_aut_pairs
 
 from conftest import module, rack
-from helpers import dense_smith_normal_form, det, reference_subgroup_elements
+from helpers import (
+    dense_smith_normal_form,
+    det,
+    reference_good_involutions,
+    reference_subgroup_elements,
+)
 from test_modules import manual_constant
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -198,6 +204,10 @@ class TestRackProperties:
     def test_good_involutions_revalidate(self, X):
         for w in enumerate_good_involutions(X.rack):
             validate_good_involution(X.rack, w)
+
+    @pytest.mark.parametrize("X", RACK_POOL)
+    def test_good_involutions_match_the_unpruned_search(self, X):
+        assert enumerate_good_involutions(X.rack) == reference_good_involutions(X.rack)
 
 
 class TestModuleProperties:

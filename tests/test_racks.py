@@ -6,9 +6,11 @@ import pytest
 
 from symq import limits
 from symq.errors import EmptyCarrier, SearchSpaceExceeded, SizeBoundExceeded, ValidationError
+from symq.groups import FiniteGroup, conj_quandle, core_quandle
 from symq.racks import (
     QUANDLE,
     RACK,
+    FiniteRack,
     FiniteSymmetricRack,
     RackMorphism,
     _check_group,
@@ -26,6 +28,20 @@ from symq.racks import (
 )
 
 from conftest import rack
+from helpers import reference_good_involutions
+
+GROUPS = {f"Z{k}": FiniteGroup.cyclic(k) for k in range(1, 9)}
+GROUPS["S3"] = FiniteGroup.symmetric(3)
+# takasaki(1..10) up to the default size bound, trivial quandles, every
+# fixture rack, and the core and conjugation quandles of the groups above
+INVOLUTION_SWEEP = (
+    [(f"takasaki{n}", takasaki(n)) for n in range(1, 11)]
+    + [(f"trivial{n}", trivial_rack(n)) for n in range(1, 9)]
+    + [(f"fixture-{name}", rack(name)) for name in (
+        "t2", "t4", "takasaki3", "takasaki4", "takasaki5", "core_z4", "core_z4_shift", "conj_s3")]
+    + [(f"{make.__name__}-{g}", make(G)) for g, G in GROUPS.items()
+       for make in (core_quandle, conj_quandle)]
+)
 
 
 class TestValidateRack:
@@ -104,6 +120,18 @@ class TestGoodInvolutions:
     def test_size_bound(self):
         with pytest.raises(SizeBoundExceeded):
             enumerate_good_involutions(takasaki(3).rack, bound=2)
+
+    @pytest.mark.parametrize("X", [X for _, X in INVOLUTION_SWEEP],
+                             ids=[name for name, _ in INVOLUTION_SWEEP])
+    def test_same_list_as_the_unpruned_search(self, X):
+        # the S3 candidates only skip words that fail S3, in the same order
+        assert enumerate_good_involutions(X.rack) == reference_good_involutions(X.rack)
+
+    def test_non_bijective_translation_is_refused(self):
+        # column 2 is constant, so S3 has no inverse translation to match
+        X = FiniteRack([[0, 1, 0], [1, 0, 0], [2, 2, 0]])
+        with pytest.raises(ValueError, match="right translation is not bijective"):
+            enumerate_good_involutions(X)
 
 
 class TestAutomorphisms:
