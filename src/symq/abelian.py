@@ -54,11 +54,6 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B):
-    """Product of integer matrices given as lists of rows, over nonzero entries only."""
-    return list(_product_rows(A, B))
-
-
 def _product_rows(A, B):
     # the rows of A @ B one at a time; A may be any iterable of rows
     cols = len(B[0]) if B else 0

@@ -179,21 +179,20 @@ def cmd_check(args):
     return 0
 
 
+def _emit_words(args, key, label, words):
+    lines = [f"{label}: {len(words)}"] + [f"{cycle_notation(w)} | {list(w)}" for w in words]
+    _emit(args, lines, {"count": len(words), key: [_perm_entry(w) for w in words]})
+
+
 def cmd_involutions(args):
-    X = load_rack(_require(args, "rack"))
-    words = enumerate_good_involutions(X.rack, args.bound)
-    lines = [f"good involutions: {len(words)}"]
-    lines += [f"{cycle_notation(w)} | {list(w)}" for w in words]
-    _emit(args, lines, {"count": len(words), "involutions": [_perm_entry(w) for w in words]})
+    words = enumerate_good_involutions(load_rack(_require(args, "rack")).rack, args.bound)
+    _emit_words(args, "involutions", "good involutions", words)
     return 0
 
 
 def cmd_aut(args):
-    X = load_rack(_require(args, "rack"))
-    words = enumerate_automorphisms(X, args.bound)
-    lines = [f"automorphisms: {len(words)}"]
-    lines += [f"{cycle_notation(w)} | {list(w)}" for w in words]
-    _emit(args, lines, {"count": len(words), "automorphisms": [_perm_entry(w) for w in words]})
+    words = enumerate_automorphisms(load_rack(_require(args, "rack")), args.bound)
+    _emit_words(args, "automorphisms", "automorphisms", words)
     return 0
 
 
@@ -313,7 +312,8 @@ def cmd_extension(args):
         data = {"size": None, "kind": None, "theory": theory}
         _emit(args, lines, data)
         return 0
-    labels = [[x, list(m.A.elements()[s])] for x, s in ext.extension.labels]
+    elems = m.A.elements()
+    labels = [[x, list(elems[s])] for x, s in ext.extension.labels]
     lines = [
         f"total: size {ext.rack.size} ({ext.rack.kind})",
         f"labels: {labels}",

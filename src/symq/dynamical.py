@@ -76,10 +76,7 @@ class DynamicalCocycle:
             raise ValidationError("fiber data is not a dynamical cocycle", diags)
         self.base = base
         self.sizes = sizes
-        self.alpha = tuple(
-            tuple(tuple(tuple(r) for r in alpha[x][y]) for y in range(n))
-            for x in range(n)
-        )
+        self.alpha = tuple(tuple(tuple(map(tuple, alpha[x][y])) for y in range(n)) for x in range(n))
         self.beta = tuple(tuple(beta[x]) for x in range(n))
         self.quandle = _resolve_quandle_flag(base, quandle)
 
@@ -112,6 +109,15 @@ class DynamicalCocycle:
             f"DynamicalCocycle(base_size={self.base.size}, "
             f"sizes={list(self.sizes)}, quandle={self.quandle})"
         )
+
+
+def _fiber_tables(X, sizes, alpha_at, beta_at):
+    # the one statement of the table layout: alpha[x][y][s][t] and beta[x][s]
+    n = X.size
+    alpha = [[[[alpha_at(x, y, s, t) for t in range(sizes[y])] for s in range(sizes[x])]
+              for y in range(n)] for x in range(n)]
+    beta = [[beta_at(x, s) for s in range(sizes[x])] for x in range(n)]
+    return alpha, beta
 
 
 def _shape_problems(X, sizes, alpha, beta):
@@ -298,29 +304,14 @@ def gauge_transform(dc, gauge):
     """Twist: alpha'(s,t) = g_{x*y}(alpha(ginv_x(s), ginv_y(t))), beta' alike."""
     g = gauge if isinstance(gauge, Gauge) else Gauge(gauge)
     X = dc.base
-    n = X.size
     if tuple(len(p) for p in g.perms) != dc.sizes:
         raise ValueError("gauge fiber sizes do not match the cocycle")
-    ginv = g.inverse()
-    alpha = [
-        [
-            [
-                [
-                    g.perms[X.op(x, y)][
-                        dc.alpha[x][y][ginv.perms[x][s]][ginv.perms[y][t]]
-                    ]
-                    for t in range(dc.sizes[y])
-                ]
-                for s in range(dc.sizes[x])
-            ]
-            for y in range(n)
-        ]
-        for x in range(n)
-    ]
-    beta = [
-        [g.perms[X.rho[x]][dc.beta[x][ginv.perms[x][s]]] for s in range(dc.sizes[x])]
-        for x in range(n)
-    ]
+    perms, ginv = g.perms, g.inverse().perms
+    alpha, beta = _fiber_tables(
+        X, dc.sizes,
+        lambda x, y, s, t: perms[X.op(x, y)][dc.alpha[x][y][ginv[x][s]][ginv[y][t]]],
+        lambda x, s: perms[X.rho[x]][dc.beta[x][ginv[x][s]]],
+    )
     return DynamicalCocycle(X, dc.sizes, alpha, beta, dc.quandle)
 
 
@@ -375,27 +366,17 @@ def affine_tables(m, sigma):
     elems = A.elements()
     idx = {a: i for i, a in enumerate(elems)}
     n = X.size
-    size = len(elems)
-    alpha = [
-        [
-            [
-                [
-                    idx[
-                        A.add(
-                            A.add(m.phi[x][y](a), m.psi[x][y](b)),
-                            sigma.value(x, y),
-                        )
-                    ]
-                    for b in elems
-                ]
-                for a in elems
-            ]
-            for y in range(n)
-        ]
-        for x in range(n)
-    ]
-    beta = [[idx[m.eta[x](a)] for a in elems] for x in range(n)]
-    return (size,) * n, alpha, beta
+    sizes = (len(elems),) * n
+    # phi(a), and psi(b) + sigma(x, y), once per fiber element of each pair
+    moved = [[[m.phi[x][y](a) for a in elems] for y in range(n)] for x in range(n)]
+    shifted = [[[A.add(m.psi[x][y](b), sigma.value(x, y)) for b in elems] for y in range(n)]
+               for x in range(n)]
+    alpha, beta = _fiber_tables(
+        X, sizes,
+        lambda x, y, s, t: idx[A.add(moved[x][y][s], shifted[x][y][t])],
+        lambda x, s: idx[m.eta[x](elems[s])],
+    )
+    return sizes, alpha, beta
 
 
 def _checked_theory(m, sigma, theory):
@@ -445,24 +426,12 @@ def _reglue(src, X, fibers):
     # the cocycle of src over X that names fibers[x][s] as (x, s); the
     # extension it glues is checked to be src again
     pos = {e: s for fib in fibers for s, e in enumerate(fib)}
-    n = X.size
     sizes = tuple(len(fib) for fib in fibers)
-    alpha = [
-        [
-            [
-                [
-                    pos[src.op(fibers[x][s], fibers[y][t])]
-                    for t in range(sizes[y])
-                ]
-                for s in range(sizes[x])
-            ]
-            for y in range(n)
-        ]
-        for x in range(n)
-    ]
-    beta = [
-        [pos[src.rho[fibers[x][s]]] for s in range(sizes[x])] for x in range(n)
-    ]
+    alpha, beta = _fiber_tables(
+        X, sizes,
+        lambda x, y, s, t: pos[src.op(fibers[x][s], fibers[y][t])],
+        lambda x, s: pos[src.rho[fibers[x][s]]],
+    )
     dc = DynamicalCocycle(X, sizes, alpha, beta, quandle=src.kind == QUANDLE)
     ext = build_extension(dc)
     carry = [fibers[x][s] for (x, s) in ext.labels]

@@ -55,11 +55,11 @@ class Diagnostic:
 
     __slots__ = ("axiom", "witnesses", "truncated")
 
-    def __init__(self, axiom, witnesses, truncated=False):
+    def __init__(self, axiom, witnesses):
         self.axiom = axiom
         witnesses = list(witnesses)
         self.witnesses = witnesses[:MAX_WITNESSES]
-        self.truncated = truncated or len(witnesses) > MAX_WITNESSES
+        self.truncated = len(witnesses) > MAX_WITNESSES
 
     def __repr__(self):
         suffix = ", ..." if self.truncated else ""

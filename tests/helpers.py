@@ -5,9 +5,14 @@ term-by-term cochain reference, for the tests only."""
 from fractions import Fraction
 from itertools import compress, product
 
-from symq.abelian import AbHom, mat_mul
+from symq.abelian import AbHom, _product_rows
 from symq.cohomology import boundary
 from symq.racks import good_involution_diagnostics
+
+
+def mat_mul(A, B):
+    """Product of integer matrices given as lists of rows, over nonzero entries only."""
+    return list(_product_rows(A, B))
 
 
 def det(M):

@@ -11,7 +11,6 @@ from symq.abelian import (
     _echelon,
     image,
     kernel,
-    mat_mul,
     quotient,
     smith_normal_form,
     solve,
@@ -19,7 +18,7 @@ from symq.abelian import (
 )
 from symq.errors import SearchSpaceExceeded
 
-from helpers import det, reference_subgroup_elements
+from helpers import det, mat_mul, reference_subgroup_elements
 
 
 def random_matrix(rng, rows, cols, span=9):

@@ -62,6 +62,12 @@ BASE_CASES = [
                               "--cocycle", "input:c1_t2_z4.json"],
     ["extension"] + T2_Z4 + ["--cocycle", "fixture:cocycle_t2_z4.json", "--theory", "sr"],
     ["extension"] + SHIFT_Z,
+    ["involutions", "--rack", "fixture:rack_core_z4.json"],
+    ["involutions", "--rack", "fixture:rack_takasaki4.json"],
+    ["aut", "--rack", "fixture:rack_core_z4.json"],
+    ["aut", "--rack", "fixture:rack_takasaki4.json"],
+    ["from-group", "--group", "fixture:group_s3.json", "--sub", "0,3,4", "--flavor", "conj"],
+    ["from-group", "--group", "fixture:group_s3.json", "--sub", "0,3,4", "--flavor", "core"],
 ]
 CASES = [argv + extra for argv in BASE_CASES for extra in ([], ["--json"])]
 

@@ -1,5 +1,6 @@
 """src/symq: every import used, none samples, none asserts, one factors, one axiom pass,
-one reader of the boundary, one lister of subgroups, one place that builds the CLI parser."""
+one reader of the boundary, one lister of subgroups, one place that builds the CLI parser,
+one builder of the fiber-table layout."""
 
 import ast
 from pathlib import Path
@@ -229,3 +230,52 @@ def test_the_check_sees_a_parser_built_at_import(tmp_path):
         "    return _build_parser().parse_args(argv)\n"
     )
     assert call_sites(path, "_build_parser") == [("", 3), ("main", 6)]
+
+
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def for_depth(node):
+    """Most `for` clauses on one path down the comprehensions under node."""
+    inner = max((for_depth(child) for child in ast.iter_child_nodes(node)), default=0)
+    return inner + len(node.generators) if isinstance(node, COMPREHENSIONS) else inner
+
+
+def deep_comprehensions(path):
+    """(enclosing definition, line) of each outermost comprehension four `for` levels deep."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+            elif isinstance(child, COMPREHENSIONS) and for_depth(child) >= 4:
+                found.append((".".join(scope), child.lineno))
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return sorted(found)
+
+
+def test_one_builder_of_the_fiber_tables():
+    # alpha[x][y][s][t] is laid out in one place; affine tables, gauge
+    # transport and regluing each pass it a formula for one entry
+    builders = {(path.name, scope) for path in SRC.glob("*.py")
+                for scope, _ in deep_comprehensions(path)}
+    assert builders == {("dynamical.py", "_fiber_tables")}
+
+
+def test_the_check_sees_a_second_table_builder(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def gauge(n, f):\n"
+        "    cube = [[[f(x, y, s) for s in n] for y in n] for x in n]\n"
+        "    return [[[[f(x, y, s, t) for t in n] for s in n]\n"
+        "             for y in n] for x in n], cube\n\n"
+        "class C:\n"
+        "    def reglue(self, n, f):\n"
+        "        return {(x, y): [f(s, t) for s in n for t in n] for x in n for y in n}\n\n"
+        "TABLE = [f(x, y, s, t) for x in n for y in n for s in n for t in n]\n"
+    )
+    assert deep_comprehensions(path) == [("", 10), ("C.reglue", 8), ("gauge", 3)]

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from symq.abelian import (
     AbGroup,
     AbHom,
-    mat_mul,
     quotient,
     smith_normal_form,
     solve,
@@ -47,6 +46,7 @@ from conftest import module, rack
 from helpers import (
     dense_smith_normal_form,
     det,
+    mat_mul,
     reference_good_involutions,
     reference_subgroup_elements,
 )

@@ -19,12 +19,12 @@ import random
 import pytest
 
 import symq.abelian
-from symq.abelian import AbGroup, mat_mul, smith_normal_form
+from symq.abelian import AbGroup, smith_normal_form
 from symq.cohomology import cohomology_presentation
 from symq.modules import dihedral_kamada_module
 from symq.racks import takasaki
 
-from helpers import inverse
+from helpers import inverse, mat_mul
 
 
 def digests(pairs):
