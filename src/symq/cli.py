@@ -304,12 +304,11 @@ def cmd_dynamical(args):
 
 
 def cmd_extension(args):
-    X, m, c = _load_triple(args)
-    theory = _default_theory(args, X)
-    ext = build_abelian_extension(m, c, theory)
+    _, m, c = _load_triple(args)
+    ext = build_abelian_extension(m, c, args.theory)
     if ext.extension is None:
         lines = ["total: infinite fiber group; table kept symbolic"]
-        data = {"size": None, "kind": None, "theory": theory}
+        data = {"size": None, "kind": None, "theory": ext.theory}
         _emit(args, lines, data)
         return 0
     elems = m.A.elements()
@@ -321,7 +320,7 @@ def cmd_extension(args):
     data = {
         "size": ext.rack.size,
         "kind": ext.rack.kind,
-        "theory": theory,
+        "theory": ext.theory,
         "labels": labels,
         "rack": rack_to_dict(ext.rack),
     }
@@ -341,9 +340,8 @@ def _parse_pair(args, m):
 
 
 def cmd_wells(args):
-    X, m, c = _load_triple(args)
-    theory = _default_theory(args, X)
-    ext = build_abelian_extension(m, c, theory)
+    _, m, c = _load_triple(args)
+    ext = build_abelian_extension(m, c, args.theory)
     if args.action == "extend":
         pair = _parse_pair(args, m)
         lift = extend_pair(ext, pair)

@@ -130,7 +130,7 @@ def verify_chain_complex(X, m, n, basepoint=0, bound=None, psi_sign=1):
         raise ValueError("need n >= 2 to compose two boundaries")
     if X != m.base:
         raise ValueError("the rack is not the base of the module")
-    cap = limits.resolve(bound, limits.CHAIN_VERIFY_TUPLES)
+    cap = limits.CHAIN_VERIFY_TUPLES if bound is None else bound
     if X.size ** n > cap:
         raise SizeBoundExceeded(
             f"{X.size}^{n} tuples exceed the verification cap {cap}"

@@ -29,11 +29,10 @@ from .errors import (
     Diagnostic,
     InfiniteGroupUnsupported,
     NotACocycle,
-    NotNormal,
     NotSurjective,
     ValidationError,
 )
-from .groups import conj_quandle, core_quandle, is_normal, quotient_group, subgroup_check
+from .groups import conj_quandle, core_quandle, quotient_group, subgroup_check
 from .modules import validate_module
 from .racks import (
     QUANDLE,
@@ -330,7 +329,7 @@ def are_cohomologous_dynamical(dc1, dc2, bound=None):
         raise ValueError("cocycles target different extension kinds")
     if dc1.sizes != dc2.sizes:
         return None
-    cap = limits.resolve(bound, limits.GAUGE_SEARCH)
+    cap = limits.GAUGE_SEARCH if bound is None else bound
     e1 = build_extension(dc1)
     e2 = build_extension(dc2)
     bases = [x for x, _ in e1.labels]
@@ -482,8 +481,6 @@ def from_group_extension(G, sub_elements, flavor="conj", n=1, z=None):
     collapses to the identity.
     """
     A = subgroup_check(G, sub_elements)
-    if not is_normal(G, A):
-        raise NotNormal("fiber subgroup must be normal")
     Q, coset_of = quotient_group(G, A)
     if flavor == "conj":
         total = conj_quandle(G, n)

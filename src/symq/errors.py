@@ -65,13 +65,6 @@ class Diagnostic:
         suffix = ", ..." if self.truncated else ""
         return f"{self.axiom}: {self.witnesses}{suffix}"
 
-    def as_dict(self):
-        return {
-            "axiom": self.axiom,
-            "witnesses": [list(w) if isinstance(w, tuple) else w for w in self.witnesses],
-            "truncated": self.truncated,
-        }
-
 
 class ValidationError(SymqError):
     """Raised when a structure fails axiom validation; carries diagnostics."""

@@ -6,10 +6,3 @@ MODULE_AUT_ORDER = 64  # torsion order of A above which fiber symmetries are ref
 GAUGE_SEARCH = 10 ** 6  # candidate images tried by the one symmetry search
 CHAIN_VERIFY_TUPLES = 10 ** 6  # n-tuples that one d o d = 0 check may visit
 ENDO_ENUM = 10 ** 6  # candidate fiber maps scanned, and 1-cocycles listed
-
-
-def resolve(explicit, default):
-    """Pick the effective bound: explicit argument, else default."""
-    if explicit is not None:
-        return explicit
-    return default

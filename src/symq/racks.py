@@ -218,7 +218,7 @@ def enumerate_good_involutions(rack, bound=None):
     By S3 rho(y) is some z whose right translation inverts that of y, so only
     those z are tried; every word found is still checked against S1-S3.
     """
-    bound = limits.resolve(bound, limits.GOOD_INVOLUTION_SIZE)
+    bound = limits.GOOD_INVOLUTION_SIZE if bound is None else bound
     if rack.size > bound:
         raise SizeBoundExceeded(
             f"good-involution enumeration bounded at size {bound}"
@@ -320,11 +320,11 @@ def enumerate_automorphisms(X, bound=None):
     limits.GAUGE_SEARCH candidate images and refuses, rather than truncates,
     a larger one.
     """
-    bound = limits.resolve(bound, limits.AUTOMORPHISM_SIZE)
+    bound = limits.AUTOMORPHISM_SIZE if bound is None else bound
     n = X.size
     if n > bound:
         raise SizeBoundExceeded(f"automorphism enumeration bounded at size {bound}")
-    out = list(_isomorphisms(X, X, limits.resolve(None, limits.GAUGE_SEARCH)))
+    out = list(_isomorphisms(X, X, limits.GAUGE_SEARCH))
     _check_group(out, tuple(range(n)), _compose_words, "automorphism set")
     return out
 

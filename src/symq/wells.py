@@ -29,9 +29,9 @@ from math import prod
 from . import limits
 from .abelian import AbHom, kernel, subgroup_elements
 # coboundary_witness stays importable from this module
-from .cohomology import (THEORY_SQ, Cochain, _complex, _vec_to_cochain, _witness,
+from .cohomology import (THEORY_SQ, THEORY_SR, Cochain, _complex, _vec_to_cochain, _witness,
                          coboundary_witness, is_cocycle)
-from .dynamical import DynamicalCocycle, _checked_theory, affine_tables, build_extension
+from .dynamical import _checked_theory, build_extension, from_cocycle
 from .errors import (Diagnostic, InfiniteGroupUnsupported, NotConstantModule,
                      SearchSpaceExceeded, SizeBoundExceeded, ValidationError)
 from .racks import (RackMorphism, _check_group, _compose_words, _invert_word,
@@ -76,19 +76,13 @@ class AbelianExtension:
 
     @property
     def size(self):
-        if self.extension is None:
-            raise InfiniteGroupUnsupported("the total space is infinite")
-        return self.rack.size
+        return _glued(self).rack.size
 
     def index_of(self, x, a):
-        if self.extension is None:
-            raise InfiniteGroupUnsupported("no index table on an infinite total space")
-        return self.extension.index_of((x, self.module.A.element_index(a)))
+        return _glued(self).index_of((x, self.module.A.element_index(a)))
 
     def pair_of(self, index):
-        if self.extension is None:
-            raise InfiniteGroupUnsupported("no index table on an infinite total space")
-        x, s = self.extension.pair_of(index)
+        x, s = _glued(self).pair_of(index)
         return x, self.module.A.elements()[s]
 
     def __repr__(self):
@@ -99,28 +93,31 @@ class AbelianExtension:
         )
 
 
+def _glued(ext):
+    # the glued table of E, which only a finite fiber group has
+    if ext.extension is None:
+        raise InfiniteGroupUnsupported("an infinite fiber group has no glued table")
+    return ext.extension
+
+
 def build_abelian_extension(m, sigma, theory=None):
     """Assemble the affine extension of a constant module by a 2-cocycle.
 
     The module and the cocycle are checked once for either fiber group.  A
-    finite fiber group's table is then glued through the dynamical route
+    finite fiber group's table is glued by from_cocycle and build_extension
     and rechecked against the affine product formula; an infinite fiber
     group keeps the extension symbolic.  The default theory follows the
     kind of the base.
     """
     if not m.constant:
         raise NotConstantModule("extension symmetries need a constant module")
-    X = m.base
-    if sigma.degree != 2 or sigma.size != X.size or sigma.group != m.A:
+    if sigma.degree != 2 or sigma.size != m.base.size or sigma.group != m.A:
         raise ValueError("sigma must be a 2-cochain on the base with values in A")
-    theory = _checked_theory(m, sigma, theory)
-    dext = None
-    if m.A.is_finite():
-        # constructing the cocycle runs the dynamical axioms once on the glued tables
-        dc = DynamicalCocycle(X, *affine_tables(m, sigma), quandle=theory == THEORY_SQ)
-        dext = build_extension(dc)
-        _check_affine_table(m, sigma, dext)
-    return AbelianExtension(m, sigma, theory, dext)
+    if not m.A.is_finite():
+        return AbelianExtension(m, sigma, _checked_theory(m, sigma, theory), None)
+    dext = build_extension(from_cocycle(m, sigma, theory))
+    _check_affine_table(m, sigma, dext)
+    return AbelianExtension(m, sigma, THEORY_SQ if dext.cocycle.quandle else THEORY_SR, dext)
 
 
 def _check_affine_table(m, sigma, dext):
@@ -153,7 +150,7 @@ def module_automorphisms(m, bound=None):
     if not m.constant:
         raise NotConstantModule("fiber symmetries need a constant module")
     A = m.A
-    cap = limits.resolve(bound, limits.MODULE_AUT_ORDER)
+    cap = limits.MODULE_AUT_ORDER if bound is None else bound
     if sum(1 for d in A.orders if d == 0) > 1:
         raise InfiniteGroupUnsupported(
             "free rank above one gives infinitely many fiber symmetries"
@@ -177,7 +174,7 @@ def module_automorphisms(m, bound=None):
             options.append(opts)
         else:
             options.append([t for t in torsion if A.scale(d, t) == zero])
-    if prod(map(len, options)) > limits.resolve(None, limits.ENDO_ENUM):
+    if prod(map(len, options)) > limits.ENDO_ENUM:
         raise SearchSpaceExceeded("too many candidate fiber maps to scan")
     out = []
     for cols in product(*options):
@@ -204,9 +201,6 @@ class AutPair:
     @classmethod
     def identity(cls, m):
         return cls(tuple(range(m.base.size)), AbHom.identity(m.A))
-
-    def is_identity(self):
-        return self.zeta == tuple(range(len(self.zeta))) and self.theta.is_identity()
 
     def compose(self, other):
         """self after other in both coordinates."""
@@ -344,8 +338,7 @@ class LiftedAutomorphism:
         return self.pair.zeta[x], A.add(self.lam.value(x), self.pair.theta(a))
 
     def __call__(self, index):
-        if self.perm is None:
-            raise InfiniteGroupUnsupported("no index table on an infinite total space")
+        _glued(self.extension)
         return self.perm[index]
 
     def compose(self, other):
@@ -457,7 +450,7 @@ def z1_elements(ext, bound=None):
     """Every eta-compatible 1-cocycle: the kernel of the degree-1 witness map."""
     m = ext.module
     d1 = ext._degree1_map()
-    vecs = subgroup_elements(d1.source, kernel(d1), limits.resolve(bound, limits.ENDO_ENUM))
+    vecs = subgroup_elements(d1.source, kernel(d1), limits.ENDO_ENUM if bound is None else bound)
     if vecs is None:
         raise SearchSpaceExceeded("too many 1-cocycles to enumerate")
     return [_vec_to_cochain(1, m.base.size, m.A, v) for v in vecs]
@@ -466,19 +459,19 @@ def z1_elements(ext, bound=None):
 def enumerate_autA_extension(ext, bound=None):
     """All fiber-preserving symmetries of E: lifts of every unobstructed pair.
 
-    Lifts of one pair differ by 1-cocycles.  Each lift is verified once, and
-    their permutations of E are checked to form a group on every element.
+    Lifts of one pair differ by 1-cocycles.  Every lift is verified on
+    construction, so a pair's base lift is verified twice: by extend_pair and
+    again as its zero-cocycle member.  The permutations of E are checked to
+    form a group on every element.
     """
-    if ext.extension is None:
-        raise InfiniteGroupUnsupported("symmetry enumeration needs a finite total space")
+    _glued(ext)
     zs = z1_elements(ext, bound)
     return _lift_group(ext, enumerate_aut_pairs(ext, bound), zs)
 
 
 def _lift_group(ext, pairs, zs):
     # each unobstructed pair's lift from extend_pair, shifted by every 1-cocycle
-    if ext.extension is None:
-        raise InfiniteGroupUnsupported("symmetry enumeration needs a finite total space")
+    _glued(ext)
     out = []
     for pair in pairs:
         base = extend_pair(ext, pair)
@@ -500,15 +493,13 @@ def gamma_restriction(ext, xi):
     """
     if isinstance(xi, LiftedAutomorphism):
         return xi.pair
-    if ext.extension is None:
-        raise InfiniteGroupUnsupported("no index table on an infinite total space")
+    dext = _glued(ext)
     rack = ext.rack
     perm = tuple(int(v) for v in xi)
     if sorted(perm) != list(range(rack.size)):
         raise ValueError("xi must be a permutation of the extension labels")
     X, A = ext.module.base, ext.module.A
     elems = A.elements()
-    dext = ext.extension
     zeta = [None] * X.size
     fiber = [[None] * len(elems) for _ in range(X.size)]
     split = []
@@ -562,10 +553,8 @@ def brute_force_fiber_automorphisms(ext, bound=None):
     this cross-checks the lift enumeration without any cohomology.  The
     search is capped at the bound in candidate images tried.
     """
-    if ext.extension is None:
-        raise InfiniteGroupUnsupported("the scan needs a finite total space")
-    cap = limits.resolve(bound, limits.GAUGE_SEARCH)
-    bases = [x for x, _ in ext.extension.labels]
+    bases = [x for x, _ in _glued(ext).labels]
+    cap = limits.GAUGE_SEARCH if bound is None else bound
     fibers = (bases, bases, [None] * ext.module.base.size)
     return list(_isomorphisms(ext.rack, ext.rack, cap, fibers))
 

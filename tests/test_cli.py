@@ -465,6 +465,7 @@ class TestOtherVerbs:
     def test_from_group_bad_sub(self, capsys):
         code, _, err = run(["from-group", "--group", S3, "--sub", "0,1"], capsys)
         assert code == 2
+        assert "not normal" in err
 
     def test_extension(self, capsys):
         code, out, _ = run(

@@ -28,6 +28,8 @@ SHIFT_Z = ["--rack", "fixture:rack_core_z4_shift.json", "--module", "fixture:mod
            "--cocycle", "input:sigma_core_z4_shift_z.json"]
 WELLS_Z4 = ["wells"] + T2_Z4 + ["--cocycle", "fixture:cocycle_t2_z4.json", "--theory", "sr"]
 WELLS_Z = ["wells"] + T2_Z + ["--cocycle", "fixture:cocycle_t2_z.json", "--theory", "sr"]
+DYN_T2_Z4 = ["--rack", "fixture:rack_t2.json", "--dynamical", "fixture:dynamical_t2_z4.json",
+             "--theory", "sr"]
 
 INPUTS = {
     # a degree-1 cocycle of t2 over Z4
@@ -68,6 +70,12 @@ BASE_CASES = [
     ["aut", "--rack", "fixture:rack_takasaki4.json"],
     ["from-group", "--group", "fixture:group_s3.json", "--sub", "0,3,4", "--flavor", "conj"],
     ["from-group", "--group", "fixture:group_s3.json", "--sub", "0,3,4", "--flavor", "core"],
+    ["check"] + T2_Z4 + ["--cocycle", "fixture:cocycle_t2_z4.json", "--theory", "sr",
+                         "--group", "fixture:group_s3.json"],
+    ["dynamical", "validate"] + DYN_T2_Z4,
+    ["dynamical", "extend"] + DYN_T2_Z4,
+    ["dynamical", "equiv"] + DYN_T2_Z4 + ["--other", "fixture:dynamical_t2_z4.json"],
+    WELLS_Z,
 ]
 CASES = [argv + extra for argv in BASE_CASES for extra in ([], ["--json"])]
 

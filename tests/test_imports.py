@@ -1,6 +1,7 @@
 """src/symq: every import used, none samples, none asserts, one factors, one axiom pass,
 one reader of the boundary, one lister of subgroups, one place that builds the CLI parser,
-one builder of the fiber-table layout."""
+one builder of the fiber-table layout, one gluing path of affine tables, one guard of the
+glued table in wells.py."""
 
 import ast
 from pathlib import Path
@@ -176,6 +177,53 @@ def test_the_check_sees_a_second_boundary_reader(tmp_path):
         "    return [d(X, 3, t) for t in tuples]\n"
     )
     assert call_sites(path, "boundary") == [("_delta_rows", 5), ("verify", 8)]
+
+
+def test_one_gluing_path():
+    # affine tables are glued only by from_cocycle, which checks the module
+    # and the cocycle before them and the dynamical axioms on them
+    callers = {(path.name, scope) for path in SRC.glob("*.py")
+               for scope, _ in call_sites(path, "affine_tables")}
+    assert callers == {("dynamical.py", "from_cocycle")}
+
+
+def test_the_check_sees_a_second_gluing_path(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from . import dynamical\n"
+        "from .dynamical import affine_tables as tables\n\n"
+        "def build_abelian_extension(m, sigma):\n"
+        "    return DynamicalCocycle(m.base, *tables(m, sigma))\n\n"
+        "class E:\n"
+        "    def glue(self):\n"
+        "        return dynamical.affine_tables(self.m, self.sigma)\n"
+    )
+    assert call_sites(path, "affine_tables") == [("E.glue", 9), ("build_abelian_extension", 5)]
+
+
+def test_one_guard_of_the_glued_table():
+    # every reader of E's table refuses an infinite fiber group through
+    # _glued; module_automorphisms refuses free rank two, a different rule
+    raisers = {scope for scope, _ in call_sites(SRC / "wells.py", "InfiniteGroupUnsupported")}
+    assert raisers == {"_glued", "module_automorphisms"}
+
+
+def test_the_check_sees_a_second_guard(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from . import errors\n"
+        "from .errors import InfiniteGroupUnsupported as Infinite\n\n"
+        "def _glued(ext):\n"
+        "    if ext.extension is None:\n"
+        "        raise Infinite('no table')\n"
+        "    return ext.extension\n\n"
+        "class Lift:\n"
+        "    def __call__(self, i):\n"
+        "        if self.perm is None:\n"
+        "            raise errors.InfiniteGroupUnsupported('no table')\n"
+        "        return self.perm[i]\n"
+    )
+    assert call_sites(path, "InfiniteGroupUnsupported") == [("Lift.__call__", 12), ("_glued", 6)]
 
 
 def listings_in(path, func):

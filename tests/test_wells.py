@@ -164,6 +164,45 @@ class TestBuildExtension:
         with pytest.raises(InfiniteGroupUnsupported):
             ext.size
 
+    def test_one_gluing_path(self, monkeypatch):
+        # a finite fiber group is glued by from_cocycle, an infinite one never;
+        # the theory is read back from the glued cocycle
+        calls = []
+        original = symq.wells.from_cocycle
+
+        def counting(m, sigma, theory=None):
+            calls.append(theory)
+            return original(m, sigma, theory)
+
+        monkeypatch.setattr(symq.wells, "from_cocycle", counting)
+        assert z4_extension().theory == THEORY_SR
+        assert calls == [THEORY_SR]
+        assert z_extension().theory == THEORY_SR
+        assert calls == [THEORY_SR]
+        m = module("m0_z4", rack("t2"))
+        ext = build_abelian_extension(m, Cochain.zero(2, 2, m.A))
+        assert calls == [THEORY_SR, None]
+        assert ext.theory == THEORY_SQ and ext.rack.kind == "quandle"
+
+
+# every entry point that reads the glued table of E
+TABLE_READERS = {
+    "size": lambda ext: ext.size,
+    "index_of": lambda ext: ext.index_of(0, (0,)),
+    "pair_of": lambda ext: ext.pair_of(0),
+    "lift_call": lambda ext: extend_pair(ext, AutPair.identity(ext.module))(0),
+    "enumerate_autA_extension": enumerate_autA_extension,
+    "_lift_group": lambda ext: symq.wells._lift_group(ext, [AutPair.identity(ext.module)], []),
+    "gamma_restriction": lambda ext: gamma_restriction(ext, (0, 1)),
+    "brute_force_fiber_automorphisms": brute_force_fiber_automorphisms,
+}
+
+
+@pytest.mark.parametrize("read", TABLE_READERS.values(), ids=TABLE_READERS)
+def test_table_readers_refuse_an_infinite_fiber_group(read):
+    with pytest.raises(InfiniteGroupUnsupported):
+        read(z_extension())
+
 
 class TestModuleAutomorphisms:
     def test_unit_groups(self):
