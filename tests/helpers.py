@@ -1,12 +1,15 @@
 """Exact matrix helpers, a dense Smith normal form, a subgroup closure, a
-brute-force good-involution search, a nested-loop chain complex check and a
-term-by-term cochain reference, for the tests only."""
+brute-force good-involution search, a nested-loop chain complex check, a
+term-by-term cochain reference and the dynamical axioms in fiber
+coordinates, for the tests only."""
 
 from fractions import Fraction
 from itertools import compress, product
 
 from symq.abelian import AbHom, _product_rows
 from symq.cohomology import boundary
+from symq.dynamical import _resolve_quandle_flag, _shape_problems
+from symq.errors import Diagnostic
 from symq.racks import good_involution_diagnostics
 
 
@@ -344,3 +347,85 @@ def reference_failures(m, c, theory="sr", basepoint=None):
         if bad:
             found["cocycle"] = bad
     return list(found.items())
+
+
+REFERENCE_DYNAMICAL_AXIOMS = (
+    "fiber-size",
+    "alpha-bijective",
+    "alpha-cocycle",
+    "beta-alpha",
+    "left-inverse",
+    "beta-involution",
+    "idempotence",
+)
+
+
+def reference_dynamical_diagnostics(X, sizes, alpha, beta, quandle=None):
+    """Conditions (1)-(6) in fiber coordinates: the reference for dynamical_diagnostics.
+
+    A copy of the earlier statement, one loop per condition, witnesses in
+    fiber coordinates; the shape check is the library's.  Mismatched fiber
+    sizes and non-bijective alpha short-circuit, since the later conditions
+    compose maps whose endpoints already disagree.
+    """
+    quandle = _resolve_quandle_flag(X, quandle)
+    shape = _shape_problems(X, sizes, alpha, beta)
+    if shape:
+        return [Diagnostic("fiber-map", shape)]
+    n = X.size
+    found = {}
+
+    def hit(axiom, w):
+        found.setdefault(axiom, []).append(w)
+
+    for x in range(n):
+        for y in range(n):
+            if sizes[x] != sizes[X.op(x, y)]:
+                hit("fiber-size", (x, y))
+        if sizes[x] != sizes[X.rho[x]]:
+            hit("fiber-size", (x,))
+
+    for x in range(n):
+        for y in range(n):
+            if sizes[x] != sizes[X.op(x, y)]:
+                continue
+            full = set(range(sizes[X.op(x, y)]))
+            for t in range(sizes[y]):
+                if {alpha[x][y][s][t] for s in range(sizes[x])} != full:
+                    hit("alpha-bijective", (x, y, t))
+
+    if found:
+        return [Diagnostic(a, found[a]) for a in REFERENCE_DYNAMICAL_AXIOMS if a in found]
+
+    op, rho = X.op, X.rho
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                xy, xz, yz = op(x, y), op(x, z), op(y, z)
+                for s in range(sizes[x]):
+                    for t in range(sizes[y]):
+                        for w in range(sizes[z]):
+                            lhs = alpha[xy][z][alpha[x][y][s][t]][w]
+                            rhs = alpha[xz][yz][alpha[x][z][s][w]][alpha[y][z][t][w]]
+                            if lhs != rhs:
+                                hit("alpha-cocycle", (x, y, z, s, t, w))
+    for x in range(n):
+        for y in range(n):
+            xy = op(x, y)
+            a = X.left_inverse_op(x, y)
+            for s in range(sizes[x]):
+                for t in range(sizes[y]):
+                    if alpha[rho[x]][y][beta[x][s]][t] != beta[xy][alpha[x][y][s][t]]:
+                        hit("beta-alpha", (x, y, s, t))
+                    if alpha[a][y][alpha[x][rho[y]][s][beta[y][t]]][t] != s:
+                        hit("left-inverse", (x, y, s, t))
+    for x in range(n):
+        for s in range(sizes[x]):
+            if beta[rho[x]][beta[x][s]] != s:
+                hit("beta-involution", (x, s))
+        if quandle:
+            for s in range(sizes[x]):
+                if alpha[x][x][s][s] != s:
+                    hit("idempotence", (x, s))
+
+    return [Diagnostic(a, found[a]) for a in REFERENCE_DYNAMICAL_AXIOMS if a in found]

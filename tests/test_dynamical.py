@@ -2,16 +2,19 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 
 import symq.cli
 import symq.dynamical
+import symq.groups
 from symq.abelian import AbGroup
-from symq.cohomology import THEORY_SR, delta1
+from symq.cohomology import THEORY_SR, delta, delta1
 from symq.dynamical import (
     DynamicalCocycle,
     Gauge,
+    affine_tables,
     are_cohomologous_dynamical,
     build_extension,
     dynamical_diagnostics,
@@ -29,16 +32,20 @@ from symq.errors import (
 from symq.groups import FiniteGroup, is_normal
 from symq.modules import dihedral_kamada_module
 from symq.racks import (
+    QUANDLE,
     RackMorphism,
     good_involution_diagnostics,
     takasaki,
     trivial_rack,
+    validate_good_involution,
+    validate_rack,
 )
 from symq.serialize import fixture_path
 from symq.wells import build_abelian_extension
 
 from conftest import cochain, module, rack
-from test_cohomology import random_one_cochain
+from helpers import reference_dynamical_diagnostics
+from test_cohomology import random_cochain, random_one_cochain
 
 
 def z4_alpha_cocycle():
@@ -59,7 +66,7 @@ class TestValidation:
         assert not dynamical_diagnostics(X, dc.sizes, dc.alpha, dc.beta, False)
 
     def test_corruption_is_caught_somewhere(self):
-        # one corrupted table entry must fail validation or break the glued rack
+        # one corrupted table entry makes the constructor refuse the tables
         X, m, c = z4_alpha_cocycle()
         dc = from_cocycle(m, c, THEORY_SR)
         rng = random.Random(99)
@@ -72,13 +79,8 @@ class TestValidation:
             s, t = rng.randrange(4), rng.randrange(4)
             old = alpha[x][y][s][t]
             alpha[x][y][s][t] = (old + rng.randint(1, 3)) % 4
-            caught = bool(dynamical_diagnostics(X, dc.sizes, alpha, dc.beta, False))
-            if not caught:
-                try:
-                    build_extension(DynamicalCocycle(X, dc.sizes, alpha, dc.beta, False))
-                except (ValidationError, ValueError):
-                    caught = True
-            assert caught
+            with pytest.raises(ValidationError):
+                DynamicalCocycle(X, dc.sizes, alpha, dc.beta, False)
 
     def test_quandle_condition_toggles(self):
         X, m, c = z4_alpha_cocycle()
@@ -88,8 +90,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("field", ["base", "sizes", "alpha", "beta", "quandle"])
     def test_fields_are_read_only(self, field):
-        # reversed fibers break the involution: were beta assignable, the
-        # glued extension would fail its own check instead of validation
+        # reversed fibers break the involution: were beta assignable,
+        # build_extension would glue a table that no check has seen
         X, m, c = z4_alpha_cocycle()
         dc = from_cocycle(m, c, THEORY_SR)
         before = getattr(dc, field)
@@ -115,6 +117,99 @@ class TestShape:
         with pytest.raises(ValidationError) as e:
             DynamicalCocycle(X, sizes, alpha, beta)
         assert [d.axiom for d in e.value.diagnostics] == ["fiber-map"]
+
+
+SHIFT2 = validate_good_involution(validate_rack([[1, 1], [0, 0]]), (0, 1))
+REFERENCE_BASES = {name: rack(name) for name in ("t2", "takasaki3", "core_z4_shift")}
+REFERENCE_BASES["shift2"] = SHIFT2
+REFERENCE_GROUPS = ([2], [3], [4], [2, 2])
+CORRUPTIONS = ("none", "gauge", "sigma", "alpha-entry", "alpha-column", "beta-entry", "beta-perm")
+
+
+def fiber_lists(X, alpha, beta):
+    return ([[[list(r) for r in alpha[x][y]] for y in range(X.size)] for x in range(X.size)],
+            [list(b) for b in beta])
+
+
+def corrupted_tables(m, dc, kind, rng):
+    """(sizes, alpha, beta) of dc after one seeded corruption of the given kind.
+
+    "none" and "gauge" stay valid, "sigma" tabulates a random 2-cochain,
+    "alpha-entry" and "beta-entry" change one entry, and "alpha-column" and
+    "beta-perm" follow one fiber map by a random permutation.
+    """
+    X, sizes = dc.base, dc.sizes
+    if kind == "gauge":
+        dc = gauge_transform(dc, random_gauge(sizes, rng))
+    if kind == "sigma":
+        return affine_tables(m, random_cochain(m, 2, rng))
+    alpha, beta = fiber_lists(X, dc.alpha, dc.beta)
+    k = sizes[0]  # every fiber is A
+    x, y, s, t = rng.randrange(X.size), rng.randrange(X.size), rng.randrange(k), rng.randrange(k)
+    perm = rng.sample(range(k), k)
+    if kind == "alpha-entry":
+        alpha[x][y][s][t] = (alpha[x][y][s][t] + rng.randrange(1, k)) % k
+    elif kind == "alpha-column":
+        for r in alpha[x][y]:
+            r[t] = perm[r[t]]
+    elif kind == "beta-entry":
+        beta[x][s] = (beta[x][s] + rng.randrange(1, k)) % k
+    elif kind == "beta-perm":
+        beta[x] = [perm[v] for v in beta[x]]
+    return sizes, alpha, beta
+
+
+def reference_corpus():
+    """Every base, fiber group and seeded corruption, with each quandle flag the base allows."""
+    for name, X in REFERENCE_BASES.items():
+        for orders in REFERENCE_GROUPS:
+            m = dihedral_kamada_module(X, AbGroup(orders))
+            rng = random.Random(f"{name}{orders}")
+            pool = [from_cocycle(m, delta(m, random_one_cochain(m, rng)), THEORY_SR)
+                    for _ in range(4)]
+            for trial in range(40):
+                tables = corrupted_tables(m, pool[trial % len(pool)],
+                                          CORRUPTIONS[trial % len(CORRUPTIONS)], rng)
+                for quandle in (False, True)[: 1 + (X.kind == QUANDLE)]:
+                    yield (X, *tables, quandle)
+
+
+class TestReference:
+    """dynamical_diagnostics against conditions (1)-(6) written in fiber coordinates."""
+
+    def test_verdicts_match_the_reference(self):
+        cases = list(reference_corpus())
+        t0 = time.perf_counter()
+        verdicts = [(bool(dynamical_diagnostics(*case)), bool(reference_dynamical_diagnostics(*case)))
+                    for case in cases]
+        elapsed = time.perf_counter() - t0
+        assert len(verdicts) >= 1000
+        assert [i for i, (new, old) in enumerate(verdicts) if new != old] == []
+        assert {new for new, _ in verdicts} == {True, False}
+        assert elapsed < 2, elapsed
+
+    @pytest.mark.parametrize("case,first", [("beta-not-bijective", "S1-involution"),
+                                            ("alpha-not-bijective", "right-translation-bijective"),
+                                            ("fiber-size", "fiber-size")])
+    def test_broken_fiber_maps_are_reported(self, case, first):
+        X = takasaki(3)
+        m = dihedral_kamada_module(X, AbGroup([3]))
+        dc = from_cocycle(m, delta(m, random_one_cochain(m, random.Random(3))), THEORY_SR)
+        sizes = dc.sizes
+        alpha, beta = fiber_lists(X, dc.alpha, dc.beta)
+        if case == "beta-not-bijective":
+            beta[1] = [0, 0, 0]
+        elif case == "alpha-not-bijective":
+            alpha[0][2] = [[0] * 3 for _ in range(3)]
+        else:
+            sizes = (3, 3, 2)
+            alpha = [[[[0] * sizes[y] for _ in range(sizes[x])] for y in range(3)]
+                     for x in range(3)]
+            beta = [[0] * sizes[x] for x in range(3)]
+        assert dynamical_diagnostics(X, sizes, alpha, beta)[0].axiom == first
+        assert reference_dynamical_diagnostics(X, sizes, alpha, beta)
+        with pytest.raises(ValidationError):
+            DynamicalCocycle(X, sizes, alpha, beta)
 
 
 @pytest.fixture
@@ -362,6 +457,21 @@ class TestFromGroupExtension:
         twist = next(a for a in range(6) if S3.order_of(a) == 2)
         with pytest.raises(NotNormal):
             from_group_extension(S3, [S3.identity, twist], flavor="core")
+
+    def test_the_subgroup_is_checked_once(self, monkeypatch):
+        # quotient_group checks the subgroup, and A is read off its identity coset
+        calls = []
+        original = symq.groups.subgroup_check
+
+        def counting(G, elements):
+            calls.append(tuple(elements))
+            return original(G, elements)
+
+        monkeypatch.setattr(symq.groups, "subgroup_check", counting)
+        monkeypatch.setattr(symq.dynamical, "subgroup_check", counting, raising=False)
+        split = s3_over_a3()
+        assert len(calls) == 1
+        assert split.subgroup == (0, 3, 4)
 
     def test_s3_conj_splitting(self):
         S3 = FiniteGroup.symmetric(3)

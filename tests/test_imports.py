@@ -1,7 +1,7 @@
 """src/symq: every import used, none samples, none asserts, one factors, one axiom pass,
 one reader of the boundary, one lister of subgroups, one place that builds the CLI parser,
 one builder of the fiber-table layout, one gluing path of affine tables, one guard of the
-glued table in wells.py."""
+glued table in wells.py, one check of a dynamical cocycle's glued table."""
 
 import ast
 from pathlib import Path
@@ -136,11 +136,15 @@ def call_sites(path, name):
     return sorted(found)
 
 
+def callers_in_src(name):
+    """(file name, enclosing definition) of each call to name in src/symq."""
+    return {(path.name, scope) for path in SRC.glob("*.py") for scope, _ in call_sites(path, name)}
+
+
 def test_one_axiom_pass_per_cocycle():
     # a DynamicalCocycle is valid by construction, so nothing else reruns the
     # axioms; the CLI's validate action reports on tables it never builds
-    callers = {(path.name, scope) for path in SRC.glob("*.py")
-               for scope, _ in call_sites(path, "dynamical_diagnostics")}
+    callers = callers_in_src("dynamical_diagnostics")
     assert callers == {("dynamical.py", "DynamicalCocycle.__init__"), ("cli.py", "cmd_dynamical")}
 
 
@@ -158,11 +162,38 @@ def test_the_check_sees_a_second_axiom_pass(tmp_path):
     assert call_sites(path, "dynamical_diagnostics") == [("C.__init__", 6), ("build", 9)]
 
 
+def test_one_check_of_the_glued_table():
+    # a dynamical cocycle's glued table is written by _glue and checked by the
+    # rack and good-involution checks once, in dynamical_diagnostics;
+    # build_extension reads a table its cocycle's constructor already checked
+    assert callers_in_src("rack_diagnostics") == {
+        ("racks.py", "validate_rack"), ("dynamical.py", "dynamical_diagnostics")}
+    assert callers_in_src("good_involution_diagnostics") == {
+        ("racks.py", "validate_good_involution"), ("racks.py", "enumerate_good_involutions"),
+        ("dynamical.py", "dynamical_diagnostics")}
+    assert callers_in_src("_glue") == {
+        ("dynamical.py", "dynamical_diagnostics"), ("dynamical.py", "build_extension")}
+
+
+def test_the_check_sees_a_second_check_of_the_glued_table(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from . import racks\n"
+        "from .racks import good_involution_diagnostics as s123\n\n"
+        "def build_extension(dc):\n"
+        "    labels, table, rho = _glue(dc.base, dc.sizes, dc.alpha, dc.beta)\n"
+        "    if racks.rack_diagnostics(table) or s123(table, rho):\n"
+        "        raise ValueError('glued table')\n"
+    )
+    assert call_sites(path, "rack_diagnostics") == [("build_extension", 6)]
+    assert call_sites(path, "good_involution_diagnostics") == [("build_extension", 6)]
+    assert call_sites(path, "_glue") == [("build_extension", 5)]
+
+
 def test_one_statement_of_the_boundary():
     # delta, the cocycle reports and the d o d check all read the kept delta
     # rows, so the boundary formula is expanded in one place
-    readers = {(path.name, scope) for path in SRC.glob("*.py")
-               for scope, _ in call_sites(path, "boundary")}
+    readers = callers_in_src("boundary")
     assert readers == {("cohomology.py", "_delta_rows")}
 
 
@@ -182,8 +213,7 @@ def test_the_check_sees_a_second_boundary_reader(tmp_path):
 def test_one_gluing_path():
     # affine tables are glued only by from_cocycle, which checks the module
     # and the cocycle before them and the dynamical axioms on them
-    callers = {(path.name, scope) for path in SRC.glob("*.py")
-               for scope, _ in call_sites(path, "affine_tables")}
+    callers = callers_in_src("affine_tables")
     assert callers == {("dynamical.py", "from_cocycle")}
 
 
@@ -242,8 +272,7 @@ def listings_in(path, func):
 
 def test_one_lister_of_subgroups():
     # Z^1 is the only subgroup listed; solve reads the echelon basis instead
-    callers = {(path.name, scope) for path in SRC.glob("*.py")
-               for scope, _ in call_sites(path, "subgroup_elements")}
+    callers = callers_in_src("subgroup_elements")
     assert callers == {("wells.py", "z1_elements")}
     assert listings_in(SRC / "abelian.py", "solve") == []
 
@@ -264,8 +293,7 @@ def test_the_check_sees_an_enumerating_solve(tmp_path):
 def test_the_parser_is_built_on_request():
     # main builds the cached parser on the first request; a module-level
     # build would be paid by every import of symq.cli
-    callers = {(path.name, scope) for path in SRC.glob("*.py")
-               for scope, _ in call_sites(path, "_build_parser")}
+    callers = callers_in_src("_build_parser")
     assert callers == {("cli.py", "main")}
 
 
