@@ -10,14 +10,11 @@ system: the columns of a map next to one torsion column d_i * e_i per
 finite order of its target group.  `_Factored` builds that system and runs
 Smith normal form on it once, on first demand; each AbHom owns at most one,
 so every kernel basis, solution and inverse of that map is read off the same
-factorization.  A factorization is U, D and V only: no inverse of U is
-tracked.  A Subquotient keeps U of its relations, and its section solves
-U @ u = w through a `_Factored` of U, made once, on the first call.
-
-Smith normal form takes the pivots and steps, and so the U, D and V, of a
-dense scan, but works sparsely: the pivot scan reads a cached least entry
-per row, V is held by columns so that column steps on it are sparse row
-steps, and a column step on D visits only rows where its source can be nonzero.
+factorization.  A factorization is U, D and V only, no inverse of U, kept
+as sparse rows ({index: entry} over nonzeros): rows of U and D, columns of V.
+Readers use those rows directly; dense U, D and V are built only when read.
+A Subquotient keeps U of its relations, and its section solves U @ u = w
+through a `_Factored` of U, made once, on the first call.
 
     >>> G = AbGroup([4])
     >>> f = AbHom(G, G, [[2]])
@@ -50,21 +47,49 @@ def _egcd(a, b):
     return old_r, old_s, old_t
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _unit_rows(n):
+    # the n x n identity as {index: entry} rows
+    return [{i: 1} for i in range(n)]
+
+
+def _dense_rows(rows, cols):
+    return [[row.get(j, 0) for j in range(cols)] for row in rows]
+
+
+def _dot(row, v):
+    return sum(x * v[k] for k, x in row.items())
 
 
 def _product_rows(A, B):
-    # the rows of A @ B one at a time; A may be any iterable of rows
-    cols = len(B[0]) if B else 0
-    support = [list(compress(range(cols), brow)) for brow in B]
+    # the rows of A @ B one at a time, all as {column: entry} over nonzeros;
+    # A may be any iterable of rows
     for row in A:
-        acc = [0] * cols
-        for a, brow, nonzero in zip(row, B, support):
-            if a:
-                for j in nonzero:
-                    acc[j] += a * brow[j]
-        yield acc
+        acc = {}
+        for k, a in row.items():
+            for j, b in B[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        yield {j: x for j, x in acc.items() if x}
+
+
+def _combine(mat, i, j, p, q, u, v):
+    # rows i,j of mat <- (p*ri + q*rj, u*ri + v*rj), unimodular: every row step of
+    # smith_normal_form on D and U, and every column step on V, goes through here
+    ri, rj = mat[i], mat[j]
+    if (p, q, v) == (1, 0, 1):  # rj += u * ri, in place
+        for k, x in ri.items():
+            if y := rj.get(k, 0) + u * x:
+                rj[k] = y
+            else:
+                del rj[k]
+        return
+    si, sj = {}, {}
+    for k in ri.keys() | rj.keys():
+        a, b = ri.get(k, 0), rj.get(k, 0)
+        if x := p * a + q * b:
+            si[k] = x
+        if x := u * a + v * b:
+            sj[k] = x
+    mat[i], mat[j] = si, sj
 
 
 def mat_vec(A, v):
@@ -72,157 +97,157 @@ def mat_vec(A, v):
 
 
 class SmithDecomposition:
-    """U @ M @ V = D with D diagonal under a divisibility chain.
+    """U @ M @ V = D with D diagonal under a divisibility chain; U, V unimodular.
 
-    U and V are unimodular.  Only U, D and V are kept: no inverse is tracked,
-    and a caller that needs U^-1 @ w solves U @ u = w instead.
+    Kept as the elimination left them: sparse rows of U and D, sparse columns
+    of V.  U, D and V read as dense lists of rows, built on each read.
     """
 
-    __slots__ = ("U", "D", "V")
+    __slots__ = ("_U", "_D", "_Vt")
 
-    def __init__(self, U, D, V):
-        self.U = U
-        self.D = D
-        self.V = V
+    def __init__(self, U, D, Vt):
+        self._U, self._D, self._Vt = U, D, Vt
+
+    @property
+    def U(self):
+        return _dense_rows(self._U, len(self._U))
+
+    @property
+    def D(self):
+        return _dense_rows(self._D, len(self._Vt))
+
+    @property
+    def V(self):
+        return [[col.get(i, 0) for col in self._Vt] for i in range(len(self._Vt))]
 
     def diagonal(self):
-        return [row[i] for i, row in enumerate(self.D) if i < len(row)]
+        return [self._D[i].get(i, 0) for i in range(min(len(self._U), len(self._Vt)))]
 
 
 def smith_normal_form(M):
     """Smith normal form of an integer matrix (list of rows, possibly empty).
 
     Each pivot is the least |entry| of the block left to reduce, ties broken
-    in row-major order; the scan stops at the first unit.  Each row's least
-    nonzero |entry| in the block is cached until the row changes (a column
-    gcd step changes them all).  V is held as its columns while eliminating.
-    A column step on D visits the pivot row only, or, once a gcd step has
-    mixed the pivot column, that column's support.  U @ M @ V == D is checked
-    exactly on every call, never sampled (AssertionError if not).
+    in row-major order; the scan stops at the first unit, and each row's least
+    |entry| is cached until the row changes.  D, U and the columns of V are
+    sparse rows throughout, so each step costs the nonzeros it touches, and a
+    column swap on D relabels keys.  U @ M @ V == D is checked exactly on every
+    call, over nonzeros, never sampled (AssertionError if not).
 
     >>> smith_normal_form([[2, 0], [0, 3]]).diagonal()
     [1, 6]
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    D = [[int(x) for x in row] for row in M]
-    U, Vt = _identity(m), _identity(n)  # Vt[j] is column j of V
+    rows = [{j: int(row[j]) for j in compress(range(len(row)), row)} for row in M]
+    D = [dict(row) for row in rows]
+    U, Vt = _unit_rows(m), _unit_rows(n)  # Vt[j] is column j of V
     low = [None] * m  # least nonzero |D[i][t:]| (0 if none); None: recompute
-
-    def nonzero(row):
-        return list(compress(range(len(row)), row))
-
-    def combine(mat, i, j, p, q, u, v):
-        # rows i,j of mat <- (p*ri + q*rj, u*ri + v*rj); det(p*v - q*u) = 1
-        ri, rj = mat[i], mat[j]
-        mat[i] = [p * a + q * b for a, b in zip(ri, rj)]
-        mat[j] = [u * a + v * b for a, b in zip(ri, rj)]
-
-    def add(mat, i, j, u, nz):
-        # row j of mat += u * row i, whose nonzero positions are nz
-        ri, rj = mat[i], mat[j]
-        for k in nz:
-            rj[k] += u * ri[k]
+    key = list(range(n))  # column j of D sits at key j of its rows
+    pos = list(range(n))  # and key k holds column pos[k]
 
     def row_op(i, j, *block):
-        combine(D, i, j, *block)
-        combine(U, i, j, *block)
+        _combine(D, i, j, *block)
+        _combine(U, i, j, *block)
         low[i] = low[j] = None
 
-    def col_op(i, j, p, q, u, v):
-        for row in D:
-            row[i], row[j] = p * row[i] + q * row[j], u * row[i] + v * row[j]
-        combine(Vt, i, j, p, q, u, v)
-        low[:] = [None] * m
-
-    def add_col(i, j, u, rows, nz):
-        # col j += u * col i; rows holds every row where col i of D is nonzero
+    def col_op(i, j, p, q, u, v, rows):
+        # columns i,j of D and V <- (p*ci + q*cj, u*ci + v*cj); rows holds every
+        # row of D that the step can change
+        ki, kj = key[i], key[j]
         for r in rows:
-            if D[r][i]:
-                D[r][j] += u * D[r][i]
+            row = D[r]
+            if ki in row or kj in row:
+                a, b = row.pop(ki, 0), row.pop(kj, 0)
+                if x := p * a + q * b:
+                    row[ki] = x
+                if x := u * a + v * b:
+                    row[kj] = x
                 low[r] = None
-        add(Vt, i, j, u, nz)
+        _combine(Vt, i, j, p, q, u, v)
 
     def negate_row(i):
-        D[i] = [-x for x in D[i]]
-        U[i] = [-x for x in U[i]]
+        D[i] = {k: -x for k, x in D[i].items()}
+        U[i] = {k: -x for k, x in U[i].items()}
 
     for t in range(min(m, n)):
-        # the first least |entry| in row-major order; a unit ends the scan.  Cached
-        # minima stay valid as t advances: column t - 1 is zero below row t - 1
+        # the first least |entry| in row-major order; a unit ends the scan.  Rows
+        # from t on are zero before column t, and cached minima stay valid as t
+        # advances: column t - 1 is zero below row t - 1
         i, best = None, 0
         for r in range(t, m):
             if low[r] is None:
-                low[r] = min(map(abs, filter(None, D[r][t:])), default=0)
+                low[r] = min(map(abs, D[r].values()), default=0)
             if low[r] and (i is None or low[r] < best):
                 i, best = r, low[r]
                 if best == 1:
                     break
         if i is None:
             break
-        j = next(k for k in range(t, n) if abs(D[i][k]) == best)
+        j = min(pos[k] for k, x in D[i].items() if abs(x) == best)
         if i != t:  # bring the pivot to (t, t)
             for mat in (D, U, low):
                 mat[t], mat[i] = mat[i], mat[t]
-        if j != t:
-            for row in D:
-                row[t], row[j] = row[j], row[t]
+        if j != t:  # D's columns swap keys, and V's columns move
+            key[t], key[j] = key[j], key[t]
+            pos[key[t]], pos[key[j]] = t, j
             Vt[t], Vt[j] = Vt[j], Vt[t]
-        mixed = True
+        c, mixed = key[t], True
         while mixed:
-            nz = None  # nonzero positions of row t of D and of U while unchanged
-            for i in [r for r in range(t + 1, m) if D[r][t]]:
-                b, a = D[i][t], D[t][t]
+            for i in [r for r in range(t + 1, m) if c in D[r]]:
+                b, a = D[i][c], D[t][c]
                 if b % a == 0:
-                    nz = nz or (nonzero(D[t]), nonzero(U[t]))
-                    add(D, t, i, -(b // a), nz[0])
-                    add(U, t, i, -(b // a), nz[1])
-                    low[i] = None
+                    row_op(t, i, 1, 0, -(b // a), 1)
                 else:
                     g, p, q = _egcd(a, b)
                     row_op(t, i, p, q, -(b // g), a // g)
-                    nz = None
             # now column t is clear below row t, and this pass clears row t; a
             # gcd step in it can make column t nonzero below row t again
-            mixed, support, nz = False, [t], None
-            for j in compress(range(t + 1, n), D[t][t + 1:]):
-                b, a = D[t][j], D[t][t]
+            mixed, support = False, [t]
+            for j in sorted(pos[k] for k in D[t] if k != c):
+                b, a = D[t][key[j]], D[t][c]
                 if b % a == 0:
-                    nz = nz or nonzero(Vt[t])
-                    add_col(t, j, -(b // a), support, nz)
+                    col_op(t, j, 1, 0, -(b // a), 1, support)
                 else:
                     g, p, q = _egcd(a, b)
-                    col_op(t, j, p, q, -(b // g), a // g)
-                    mixed, support, nz = True, [r for r in range(t, m) if D[r][t]], None
+                    col_op(t, j, p, q, -(b // g), a // g, range(t, m))
+                    mixed, support = True, [r for r in range(t, m) if c in D[r]]
+    D[:] = [{pos[k]: x for k, x in row.items()} for row in D]  # column j back at key j
+    key[:] = range(n)
 
-    for i in range(min(m, n)):
-        if D[i][i] < 0:
+    r = min(m, n)
+    for i in range(r):
+        if D[i].get(i, 0) < 0:
             negate_row(i)
 
     # enforce the divisibility chain d_i | d_j for i < j (zeros sort last)
-    r = min(m, n)
     changed = True
     while changed:
         changed = False
         for i in range(r):
+            if D[i].get(i) == 1:
+                continue  # a unit divides every later entry and stays a unit
             for j in range(i + 1, r):
-                a, b = D[i][i], D[j][j]
+                a, b = D[i].get(i, 0), D[j].get(j, 0)
                 if (b % a == 0) if a else b == 0:
                     continue
                 changed = True
-                add_col(j, i, 1, range(m), nonzero(Vt[j]))  # col_i += col_j
-                g, p, q = _egcd(D[i][i], D[j][i])
-                row_op(i, j, p, q, -(D[j][i] // g), D[i][i] // g)
-                if D[i][j] != 0:
-                    add_col(i, j, -(D[i][j] // D[i][i]), range(m), nonzero(Vt[i]))
-                if D[j][j] < 0:
+                col_op(j, i, 1, 0, 1, 1, range(m))  # col_i += col_j
+                g, p, q = _egcd(D[i].get(i, 0), D[j][i])
+                row_op(i, j, p, q, -(D[j][i] // g), D[i].get(i, 0) // g)
+                if D[i].get(j):
+                    col_op(i, j, 1, 0, -(D[i][j] // D[i][i]), 1, range(m))
+                if D[j].get(j, 0) < 0:
                     negate_row(j)
 
     # one row of U @ M @ V at a time, so that no product matrix is held
-    V = [list(col) for col in zip(*Vt)]
-    if any(row != d for row, d in zip(_product_rows(_product_rows(U, M), V), D, strict=True)):
+    V = [{} for _ in range(n)]
+    for j, col in enumerate(Vt):
+        for i, x in col.items():
+            V[i][j] = x
+    if any(row != d for row, d in zip(_product_rows(_product_rows(U, rows), V), D, strict=True)):
         raise AssertionError("smith normal form internal check failed")
-    return SmithDecomposition(U, D, V)
+    return SmithDecomposition(U, D, Vt)
 
 
 class AbGroup:
@@ -298,12 +323,7 @@ class AbGroup:
         return f"AbGroup({list(self.orders)})"
 
     def __str__(self):
-        parts = []
-        for d in self.orders:
-            if d == 1:
-                continue
-            parts.append("Z" if d == 0 else f"Z{d}")
-        return " x ".join(parts) if parts else "0"
+        return " x ".join("Z" if d == 0 else f"Z{d}" for d in self.orders if d != 1) or "0"
 
 
 class AbHom:
@@ -320,19 +340,14 @@ class AbHom:
         rows = [tuple(int(x) for x in row) for row in matrix]
         if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
             raise ValueError("matrix shape mismatch")
-        canon = []
-        for i, row in enumerate(rows):
-            d = target.orders[i]
-            canon.append(tuple(x % d if d else x for x in row))
+        canon = [tuple(x % d if d else x for x in row) for row, d in zip(rows, target.orders)]
         for j, dj in enumerate(source.orders):
             if dj == 0:
                 continue
             for i, di in enumerate(target.orders):
                 v = dj * canon[i][j]
                 if (v % di if di else v) != 0:
-                    raise ValueError(
-                        f"not a well-defined homomorphism at entry ({i},{j})"
-                    )
+                    raise ValueError(f"not a well-defined homomorphism at entry ({i},{j})")
         self.source = source
         self.target = target
         self.matrix = tuple(canon)
@@ -346,7 +361,7 @@ class AbHom:
 
     @classmethod
     def identity(cls, group):
-        return cls(group, group, _identity(group.rank))
+        return cls.scalar(group, 1)
 
     @classmethod
     def zero(cls, source, target):
@@ -390,15 +405,11 @@ class AbHom:
         """Two-sided inverse hom, or None if this is not an isomorphism."""
         # a two-sided inverse forces unique solutions, so any particular
         # solution will do
-        system = self._factored()
-        cols = []
         n = self.target.rank
-        for i in range(n):
-            e = self.target.reduce(tuple(1 if k == i else 0 for k in range(n)))
-            x = system.solve(e)
-            if x is None:
-                return None
-            cols.append(x)
+        cols = [self._factored().solve(self.target.reduce(tuple(int(k == i) for k in range(n))))
+                for i in range(n)]
+        if None in cols:
+            return None
         try:
             g = AbHom(self.target, self.source,
                       [[cols[j][i] for j in range(n)] for i in range(self.source.rank)])
@@ -409,12 +420,8 @@ class AbHom:
         return None
 
     def __eq__(self, other):
-        return (
-            isinstance(other, AbHom)
-            and self.source == other.source
-            and self.target == other.target
-            and self.matrix == other.matrix
-        )
+        return isinstance(other, AbHom) and (self.source, self.target, self.matrix) == (
+            other.source, other.target, other.matrix)
 
     def __hash__(self):
         if self._hash is None:
@@ -431,14 +438,15 @@ class _Factored:
     rows holds the map's matrix, one row per coordinate of group, with ncols
     entries each.  Appending the column d_i * e_i for every finite order d_i
     makes integer solutions of the stacked system exactly the solutions
-    modulo the group.  kernel() and solve() read U, V and the diagonal and
-    cut their answers down to the map's own ncols coordinates.  Smith normal
+    modulo the group.  kernel() and solve() read the sparse rows of U and
+    columns of V and the diagonal, never a dense factor, and cut their
+    answers down to the map's own ncols coordinates.  Smith normal
     form runs on first use only: a zero subgroup of a large ambient group has
     nothing to solve while it is built, and its torsion-only system can be
     as large as the ambient group.
     """
 
-    __slots__ = ("ncols", "echelon", "_rows", "_U", "_V", "_diag")
+    __slots__ = ("ncols", "echelon", "_rows", "_U", "_Vt", "_diag")
 
     def __init__(self, rows, ncols, group):
         torsion = [i for i, d in enumerate(group.orders) if d]
@@ -452,31 +460,34 @@ class _Factored:
         if self._U is None:
             if self._rows:
                 snf = smith_normal_form(self._rows)
-                self._U, self._V, self._diag = snf.U, snf.V, snf.diagonal()
+                self._U, self._Vt, self._diag = snf._U, snf._Vt, snf.diagonal()
             else:
                 # no constraints: everything solves, and solves zero
-                self._U, self._V, self._diag = [], _identity(self.ncols), []
+                self._U, self._Vt, self._diag = [], _unit_rows(self.ncols), []
             self._rows = None
 
     def kernel(self):
         """Basis of the integer kernel of the stacked system, on the map's columns."""
         self._factor()
-        diag, V = self._diag, self._V[:self.ncols]
-        return [tuple(row[j] for row in V)
-                for j in range(len(self._V)) if j >= len(diag) or diag[j] == 0]
+        diag, ncols = self._diag, self.ncols
+        return [tuple(col.get(i, 0) for i in range(ncols))
+                for j, col in enumerate(self._Vt) if j >= len(diag) or diag[j] == 0]
 
     def solve(self, b):
         """One integer x with rows @ x = b modulo the group, or None."""
         self._factor()
-        diag = self._diag
-        xprime = [0] * len(self._V)
-        for i, y in enumerate(mat_vec(self._U, b)):
+        diag, ncols = self._diag, self.ncols
+        x = [0] * ncols
+        for i, row in enumerate(self._U):
+            y = _dot(row, b)
             d = diag[i] if i < len(diag) else 0
             if (y % d if d else y) != 0:
                 return None
-            if d:
-                xprime[i] = y // d
-        return mat_vec(self._V[:self.ncols], xprime)
+            if y:  # x += V @ (y // d) e_i, on the map's columns
+                for r, v in self._Vt[i].items():
+                    if r < ncols:
+                        x[r] += v * (y // d)
+        return tuple(x)
 
 
 def _orient(group, v):
@@ -518,7 +529,8 @@ def _echelon(group, gens):
     def reduced(row, c):
         return [x % d if d and j > c else x for j, (x, d) in enumerate(zip(row, orders))]
 
-    pool = [list(g) for g in gens] + [[d * x for x in e] for d, e in zip(orders, _identity(n)) if d]
+    pool = [list(g) for g in gens] + [[d if j == i else 0 for j in range(n)]
+                                      for i, d in enumerate(orders) if d]
     basis = []
     for c in range(n):
         live = [row for row in pool if row[c]]
@@ -582,8 +594,7 @@ class Subquotient:
     the quotient group; section picks a representative; project(section(w)) == w.
     """
 
-    __slots__ = ("ambient", "sub_gens", "by_gens", "group", "_orders_full",
-                 "_kept", "_U", "_U_system", "_memb")
+    __slots__ = ("ambient", "sub_gens", "by_gens", "group", "_kept", "_U", "_U_system", "_memb")
 
     def __init__(self, ambient, sub_gens, by_gens):
         self.ambient = ambient
@@ -605,11 +616,10 @@ class Subquotient:
         rel_cols = self._memb.kernel() + by_coords if k else []
         if rel_cols:
             snf = smith_normal_form([[col[i] for col in rel_cols] for i in range(k)])
-            diag, self._U = snf.diagonal(), snf.U
+            diag, self._U = snf.diagonal(), snf._U
         else:
-            diag, self._U = [], _identity(k)
+            diag, self._U = [], _unit_rows(k)
         orders = [diag[i] if i < len(diag) else 0 for i in range(k)]
-        self._orders_full = tuple(orders)
         self._kept = tuple(i for i, d in enumerate(orders) if d != 1)
         self.group = AbGroup(tuple(orders[i] for i in self._kept))
         self._U_system = None
@@ -623,21 +633,17 @@ class Subquotient:
         u = self._memb.solve(self.ambient.reduce(element))
         if u is None:
             raise NotASubgroup("element is outside the subgroup")
-        w = mat_vec(self._U, u)
-        w = tuple(
-            x % d if d else x for x, d in zip(w, self._orders_full)
-        )
-        return self.group.reduce(tuple(w[i] for i in self._kept))
+        return self.group.reduce(tuple(_dot(self._U[i], u) for i in self._kept))
 
     def section(self, class_vector):
         """A representative ambient element of the given class."""
         class_vector = self.group.reduce(class_vector)
-        w_full = [0] * len(self._orders_full)
+        w_full = [0] * len(self._U)
         for pos, i in enumerate(self._kept):
             w_full[i] = class_vector[pos]
         if self._U_system is None:
             k = len(self._U)
-            self._U_system = _Factored(self._U, k, AbGroup([0] * k))
+            self._U_system = _Factored(_dense_rows(self._U, k), k, AbGroup([0] * k))
         # U is unimodular, so U @ u = w_full has exactly one integer solution
         u = self._U_system.solve(w_full)
         total = self.ambient.zero()

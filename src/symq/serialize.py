@@ -19,13 +19,15 @@ An object has exactly the fields shown, and a phi/psi/eta spec exactly one
 of its two forms.  A keyed table has the key "x1,..,xk" (plain decimals)
 for every k-tuple of base elements and no other key.  Loaders validate what
 they build (rack axioms, group axioms, module axioms); parse problems raise
-ValidationError naming the broken field or key.
+ValidationError naming the broken field or key.  A rack or group larger than
+limits.TABLE_SIZE is refused before its table is parsed.
 """
 
 import json
 from importlib.resources import files
 from itertools import product
 
+from . import limits
 from .abelian import AbGroup, AbHom
 from .cohomology import Cochain
 from .errors import ValidationError
@@ -81,6 +83,12 @@ def _int_vector(v, where):
     return [_int_value(x, where) for x in v]
 
 
+def _table_size(v, where):
+    if _int_value(v, where) > limits.TABLE_SIZE:
+        raise ValidationError(f"{where}: {v} is above limits.TABLE_SIZE = {limits.TABLE_SIZE}")
+    return v
+
+
 def _int_matrix(v, where):
     if not isinstance(v, list):
         raise ValidationError(f"{where}: expected a list of rows")
@@ -130,7 +138,7 @@ def _lists(rows):
 
 def rack_from_dict(obj, where="rack"):
     size, table, rho, kind = _fields(obj, ("size", "table", "rho", "kind"), where)
-    size = _int_value(size, f"{where}.size")
+    size = _table_size(size, f"{where}.size")
     table = _int_matrix(table, f"{where}.table")
     rho = _int_vector(rho, f"{where}.rho")
     if kind not in (RACK, QUANDLE):
@@ -168,7 +176,7 @@ def save_rack(X, path):
 
 def group_from_dict(obj, where="group"):
     size, mul, ident = _fields(obj, ("size", "mul", "id"), where)
-    size = _int_value(size, f"{where}.size")
+    size = _table_size(size, f"{where}.size")
     mul = _int_matrix(mul, f"{where}.mul")
     ident = _int_value(ident, f"{where}.id")
     if len(mul) != size:

@@ -1,12 +1,20 @@
-"""Exact matrix helpers, a dense Smith normal form, a subgroup closure, a
-brute-force good-involution search, a nested-loop chain complex check, a
-term-by-term cochain reference and the dynamical axioms in fiber
-coordinates, for the tests only."""
+"""Exact matrix helpers, a dense Smith normal form, dense readings of a
+factorization, a subgroup closure, a brute-force good-involution search, a
+nested-loop chain complex check, a term-by-term cochain reference and the
+dynamical axioms in fiber coordinates, for the tests only."""
 
 from fractions import Fraction
 from itertools import compress, product
 
-from symq.abelian import AbHom, _product_rows
+from symq.abelian import (
+    AbGroup,
+    AbHom,
+    _dense_rows,
+    _Factored,
+    _product_rows,
+    mat_vec,
+    smith_normal_form,
+)
 from symq.cohomology import boundary
 from symq.dynamical import _resolve_quandle_flag, _shape_problems
 from symq.errors import Diagnostic
@@ -14,8 +22,16 @@ from symq.racks import good_involution_diagnostics
 
 
 def mat_mul(A, B):
-    """Product of integer matrices given as lists of rows, over nonzero entries only."""
-    return list(_product_rows(A, B))
+    """Product of integer matrices given as lists of rows, over nonzero entries only.
+
+    Dense rows in and out around the library's sparse product; as in a dense
+    zip, a row of A is read no further than B has rows.
+    """
+    def sparse(rows):
+        return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+    cols = len(B[0]) if B else 0
+    return _dense_rows(_product_rows(sparse(row[:len(B)] for row in A), sparse(B)), cols)
 
 
 def det(M):
@@ -198,6 +214,73 @@ def dense_smith_normal_form(M):
                 if D[j][j] < 0:
                     negate_row(j)
     return U, D, V
+
+
+class DenseSystem:
+    """`_Factored`'s kernel and solve read densely, with mat_vec, off the public
+    U, D and V of the same factorization: the reference for its sparse readers."""
+
+    def __init__(self, rows, ncols, group):
+        self.ncols = ncols
+        stacked = _Factored(rows, ncols, group)._rows  # the map's columns, then torsion
+        if stacked:
+            s = smith_normal_form(stacked)
+            self.U, self.V, self.diag = s.U, s.V, s.diagonal()
+        else:
+            identity = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+            self.U, self.V, self.diag = [], identity, []
+
+    def kernel(self):
+        V, diag = self.V[:self.ncols], self.diag
+        return [tuple(row[j] for row in V)
+                for j in range(len(self.V)) if j >= len(diag) or diag[j] == 0]
+
+    def solve(self, b):
+        xprime = [0] * len(self.V)
+        for i, y in enumerate(mat_vec(self.U, b)):
+            d = self.diag[i] if i < len(self.diag) else 0
+            if (y % d if d else y) != 0:
+                return None
+            if d:
+                xprime[i] = y // d
+        return mat_vec(self.V[:self.ncols], xprime)
+
+
+class DenseSubquotient:
+    """Subquotient's project and section read densely off the public U of its
+    factorizations: the reference for its sparse readers."""
+
+    def __init__(self, ambient, sub_gens, by_gens):
+        self.ambient = ambient
+        self.sub_gens = [ambient.reduce(g) for g in sub_gens]
+        k = len(self.sub_gens)
+        self.memb = DenseSystem([[g[i] for g in self.sub_gens] for i in range(ambient.rank)],
+                                k, ambient)
+        by_coords = [self.memb.solve(ambient.reduce(b)) for b in by_gens]
+        rel_cols = self.memb.kernel() + by_coords if k else []
+        if rel_cols:
+            s = smith_normal_form([[col[i] for col in rel_cols] for i in range(k)])
+            diag, self.U = s.diagonal(), s.U
+        else:
+            diag, self.U = [], [[int(i == j) for j in range(k)] for i in range(k)]
+        orders = [diag[i] if i < len(diag) else 0 for i in range(k)]
+        self.kept = [i for i, d in enumerate(orders) if d != 1]
+        self.group = AbGroup([orders[i] for i in self.kept])
+        self.U_system = DenseSystem(self.U, k, AbGroup([0] * k))
+
+    def project(self, element):
+        w = mat_vec(self.U, self.memb.solve(self.ambient.reduce(element)))
+        return self.group.reduce(tuple(w[i] for i in self.kept))
+
+    def section(self, class_vector):
+        class_vector = self.group.reduce(class_vector)
+        w = [0] * len(self.U)
+        for pos, i in enumerate(self.kept):
+            w[i] = class_vector[pos]
+        total = self.ambient.zero()
+        for coeff, g in zip(self.U_system.solve(w), self.sub_gens):
+            total = self.ambient.add(total, self.ambient.scale(coeff, g))
+        return total
 
 
 def reference_subgroup_elements(group, gens):

@@ -64,6 +64,20 @@ class TestExitCodes:
         assert code == 2
         assert "degenerate" in err
 
+    def test_tables_above_the_size_cap_are_validation(self, capsys, tmp_path):
+        # one past the cap, a trivial quandle and a cyclic group: both valid,
+        # refused by size before any table check runs
+        n = limits.TABLE_SIZE + 1
+        rack_file, group_file = tmp_path / "rack.json", tmp_path / "group.json"
+        rack_file.write_text(json.dumps({"size": n, "table": [[x] * n for x in range(n)],
+                                         "rho": list(range(n)), "kind": "quandle"}))
+        mul = [[(x + y) % n for y in range(n)] for x in range(n)]
+        group_file.write_text(json.dumps({"size": n, "mul": mul, "id": 0}))
+        for flag, path in (("--rack", rack_file), ("--group", group_file)):
+            code, out, err = run(["check", flag, str(path)], capsys)
+            assert code == 2 and out == ""
+            assert f".size: {n} is above limits.TABLE_SIZE = {limits.TABLE_SIZE}" in err
+
     def test_success_is_zero(self, capsys):
         code, _, _ = run(["check", "--rack", RACK], capsys)
         assert code == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+import symq.modules
 from symq.abelian import AbGroup, AbHom
 from symq.errors import MAX_WITNESSES, Diagnostic, ValidationError
 from symq.modules import (
@@ -215,3 +216,43 @@ class TestCost:
         monkeypatch.setattr(AbHom, "__init__", counting)
         assert validate_module(m).ok
         assert len(calls) <= 30
+
+
+def constant_corpus():
+    """The broken constant modules of TestDiagnostics, more of them and two valid ones.
+
+    The broken modules that are not constant are compared with the full walk
+    in test_broken_module_reports_exactly_its_witnesses.
+    """
+    return [
+        manual_constant(shift_rack_2(), AbGroup([5]), 2, 0, 4),  # M6
+        manual_constant(rack("t2"), AbGroup([5]), 2, 0, 4),  # M6 and M9 on a quandle
+        manual_constant(takasaki(3), AbGroup([5]), 2, 0, 4),
+        manual_constant(rack("t2"), AbGroup([3]), 1, 1, 2),  # M7
+        manual_constant(shift_rack_2(), AbGroup([4]), 2, 0, 3),  # phi not invertible
+        manual_constant(rack("conj_s3"), AbGroup([4]), 2, 0, 3),
+        manual_constant(shift_rack_2(), AbGroup([5]), 1, 0, 2),  # M3
+        manual_constant(rack("core_z4"), AbGroup([3]), 2, 2, 1),  # valid
+        dihedral_kamada_module(rack("t4"), AbGroup([2, 4])),  # valid
+    ]
+
+
+class TestOnePointDecision:
+    @pytest.mark.parametrize("k", range(len(constant_corpus())))
+    def test_same_diagnostics_as_the_full_walk(self, k):
+        m = constant_corpus()[k]
+        assert repr(validate_module(m).diagnostics) == repr(direct_diagnostics(m))
+
+    def test_a_valid_constant_module_is_decided_at_one_point(self, monkeypatch):
+        # M3, M9, five pair conditions and three triple conditions at (0, 0, 0)
+        m = dihedral_kamada_module(takasaki(8), AbGroup([4]))
+        calls = []
+        original = symq.modules._check
+
+        def counting(*args):
+            calls.append(args[3])
+            original(*args)
+
+        monkeypatch.setattr(symq.modules, "_check", counting)
+        assert validate_module(m).ok
+        assert len(calls) == 10 and set(calls) == {(0,), (0, 0), (0, 0, 0)}

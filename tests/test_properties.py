@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from symq.abelian import (
     AbGroup,
     AbHom,
+    Subquotient,
+    _Factored,
     quotient,
     smith_normal_form,
     solve,
@@ -44,6 +46,8 @@ from symq.wells import act_on_cocycle, enumerate_aut_pairs
 
 from conftest import module, rack
 from helpers import (
+    DenseSubquotient,
+    DenseSystem,
     dense_smith_normal_form,
     det,
     mat_mul,
@@ -182,6 +186,103 @@ class TestAbelianProperties:
             A, [gens[i] for i in gp], [rels[i] for i in rp]
         ).group.orders
         assert got == base
+
+
+
+def _combination(group, coeffs, gens):
+    total = group.zero()
+    for c, g in zip(coeffs, gens):
+        total = group.add(total, group.scale(c, g))
+    return total
+
+
+@st.composite
+def systems(draw):
+    # a map's rows over a group of mixed orders, and right-hand sides: some
+    # images, solvable, and some drawn freely, often not
+    orders = draw(st.lists(st.sampled_from((0, 2, 3, 4, 6)), max_size=5))
+    ncols = draw(st.integers(0, 5))
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 4, 6))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in orders]
+    xs = draw(st.lists(st.tuples(*[small_ints] * ncols), min_size=1, max_size=3))
+    bs = [tuple(sum(a * x for a, x in zip(row, xv)) for row in rows) for xv in xs]
+    bs += draw(st.lists(st.tuples(*[small_ints] * len(orders)), min_size=1, max_size=3))
+    return rows, ncols, AbGroup(orders), bs
+
+
+@st.composite
+def subquotient_inputs(draw):
+    orders = draw(st.lists(st.sampled_from((0, 2, 3, 4, 6)), min_size=1, max_size=3))
+    group = AbGroup(orders)
+    subs = draw(st.lists(st.tuples(*[small_ints] * len(orders)), max_size=3))
+    coeffs = draw(st.lists(st.tuples(*[small_ints] * len(subs)), max_size=3))
+    return group, subs, [_combination(group, c, subs) for c in coeffs]
+
+
+def assert_system_reads_densely(system, rows, ncols, group, bs):
+    dense = DenseSystem(rows, ncols, group)
+    assert system.kernel() == dense.kernel()
+    for b in bs:
+        assert system.solve(b) == dense.solve(b)
+
+
+def assert_subquotient_reads_densely(sq, group, subs, bys, rng):
+    dense = DenseSubquotient(group, subs, bys)
+    assert sq.group == dense.group
+    for _ in range(4):
+        element = _combination(group, [rng.randint(-3, 3) for _ in subs], sq.sub_gens)
+        assert sq.project(element) == dense.project(element)
+        w = tuple(rng.randint(-3, 3) for _ in sq.group.orders)
+        assert sq.section(w) == dense.section(w)
+
+
+class TestSparseReaders:
+    """_Factored.kernel/solve and Subquotient.project/section read the sparse
+    factors; each must equal a dense reading of the same factorization."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(systems())
+    def test_system_readers(self, case):
+        rows, ncols, group, bs = case
+        assert_system_reads_densely(_Factored(rows, ncols, group), rows, ncols, group, bs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(subquotient_inputs(), st.integers(0, 10 ** 6))
+    def test_subquotient_readers(self, case, seed):
+        group, subs, bys = case
+        assert_subquotient_reads_densely(quotient(group, subs, bys), group, subs, bys,
+                                         random.Random(seed))
+
+    @pytest.mark.parametrize("theory", ["sr", "sq"])
+    @pytest.mark.parametrize("orders", [(4,), (2, 2)])
+    def test_every_system_of_a_presentation(self, monkeypatch, orders, theory):
+        m = dihedral_kamada_module(takasaki(5), AbGroup(orders))
+        made, subquotients = [], []
+        factored_init, subquotient_init = _Factored.__init__, Subquotient.__init__
+
+        def record_system(self, rows, ncols, group):
+            rows = [list(row) for row in rows]
+            made.append((self, rows, ncols, group))
+            factored_init(self, rows, ncols, group)
+
+        def record_subquotient(self, ambient, sub_gens, by_gens):
+            sub_gens, by_gens = list(sub_gens), list(by_gens)
+            subquotients.append((self, ambient, sub_gens, by_gens))
+            subquotient_init(self, ambient, sub_gens, by_gens)
+
+        monkeypatch.setattr(_Factored, "__init__", record_system)
+        monkeypatch.setattr(Subquotient, "__init__", record_subquotient)
+        cohomology_presentation(m, 2, theory)
+        monkeypatch.undo()
+        assert made and subquotients
+        rng = random.Random(21)
+        for sq, group, subs, bys in subquotients:
+            assert_subquotient_reads_densely(sq, group, subs, bys, rng)
+        for system, rows, ncols, group in made:
+            xs = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(3)]
+            bs = [tuple(sum(a * x for a, x in zip(row, xv)) for row in rows) for xv in xs]
+            bs += [tuple(rng.randint(-3, 3) for _ in rows)]
+            assert_system_reads_densely(system, rows, ncols, group, bs)
 
 
 class TestRackProperties:

@@ -4,14 +4,18 @@ import json
 
 import pytest
 
+from symq import limits
 from symq.cohomology import THEORY_SR, Cochain
 from symq.dynamical import DynamicalCocycle, from_cocycle
 from symq.errors import ValidationError
+from symq.groups import FiniteGroup
+from symq.racks import takasaki, validate_rack
 from symq.serialize import (
     cochain_from_dict,
     cochain_to_dict,
     dynamical_to_dict,
     fixture_path,
+    group_from_dict,
     group_to_dict,
     load_cochain,
     load_dynamical,
@@ -127,6 +131,20 @@ class TestErrors:
             rack_from_dict(
                 {"size": 2, "table": [[0, 0], [0, 0]], "rho": [0, 1], "kind": "rack"}
             )
+
+    def test_table_size_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(limits, "TABLE_SIZE", 3)
+        assert rack_from_dict(rack_to_dict(takasaki(3))).size == 3
+        assert group_from_dict(group_to_dict(FiniteGroup.cyclic(3))).size == 3
+        with pytest.raises(ValidationError, match=r"rack.size: 4 is above limits.TABLE_SIZE = 3"):
+            rack_from_dict(rack_to_dict(takasaki(4)))
+        with pytest.raises(ValidationError, match=r"group.size: 4 is above limits.TABLE_SIZE = 3"):
+            group_from_dict(group_to_dict(FiniteGroup.cyclic(4)))
+
+    def test_the_library_is_not_capped(self, monkeypatch):
+        monkeypatch.setattr(limits, "TABLE_SIZE", 2)
+        assert validate_rack(takasaki(3).rack.table).size == 3
+        assert FiniteGroup.cyclic(4).size == 4
 
     def test_bool_is_not_an_int(self):
         with pytest.raises(ValidationError):

@@ -113,6 +113,52 @@ def test_the_certificate_runs_on_every_call(monkeypatch):
         smith_normal_form([[1]])
 
 
+def full_support_corpus():
+    """Seeded matrices up to 6 x 6 with no zero row and no zero column."""
+    rng = random.Random(20261019)
+    out = []
+    while len(out) < 40:
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        M = [[rng.choice((0, 0, 0, 1, -1, 2, 3, -4, 6)) for _ in range(cols)] for _ in range(rows)]
+        if all(any(row) for row in M) and all(any(col) for col in zip(*M)):
+            out.append(M)
+    return out
+
+
+def test_a_one_sided_corruption_fails_the_certificate(monkeypatch):
+    # Alter one entry of U, or of a column of V, right after one step of the
+    # elimination and leave D alone.  Every later step is unimodular on both
+    # sides, so U @ M @ V moves off D by a nonzero amount whenever M has no zero
+    # row (for U) and no zero column (for V): the certificate must fail.
+    original = symq.abelian._combine
+    corrupted = {"U": 0, "V": 0}
+    for M in full_support_corpus():
+        seen = []
+        monkeypatch.setattr(symq.abelian, "_combine",
+                            lambda mat, *args: (seen.append(mat), original(mat, *args)))
+        s = smith_normal_form(M)
+        kinds = ["U" if mat is s._U else "V" if mat is s._Vt else "D" for mat in seen]
+        for k, kind in enumerate(kinds):
+            if kind == "D":
+                continue
+            calls = []
+
+            def corrupting(mat, i, j, *block):
+                original(mat, i, j, *block)
+                calls.append(mat)
+                if len(calls) == k + 1:  # the same step as in the clean run
+                    c = next(iter(mat[j]))
+                    mat[j][c] += 1
+                    if not mat[j][c]:
+                        del mat[j][c]
+
+            monkeypatch.setattr(symq.abelian, "_combine", corrupting)
+            with pytest.raises(AssertionError, match="internal check failed"):
+                smith_normal_form(M)
+            corrupted[kind] += 1
+    assert corrupted["U"] > 20 and corrupted["V"] > 20
+
+
 class TestMatMulShapes:
     def test_empty_left_factor(self):
         assert mat_mul([], [[1, 2]]) == []
