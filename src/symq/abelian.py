@@ -29,6 +29,7 @@ through a `_Factored` of U, made once, on the first call.
 from itertools import compress, product
 from math import prod
 
+from . import limits
 from .errors import InfiniteGroupUnsupported, NotASubgroup
 
 
@@ -250,8 +251,19 @@ def smith_normal_form(M):
     return SmithDecomposition(U, D, Vt)
 
 
+def _get(table, key):
+    try:  # table.get(key); None without a table, and for a key with no hash (a list)
+        return None if table is None else table.get(key)
+    except TypeError:
+        return None
+
+
 class AbGroup:
     """Finitely generated abelian group as a tuple of cyclic orders (0 = Z).
+
+    A finite group of order at most limits.ARITH_TABLE_ORDER reads tables that
+    the formula fills, shared per orders: each canonical element to itself, the
+    elements in index order, and the sums of canonical elements as they are met.
 
     >>> A = AbGroup([2, 4])
     >>> A.add((1, 3), (1, 2))
@@ -260,19 +272,29 @@ class AbGroup:
     'Z2 x Z4'
     """
 
-    __slots__ = ("orders",)
+    __slots__ = ("orders", "_canon", "_elems", "_sums")
+    _tables = {}  # orders -> (canon, elems, sums)
 
     def __init__(self, orders):
         orders = tuple(int(d) for d in orders)
         if any(d < 0 for d in orders):
             raise ValueError("orders must be non-negative")
         self.orders = orders
+        self._canon = self._elems = self._sums = None
+        if 0 not in orders and prod(orders) <= limits.ARITH_TABLE_ORDER:
+            if orders not in self._tables:
+                elems = tuple(map(self.reduce, product(*map(range, orders))))
+                self._tables[orders] = {e: e for e in elems}, elems, {}
+            self._canon, self._elems, self._sums = self._tables[orders]
 
     @property
     def rank(self):
         return len(self.orders)
 
     def reduce(self, v):
+        r = _get(self._canon, v)
+        if r is not None:
+            return r
         if len(v) != len(self.orders):
             raise ValueError("element length mismatch")
         return tuple(int(x) % d if d else int(x) for x, d in zip(v, self.orders))
@@ -281,7 +303,12 @@ class AbGroup:
         return (0,) * len(self.orders)
 
     def add(self, u, v):
-        return self.reduce(tuple(a + b for a, b in zip(u, v)))
+        r = _get(self._sums, (u, v))
+        if r is None:
+            r = self.reduce(tuple(a + b for a, b in zip(u, v)))
+            if _get(self._canon, u) is not None and _get(self._canon, v) is not None:
+                self._sums[u, v] = r
+        return r
 
     def neg(self, u):
         return self.reduce(tuple(-a for a in u))
@@ -304,7 +331,14 @@ class AbGroup:
         """All elements in lexicographic order; finite groups only."""
         if not self.is_finite():
             raise InfiniteGroupUnsupported("cannot enumerate an infinite group")
-        return list(product(*map(range, self.orders)))
+        return list(self._elems or product(*map(range, self.orders)))
+
+    def element(self, i):
+        """elements()[i], read off the table or off the mixed-radix digits of i."""
+        if self._elems is not None:
+            return self._elems[i]
+        i, orders = range(self.order())[i], self.orders
+        return tuple(i // prod(orders[k + 1:]) % d for k, d in enumerate(orders))
 
     def element_index(self, v):
         # mixed-radix index matching elements() order
@@ -334,7 +368,7 @@ class AbHom:
     construction.
     """
 
-    __slots__ = ("source", "target", "matrix", "_system", "_hash")
+    __slots__ = ("source", "target", "matrix", "_system", "_hash", "_images")
 
     def __init__(self, source, target, matrix):
         rows = [tuple(int(x) for x in row) for row in matrix]
@@ -353,6 +387,7 @@ class AbHom:
         self.matrix = tuple(canon)
         self._system = None
         self._hash = None
+        self._images = None if source._canon is None else {}  # canonical element -> image
 
     def _factored(self):
         if self._system is None:
@@ -373,8 +408,13 @@ class AbHom:
         return cls(group, group, [[k if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __call__(self, v):
-        v = self.source.reduce(v)
-        return self.target.reduce(mat_vec(self.matrix, v))
+        r = _get(self._images, v)
+        if r is None:
+            v = self.source.reduce(v)
+            r = self.target.reduce(mat_vec(self.matrix, v))
+            if self._images is not None:
+                self._images[v] = r
+        return r
 
     def compose(self, other):
         """self after other."""

@@ -311,8 +311,7 @@ def cmd_extension(args):
         data = {"size": None, "kind": None, "theory": ext.theory}
         _emit(args, lines, data)
         return 0
-    elems = m.A.elements()
-    labels = [[x, list(elems[s])] for x, s in ext.extension.labels]
+    labels = [[x, list(m.A.element(s))] for x, s in ext.extension.labels]
     lines = [
         f"total: size {ext.rack.size} ({ext.rack.kind})",
         f"labels: {labels}",

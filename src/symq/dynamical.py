@@ -317,18 +317,12 @@ def affine_tables(m, sigma):
     X, A = m.base, m.A
     if not A.is_finite():
         raise InfiniteGroupUnsupported("fibers must be finite to tabulate")
-    elems = A.elements()
-    idx = {a: i for i, a in enumerate(elems)}
-    n = X.size
-    sizes = (len(elems),) * n
-    # phi(a), and psi(b) + sigma(x, y), once per fiber element of each pair
-    moved = [[[m.phi[x][y](a) for a in elems] for y in range(n)] for x in range(n)]
-    shifted = [[[A.add(m.psi[x][y](b), sigma.value(x, y)) for b in elems] for y in range(n)]
-               for x in range(n)]
+    sizes = (A.order(),) * X.size
     alpha, beta = _fiber_tables(
         X, sizes,
-        lambda x, y, s, t: idx[A.add(moved[x][y][s], shifted[x][y][t])],
-        lambda x, s: idx[m.eta[x](elems[s])],
+        lambda x, y, s, t: A.element_index(A.add(
+            A.add(m.phi[x][y](A.element(s)), m.psi[x][y](A.element(t))), sigma.value(x, y))),
+        lambda x, s: A.element_index(m.eta[x](A.element(s))),
     )
     return sizes, alpha, beta
 

@@ -20,7 +20,7 @@ of its two forms.  A keyed table has the key "x1,..,xk" (plain decimals)
 for every k-tuple of base elements and no other key.  Loaders validate what
 they build (rack axioms, group axioms, module axioms); parse problems raise
 ValidationError naming the broken field or key.  A rack or group larger than
-limits.TABLE_SIZE is refused before its table is parsed.
+limits.TABLE_SIZE, or fibers gluing one, is refused before its table is parsed.
 """
 
 import json
@@ -309,6 +309,7 @@ def dynamical_from_dict(obj, base, where="dynamical"):
     n = base.size
     sizes, alpha, beta = _fields(obj, ("fibers", "alpha", "beta"), where)
     sizes = _table(sizes, 1, n, f"{where}.fibers", _positive)
+    _table_size(sum(sizes), f"{where}.fibers total")  # the glued table, before alpha is read
     alpha = _table(alpha, 2, n, f"{where}.alpha", _int_matrix)
     beta = _table(beta, 1, n, f"{where}.beta", _int_vector)
     return tuple(sizes), _rows(alpha, n), beta

@@ -83,7 +83,7 @@ class AbelianExtension:
 
     def pair_of(self, index):
         x, s = _glued(self).pair_of(index)
-        return x, self.module.A.elements()[s]
+        return x, self.module.A.element(s)
 
     def __repr__(self):
         total = self.rack.size if self.rack is not None else "infinite"
@@ -123,17 +123,16 @@ def build_abelian_extension(m, sigma, theory=None):
 def _check_affine_table(m, sigma, dext):
     # the glued table must match the product formula computed from scratch
     X, A = m.base, m.A
-    elems = A.elements()
     phi, psi, eta = m.phi[0][0], m.psi[0][0], m.eta[0]
     rack = dext.rack
     for i in range(rack.size):
         x, s = dext.pair_of(i)
-        r = dext.index_of((X.rho[x], A.element_index(eta(elems[s]))))
+        r = dext.index_of((X.rho[x], A.element_index(eta(A.element(s)))))
         if rack.rho[i] != r:
             raise AssertionError("extension involution disagrees with the affine formula")
         for j in range(rack.size):
             y, t = dext.pair_of(j)
-            fib = A.add(A.add(phi(elems[s]), psi(elems[t])), sigma.value(x, y))
+            fib = A.add(A.add(phi(A.element(s)), psi(A.element(t))), sigma.value(x, y))
             k = dext.index_of((X.op(x, y), A.element_index(fib)))
             if rack.op(i, j) != k:
                 raise AssertionError("extension table disagrees with the affine formula")
@@ -412,22 +411,18 @@ def _check_lift(ext, pair, lam):
             "lam is not compatible with the involutions",
             [Diagnostic("eta-twist", bad)],
         )
-    ph, ps = [phi(v) for v in lv], [psi(v) for v in lv]
     n = X.size
     bad = [(x, y) for x in range(n) for y in range(n)
-           if A.reduce([a + b - c for a, b, c in zip(ph[x], ps[y], lv[X.op(x, y)])])
-           != target[x * n + y]]
+           if A.sub(A.add(phi(lv[x]), psi(lv[y])), lv[X.op(x, y)]) != target[x * n + y]]
     if bad:
         raise ValidationError("the lift equation fails", [Diagnostic("lift", bad)])
 
 
 def _lift_permutation(ext, pair, lam):
-    # theta is applied once per fiber element, not once per point of E
-    A = ext.module.A
-    moved = [pair.theta(e) for e in A.elements()]
-    index_of = ext.extension.index_of
-    return tuple(index_of((pair.zeta[x], A.element_index(A.add(lam.values[x], moved[s]))))
-                 for x, s in ext.extension.labels)
+    A, index_of = ext.module.A, ext.extension.index_of
+    return tuple(
+        index_of((pair.zeta[x], A.element_index(A.add(lam.values[x], pair.theta(A.element(s))))))
+        for x, s in ext.extension.labels)
 
 
 def extend_pair(ext, pair):
@@ -499,9 +494,8 @@ def gamma_restriction(ext, xi):
     if sorted(perm) != list(range(rack.size)):
         raise ValueError("xi must be a permutation of the extension labels")
     X, A = ext.module.base, ext.module.A
-    elems = A.elements()
     zeta = [None] * X.size
-    fiber = [[None] * len(elems) for _ in range(X.size)]
+    fiber = [[None] * A.order() for _ in range(X.size)]
     split = []
     for i, j in enumerate(perm):
         x, s = dext.pair_of(i)
@@ -521,7 +515,7 @@ def gamma_restriction(ext, xi):
     for k in range(A.rank):
         e = A.reduce(tuple(1 if i == k else 0 for i in range(A.rank)))
         s = A.element_index(e)
-        imgs.append(A.sub(elems[fiber[0][s]], elems[fiber[0][zero_idx]]))
+        imgs.append(A.sub(A.element(fiber[0][s]), A.element(fiber[0][zero_idx])))
     try:
         theta = AbHom(A, A, [[img[i] for img in imgs] for i in range(A.rank)])
     except ValueError:
@@ -532,7 +526,7 @@ def gamma_restriction(ext, xi):
     # the lift of (zeta, theta) with lam(x) the image of (x, 0), built once
     # and compared label by label
     pair = AutPair(tuple(zeta), theta)
-    lam = Cochain(1, X.size, A, [elems[fiber[x][zero_idx]] for x in range(X.size)])
+    lam = Cochain(1, X.size, A, [A.element(fiber[x][zero_idx]) for x in range(X.size)])
     expected = _lift_permutation(ext, pair, lam)
     bad = [dext.pair_of(i) for i in range(rack.size) if perm[i] != expected[i]]
     if bad:

@@ -1,9 +1,11 @@
 """Exact linear algebra over finitely generated abelian groups."""
 
 import random
+from math import gcd, prod
 
 import pytest
 
+from symq import limits
 from symq.abelian import (
     AbGroup,
     AbHom,
@@ -16,7 +18,7 @@ from symq.abelian import (
     solve,
     subgroup_elements,
 )
-from symq.errors import SearchSpaceExceeded
+from symq.errors import InfiniteGroupUnsupported, SearchSpaceExceeded
 
 from helpers import det, mat_mul, reference_subgroup_elements
 
@@ -70,6 +72,96 @@ class TestAbGroup:
         assert str(AbGroup([0])) == "Z"
         assert str(AbGroup([2, 4])) == "Z2 x Z4"
         assert str(AbGroup([0, 3])) == "Z x Z3"
+
+
+def invariant_factors(n, d=1):
+    """Every chain d1 | d2 | .. with d | d1, each factor above 1, and product n."""
+    if n == 1:
+        return [()]
+    return [(e,) + rest for e in range(2, n + 1) if e % d == 0 and n % e == 0
+            for rest in invariant_factors(n // e, e)]
+
+
+TABLE_PROBE = limits.ARITH_TABLE_ORDER + 8
+TABLE_GROUPS = [o for n in range(1, TABLE_PROBE + 1) for o in invariant_factors(n)] + [
+    (4, 2), (1, 3), (3, 1, 2), (0,), (2, 0), (0, 0, 3), (0, 4)]
+
+
+def outcome(fn, *args):
+    # the value with its exact types (True is not 1, 1.0 is not 1), or the exception type
+    try:
+        return "ok", repr(fn(*args))
+    except Exception as exc:
+        return "raised", type(exc)
+
+
+def probes(group, rng):
+    """Canonical elements, then unreduced, negative, bool-, float- and list inputs."""
+    r = group.rank
+    out = group.elements() if group.is_finite() else []
+    out += [tuple(rng.randint(-2 * d - 3, 2 * d + 3) for d in group.orders) for _ in range(12)]
+    out += [tuple(rng.random() < 0.5 for _ in range(r)) for _ in range(3)]
+    out += [tuple(map(float, v)) for v in out[-4:]]
+    out += [list(v) for v in out[:6]] + [(1,) * (r + 1), (0,) * max(r - 1, 0)]
+    return out
+
+
+class TestArithmeticTables:
+    """Tabulated arithmetic against the formula, on every group up to just over the cap."""
+
+    @pytest.mark.parametrize("orders", TABLE_GROUPS, ids=str)
+    def test_tables_agree_with_the_formula(self, orders, monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(limits, "ARITH_TABLE_ORDER", 0)
+            slow = AbGroup(orders)
+        fast = AbGroup(orders)
+        tabulated = 0 not in orders and prod(orders) <= limits.ARITH_TABLE_ORDER
+        assert (fast._canon is not None) == tabulated and slow._canon is None
+        rng = random.Random(hash(orders))
+        xs = probes(slow, rng)
+        pairs = [(rng.choice(xs), rng.choice(xs)) for _ in range(150)]
+        for _ in range(2):  # the second round reads what the first stored
+            for x in xs:
+                for name in ("reduce", "neg", "element_index"):
+                    assert outcome(getattr(fast, name), x) == outcome(getattr(slow, name), x)
+                assert outcome(fast.scale, -3, x) == outcome(slow.scale, -3, x)
+            for u, v in pairs:
+                assert outcome(fast.add, u, v) == outcome(slow.add, u, v)
+                assert outcome(fast.sub, u, v) == outcome(slow.sub, u, v)
+        for bad in ((1,) * (fast.rank + 1), [0] * (fast.rank + 1)):
+            with pytest.raises(ValueError):
+                fast.reduce(bad)
+        if not fast.is_finite():
+            with pytest.raises(InfiniteGroupUnsupported):
+                fast.element(0)
+            return
+        listed = fast.elements()
+        listed[0], listed[-1:] = None, []
+        want = slow.elements()
+        assert fast.elements() == want
+        for group in (fast, slow):  # read off the table, and off the digits
+            assert [group.element(i) for i in range(-len(want), len(want))] == want + want
+            with pytest.raises(IndexError):
+                group.element(len(want))
+
+    @pytest.mark.parametrize("orders", TABLE_GROUPS, ids=str)
+    def test_hom_images_agree_with_the_formula(self, orders, monkeypatch):
+        rng = random.Random(hash(orders) + 1)
+        target_orders = rng.choice([(4,), (2, 6), (0,), (3, 0), orders])
+        with monkeypatch.context() as mp:
+            mp.setattr(limits, "ARITH_TABLE_ORDER", 0)
+            slow_source, slow_target = AbGroup(orders), AbGroup(target_orders)
+        # entry (i, j) is a multiple of d_i / gcd(d_i, d_j), so d_j kills column j
+        matrix = [[rng.randint(-3, 3) * (di // gcd(di, dj) if di and dj else int(not dj))
+                   for dj in orders] for di in target_orders]
+        fast = AbHom(AbGroup(orders), AbGroup(target_orders), matrix)
+        slow = AbHom(slow_source, slow_target, matrix)
+        tabulated = 0 not in orders and prod(orders) <= limits.ARITH_TABLE_ORDER
+        assert (fast._images is not None) == tabulated and slow._images is None
+        xs = probes(slow_source, rng)
+        for _ in range(2):
+            for x in xs:
+                assert outcome(fast, x) == outcome(slow, x)
 
 
 class TestAbHom:

@@ -78,6 +78,23 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert f".size: {n} is above limits.TABLE_SIZE = {limits.TABLE_SIZE}" in err
 
+    def test_dynamical_fibers_above_the_size_cap_are_validation(self, capsys, tmp_path):
+        # two fibers of 120 over t2, alpha(s, t) = s and beta = id: valid data,
+        # refused by the size of its glued table before alpha is read
+        n = 120
+        assert 2 * n > limits.TABLE_SIZE
+        block = [[s] * n for s in range(n)]
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"fibers": {"0": n, "1": n},
+                                    "alpha": {f"{x},{y}": block for x in "01" for y in "01"},
+                                    "beta": {"0": list(range(n)), "1": list(range(n))}}))
+        start = time.perf_counter()
+        code, out, err = run(["dynamical", "validate", "--rack", RACK, "--dynamical", str(path)],
+                             capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f".fibers total: {2 * n} is above limits.TABLE_SIZE = {limits.TABLE_SIZE}" in err
+
     def test_success_is_zero(self, capsys):
         code, _, _ = run(["check", "--rack", RACK], capsys)
         assert code == 0

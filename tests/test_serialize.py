@@ -1,6 +1,7 @@
 """JSON schemas: load/save round trips and failure reporting."""
 
 import json
+from importlib.resources import files
 
 import pytest
 
@@ -13,6 +14,7 @@ from symq.racks import takasaki, validate_rack
 from symq.serialize import (
     cochain_from_dict,
     cochain_to_dict,
+    dynamical_from_dict,
     dynamical_to_dict,
     fixture_path,
     group_from_dict,
@@ -100,6 +102,16 @@ class TestRoundTrips:
         sizes, alpha, beta = load_dynamical(fixture_path("dynamical_t2_z4.json"), X)
         assert sizes == (4, 4)
 
+    def test_every_bundled_dynamical_fixture_loads_under_the_size_cap(self):
+        # fixtures are named dynamical_<base rack>_<fiber group>.json
+        paths = [p for p in files("symq").joinpath("fixtures").iterdir()
+                 if p.name.startswith("dynamical_")]
+        assert paths
+        for p in paths:
+            X = load_rack(fixture_path(f"rack_{p.name.split('_')[1]}.json"))
+            sizes, alpha, beta = load_dynamical(p, X)
+            assert 0 < sum(sizes) <= limits.TABLE_SIZE
+
 
 class TestErrors:
     def test_missing_file(self):
@@ -140,6 +152,17 @@ class TestErrors:
             rack_from_dict(rack_to_dict(takasaki(4)))
         with pytest.raises(ValidationError, match=r"group.size: 4 is above limits.TABLE_SIZE = 3"):
             group_from_dict(group_to_dict(FiniteGroup.cyclic(4)))
+
+    def test_fiber_total_cap_is_inclusive_and_read_before_alpha(self, monkeypatch):
+        X = rack("t2")
+        obj = load_json(fixture_path("dynamical_t2_z4.json"))  # two fibers of 4
+        monkeypatch.setattr(limits, "TABLE_SIZE", 8)
+        assert dynamical_from_dict(obj, X)[0] == (4, 4)
+        monkeypatch.setattr(limits, "TABLE_SIZE", 7)
+        obj["alpha"] = "never parsed"
+        with pytest.raises(ValidationError,
+                           match=r"dynamical.fibers total: 8 is above limits.TABLE_SIZE = 7"):
+            dynamical_from_dict(obj, X)
 
     def test_the_library_is_not_capped(self, monkeypatch):
         monkeypatch.setattr(limits, "TABLE_SIZE", 2)

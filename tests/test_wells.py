@@ -18,6 +18,7 @@ from symq.cohomology import (
     cohomology_presentation,
     delta,
 )
+from symq.dynamical import DynamicalExtension
 from symq.errors import (
     InfiniteGroupUnsupported,
     NotACocycle,
@@ -27,7 +28,13 @@ from symq.errors import (
     ValidationError,
 )
 from symq.modules import RackModule, dihedral_kamada_module
-from symq.racks import good_involution_diagnostics, takasaki, trivial_rack
+from symq.racks import (
+    FiniteRack,
+    FiniteSymmetricRack,
+    good_involution_diagnostics,
+    takasaki,
+    trivial_rack,
+)
 from symq.wells import (
     AutPair,
     LiftedAutomorphism,
@@ -183,6 +190,34 @@ class TestBuildExtension:
         ext = build_abelian_extension(m, Cochain.zero(2, 2, m.A))
         assert calls == [THEORY_SR, None]
         assert ext.theory == THEORY_SQ and ext.rack.kind == "quandle"
+
+    @pytest.mark.parametrize("orders", [(4,), (2, 2)], ids=["Z4", "Z2xZ2"])
+    @pytest.mark.parametrize("field,message", [
+        ("table", "extension table disagrees with the affine formula"),
+        ("rho", "extension involution disagrees with the affine formula"),
+    ])
+    def test_a_corrupted_glued_table_is_refused(self, monkeypatch, orders, field, message):
+        # two entries of one column (or of rho) swapped: still a valid shape,
+        # so only the affine-formula check can see it
+        X = takasaki(3)
+        m = dihedral_kamada_module(X, AbGroup(orders))
+        sigma = Cochain.zero(2, X.size, m.A)
+        glue = symq.wells.build_extension
+
+        def swapped(dc):
+            ext = glue(dc)
+            table, rho = [list(row) for row in ext.rack.rack.table], list(ext.rack.rho)
+            if field == "table":
+                table[0][1], table[1][1] = table[1][1], table[0][1]
+            else:
+                rho[0], rho[1] = rho[1], rho[0]
+            rack = FiniteSymmetricRack(FiniteRack(table, ext.rack.kind), rho)
+            return DynamicalExtension(rack, ext.cocycle, ext.labels)
+
+        assert build_abelian_extension(m, sigma, THEORY_SR).size == 3 * m.A.order()
+        monkeypatch.setattr(symq.wells, "build_extension", swapped)
+        with pytest.raises(AssertionError, match=message):
+            build_abelian_extension(m, sigma, THEORY_SR)
 
 
 # every entry point that reads the glued table of E
