@@ -621,7 +621,7 @@ def solve(f, b):
     for c, row in system.echelon:
         k = x[c] // row[c]
         x = [a - k * r for a, r in zip(x, row)]
-    v = f.source.reduce(x)
+    v = f.source.reduce(tuple(x))
     if f(v) != b:
         raise AssertionError("solve internal check failed")
     return v

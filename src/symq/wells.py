@@ -47,13 +47,12 @@ class AbelianExtension:
     obstruction classes off its degree-2 presentation; both are built once per
     module and shared by all its extensions.  Each symmetry pair is validated
     once per extension, and its pair . sigma is formed and cocycle-checked
-    once; every obstruction route reads it, and the right-hand side of its
-    lift equation is formed once.
+    once; every obstruction route reads it.
     """
 
     __slots__ = (
         "module", "sigma", "theory", "extension", "rack",
-        "_sigma_class", "_acted", "_lift_targets",
+        "_sigma_class", "_acted",
     )
 
     def __init__(self, module, sigma, theory, extension):
@@ -64,7 +63,6 @@ class AbelianExtension:
         self.rack = extension.rack if extension is not None else None
         self._sigma_class = None
         self._acted = {}
-        self._lift_targets = {}
 
     def _degree1_map(self):
         return _complex(self.module).witness_map(1, self.theory, 0)
@@ -178,7 +176,7 @@ def module_automorphisms(m, bound=None):
     out = []
     for cols in product(*options):
         h = AbHom(A, A, [[col[i] for col in cols] for i in range(A.rank)])
-        if not _theta_problems(m, h):
+        if not _fiber_symmetry_problems(m, h):
             out.append(h)
     out.sort(key=lambda h: h.matrix)
     _check_group(out, AbHom.identity(A), AbHom.compose, "fiber symmetries")
@@ -233,10 +231,17 @@ def validate_aut_pair(m, pair):
     out = []
     if len(pair.zeta) != X.size or not is_isomorphism(RackMorphism(X, X, pair.zeta)):
         out.append(Diagnostic("zeta-symmetry", [pair.zeta]))
-    problems = _theta_problems(m, pair.theta)
+    problems = _fiber_symmetry_problems(m, pair.theta)
     if problems:
         out.append(Diagnostic("theta-symmetry", problems))
     return out
+
+
+def _fiber_symmetry_problems(m, th):
+    # _theta_problems once per module and map, kept beside the module's witness
+    # maps; keyed by the matrix, since th itself would keep its factorization alive
+    return _complex(m)._get(("theta", th.source, th.target, th.matrix),
+                            lambda: _theta_problems(m, th))
 
 
 def _theta_problems(m, th):
@@ -312,25 +317,31 @@ def stabilizer(ext, pairs=None, bound=None):
 class LiftedAutomorphism:
     """xi(x, a) = (zeta(x), lam(x) + theta(a)), a symmetry of E over a pair.
 
-    The defining identities are checked on construction; with a finite
-    fiber group the permutation of extension labels is built and verified
-    as a symmetric-rack isomorphism as well.
+    Each lift is decided once, on construction.  Over a finite fiber group
+    its permutation of extension labels is checked to be a symmetric-rack
+    isomorphism of the glued table at every pair of labels.  That table was
+    checked against the affine product formula when the extension was built,
+    so this holds exactly when lam is eta-compatible and solves the lift
+    equation.  A refused lift, and every lift over an infinite fiber group,
+    walks that formula, whose ValidationError names the failing points; a
+    lift that only the table refuses raises AssertionError.
     """
 
     __slots__ = ("extension", "pair", "lam", "perm")
 
     def __init__(self, extension, pair, lam):
-        _check_lift(extension, pair, lam)
-        self.extension = extension
-        self.pair = pair
-        self.lam = lam
+        _acted(extension, pair)
+        m = extension.module
+        if lam.degree != 1 or lam.size != m.base.size or lam.group != m.A:
+            raise ValueError("lam must be a 1-cochain on the base with values in A")
+        self.extension, self.pair, self.lam, self.perm = extension, pair, lam, None
         if extension.extension is not None:
             self.perm = _lift_permutation(extension, pair, lam)
-            f = RackMorphism(extension.rack, extension.rack, self.perm)
-            if not is_isomorphism(f):
-                raise AssertionError("lift is not a symmetry of the extension")
-        else:
-            self.perm = None
+            if is_isomorphism(RackMorphism(extension.rack, extension.rack, self.perm)):
+                return
+        _check_lift(extension, pair, lam)
+        if self.perm is not None:
+            raise AssertionError("lift is not a symmetry of the extension")
 
     def apply(self, x, a):
         A = self.extension.module.A
@@ -380,29 +391,13 @@ class LiftedAutomorphism:
         return f"LiftedAutomorphism(pair={self.pair!r}, lam={list(self.lam.values)})"
 
 
-def _lift_target(ext, pair):
-    # theta(sigma(x, y)) - sigma(zeta x, zeta y) per pair (x, y), once per
-    # validated pair, straight from sigma and theta rather than pair . sigma
-    target = ext._lift_targets.get(pair)
-    if target is None:
-        _acted(ext, pair)
-        n, A, s, z = ext.module.base.size, ext.module.A, ext.sigma.values, pair.zeta
-        target = ext._lift_targets[pair] = [
-            A.sub(pair.theta(s[x * n + y]), s[z[x] * n + z[y]])
-            for x in range(n) for y in range(n)
-        ]
-    return target
-
-
 def _check_lift(ext, pair, lam):
     # eta-compatibility of lam and the lift equation
     #   phi(lam x) + psi(lam y) - lam(x * y) = theta(sigma(x, y)) - sigma(zeta x, zeta y)
-    # straight from the product formula; independent of any coboundary sign
+    # straight from the product formula; independent of any coboundary sign.
+    # The caller has validated the pair and the shape of lam.
     m = ext.module
     X, A = m.base, m.A
-    target = _lift_target(ext, pair)
-    if lam.degree != 1 or lam.size != X.size or lam.group != A:
-        raise ValueError("lam must be a 1-cochain on the base with values in A")
     phi, psi, eta = m.phi[0][0], m.psi[0][0], m.eta[0]
     lv = lam.values
     bad = [x for x in range(X.size) if lv[X.rho[x]] != eta(lv[x])]
@@ -411,9 +406,10 @@ def _check_lift(ext, pair, lam):
             "lam is not compatible with the involutions",
             [Diagnostic("eta-twist", bad)],
         )
-    n = X.size
+    n, s, z = X.size, ext.sigma.values, pair.zeta
     bad = [(x, y) for x in range(n) for y in range(n)
-           if A.sub(A.add(phi(lv[x]), psi(lv[y])), lv[X.op(x, y)]) != target[x * n + y]]
+           if A.sub(A.add(phi(lv[x]), psi(lv[y])), lv[X.op(x, y)])
+           != A.sub(pair.theta(s[x * n + y]), s[z[x] * n + z[y]])]
     if bad:
         raise ValidationError("the lift equation fails", [Diagnostic("lift", bad)])
 
@@ -454,10 +450,10 @@ def z1_elements(ext, bound=None):
 def enumerate_autA_extension(ext, bound=None):
     """All fiber-preserving symmetries of E: lifts of every unobstructed pair.
 
-    Lifts of one pair differ by 1-cocycles.  Every lift is verified on
-    construction, so a pair's base lift is verified twice: by extend_pair and
-    again as its zero-cocycle member.  The permutations of E are checked to
-    form a group on every element.
+    Lifts of one pair differ by 1-cocycles.  Every lift is decided on
+    construction, on the glued table, so a pair's base lift is built and
+    decided twice: by extend_pair and again as its zero-cocycle member.  The
+    permutations of E are checked to form a group on every element.
     """
     _glued(ext)
     zs = z1_elements(ext, bound)

@@ -1,7 +1,8 @@
 """Exact matrix helpers, a dense Smith normal form, dense readings of a
 factorization, a subgroup closure, a brute-force good-involution search, a
-nested-loop chain complex check, a term-by-term cochain reference and the
-dynamical axioms in fiber coordinates, for the tests only."""
+nested-loop chain complex check, a term-by-term cochain reference, the
+dynamical axioms in fiber coordinates and the affine part of a list of maps
+of an extension, for the tests and tests/wells_sweep.py only."""
 
 from fractions import Fraction
 from itertools import compress, product
@@ -17,8 +18,9 @@ from symq.abelian import (
 )
 from symq.cohomology import boundary
 from symq.dynamical import _resolve_quandle_flag, _shape_problems
-from symq.errors import Diagnostic
+from symq.errors import Diagnostic, ValidationError
 from symq.racks import good_involution_diagnostics
+from symq.wells import gamma_restriction
 
 
 def mat_mul(A, B):
@@ -512,3 +514,15 @@ def reference_dynamical_diagnostics(X, sizes, alpha, beta, quandle=None):
                     hit("idempotence", (x, s))
 
     return [Diagnostic(a, found[a]) for a in REFERENCE_DYNAMICAL_AXIOMS if a in found]
+
+
+def affine_part(ext, perms):
+    """The maps among perms that move every fiber by one affine map."""
+    out = set()
+    for perm in perms:
+        try:
+            gamma_restriction(ext, perm)
+        except ValidationError:
+            continue
+        out.add(perm)
+    return out

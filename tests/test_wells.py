@@ -54,7 +54,7 @@ from symq.wells import (
 )
 
 from conftest import cochain, module, rack
-from helpers import reference_subgroup_elements
+from helpers import affine_part, reference_subgroup_elements
 
 
 def z4_extension():
@@ -301,6 +301,48 @@ class TestPairs:
         bad = AutPair((0, 1, 2), AbHom.zero(m.A, m.A))
         assert any(d.axiom == "theta-symmetry" for d in validate_aut_pair(m, bad))
 
+    def test_a_bad_theta_is_refused_the_same_way_every_time(self):
+        # phi swaps the two Z2 summands and psi = 1 - phi, so a shear
+        # commutes with neither
+        X, A = rack("t2"), AbGroup([2, 2])
+        swap, ident = AbHom(A, A, [[0, 1], [1, 0]]), AbHom.identity(A)
+        m = RackModule(X, A, [[swap] * 2] * 2, [[ident.sub(swap)] * 2] * 2, [ident] * 2)
+        ext = build_abelian_extension(m, Cochain.zero(2, 2, A))
+        cases = {((1, 1), (0, 1)): ["phi", "psi"], ((0, 0), (0, 0)): ["invertible"],
+                 ((1, 0), (0, 0)): ["invertible", "phi", "psi"]}
+        for matrix, problems in cases.items():
+            bad = AutPair((1, 0), AbHom(A, A, matrix))
+            want = [("theta-symmetry", problems)]
+            for _ in range(3):
+                assert [(d.axiom, d.witnesses) for d in validate_aut_pair(m, bad)] == want
+                with pytest.raises(ValidationError, match="not a symmetry pair") as exc:
+                    extend_pair(ext, bad)
+                assert [(d.axiom, d.witnesses) for d in exc.value.diagnostics] == want
+
+    @pytest.mark.parametrize("name", ["t2/Z4/sr", "takasaki3/Z2xZ2/sq"])
+    def test_each_fiber_map_is_checked_once_per_module(self, monkeypatch, name):
+        # every candidate map of the fiber-symmetry scan (here every map
+        # A -> A), the theta of every pair among them, is evaluated once
+        # however many extensions of the module, reports, enumerations and
+        # lifts ask about it
+        evaluated = []
+        original = symq.wells._theta_problems
+
+        def counting(m, th):
+            evaluated.append(th)
+            return original(m, th)
+
+        monkeypatch.setattr(symq.wells, "_theta_problems", counting)
+        ext = gamma_extension(name)
+        m = ext.module
+        for e in (ext, build_abelian_extension(m, Cochain.zero(2, m.base.size, m.A), ext.theory)):
+            pairs = wells_report(e).pairs
+            enumerate_autA_extension(e)
+            for p in pairs:
+                extend_pair(e, p)
+        assert len(evaluated) == len(set(evaluated)) == m.A.order() ** m.A.rank
+        assert {p.theta for p in pairs} <= set(evaluated)
+
     def test_each_pair_is_validated_once_per_extension(self, monkeypatch):
         ext = z4_extension()
         calls = {"validate_aut_pair": [], "act_on_cocycle": [], "is_cocycle": []}
@@ -471,6 +513,51 @@ class TestLifting:
                         got = [(d.axiom, d.witnesses) for d in e.diagnostics]
                     assert got == want
 
+    @pytest.mark.parametrize("name", [
+        "t2/Z4/sr", "takasaki3/Z4/sr", "takasaki3/Z2/sq", "takasaki3/Z2xZ2/sq", "t2/Z/sr"])
+    def test_a_refused_lift_is_refused_by_the_formula(self, monkeypatch, name):
+        # a lift is decided on the glued table; only a refusal, or a fiber
+        # group with no table, walks the product formula, and the
+        # construction raises exactly what the formula walk raises
+        ext = z_extension() if name == "t2/Z/sr" else gamma_extension(name)
+        walks = []
+        check = symq.wells._check_lift
+        monkeypatch.setattr(symq.wells, "_check_lift", lambda *args: walks.append(args) or check(*args))
+        if ext.extension is None:
+            lifts = [xi for xi in (extend_pair(ext, p) for p in enumerate_aut_pairs(ext)) if xi]
+        else:
+            lifts = enumerate_autA_extension(ext)
+        refused = 0
+        for pair, lam in corrupted_lifts(ext, lifts, 20261019):
+            want = lift_outcome(check, ext, pair, lam)
+            walks.clear()
+            assert lift_outcome(LiftedAutomorphism, ext, pair, lam) == want
+            assert len(walks) == (want is not None or ext.extension is None)
+            refused += want is not None
+        assert refused > len(lifts)
+
+    def test_a_lift_only_the_table_refuses_raises_assertion(self, monkeypatch):
+        # two entries of one column of E's table swapped after the build:
+        # every lift still solves the lift equation, and each lift that does
+        # not preserve the corrupted table is refused by the table check
+        ext = gamma_extension("takasaki3/Z4/sr")
+        lifts = enumerate_autA_extension(ext)
+        table = [list(row) for row in ext.rack.rack.table]
+        table[0][1], table[1][1] = table[1][1], table[0][1]
+        monkeypatch.setattr(ext, "rack", FiniteSymmetricRack(FiniteRack(table, ext.rack.kind),
+                                                              ext.rack.rho))
+        refused = 0
+        for xi in lifts:
+            p = xi.perm
+            if all(p[t] == table[p[i]][p[j]] for i, row in enumerate(table) for j, t in enumerate(row)):
+                assert LiftedAutomorphism(ext, xi.pair, xi.lam).perm == p
+                continue
+            assert symq.wells._check_lift(ext, xi.pair, xi.lam) is None
+            with pytest.raises(AssertionError, match="lift is not a symmetry of the extension"):
+                LiftedAutomorphism(ext, xi.pair, xi.lam)
+            refused += 1
+        assert 0 < refused < len(lifts)
+
     def test_lift_over_z_is_symbolic(self):
         ext = z_extension()
         lift = extend_pair(ext, AutPair.identity(ext.module))
@@ -599,16 +686,28 @@ class TestEnumerationAndReport:
             enumerate_autA_extension(ext)
 
 
-def affine_part(ext, perms):
-    """The maps among perms that move every fiber by one affine map."""
-    out = set()
-    for perm in perms:
-        try:
-            gamma_restriction(ext, perm)
-        except ValidationError:
-            continue
-        out.add(perm)
-    return out
+def corrupted_lifts(ext, lifts, seed):
+    """Each lift's (pair, lam), then lam with one entry moved by a seeded nonzero element."""
+    rng = random.Random(seed)
+    A, n = ext.module.A, ext.module.base.size
+    shifts = ([a for a in A.elements() if a != A.zero()] if A.is_finite()
+              else [(k,) for k in (-2, -1, 1, 2)])
+    for xi in lifts:
+        yield xi.pair, xi.lam
+        for x in range(n):
+            vals = list(xi.lam.values)
+            vals[x] = A.add(vals[x], rng.choice(shifts))
+            yield xi.pair, Cochain(1, n, A, vals)
+
+
+def lift_outcome(build, ext, pair, lam):
+    """None when build accepts the lift, else its exception with every diagnostic."""
+    try:
+        build(ext, pair, lam)
+    except (ValidationError, ValueError, AssertionError) as exc:
+        diags = [(d.axiom, d.witnesses, d.truncated) for d in getattr(exc, "diagnostics", [])]
+        return type(exc).__name__, str(exc), diags
+    return None
 
 
 class TestFourTermSequence:
@@ -681,12 +780,13 @@ def sweep_extensions():
 
 
 def gamma_extension(name):
-    """The four extensions of the gamma_restriction pin, each at its last H^2 class."""
+    """The extensions of the gamma_restriction pin and the lift corpus, each at its last H^2 class."""
     if name == "t2/Z4/sr":
         return z4_extension()
     X, orders, theory = {
         "t2/Z3/sq": (rack("t2"), [3], THEORY_SQ),
         "takasaki3/Z4/sr": (rack("takasaki3"), [4], THEORY_SR),
+        "takasaki3/Z2/sq": (rack("takasaki3"), [2], THEORY_SQ),
         "takasaki3/Z2xZ2/sq": (rack("takasaki3"), [2, 2], THEORY_SQ),
     }[name]
     m = dihedral_kamada_module(X, AbGroup(orders))
