@@ -28,6 +28,7 @@ through a `_Factored` of U, made once, on the first call.
 
 from itertools import compress, product
 from math import prod
+from operator import index
 
 from . import limits
 from .errors import InfiniteGroupUnsupported, NotASubgroup
@@ -276,7 +277,7 @@ class AbGroup:
     _tables = {}  # orders -> (canon, elems, sums)
 
     def __init__(self, orders):
-        orders = tuple(int(d) for d in orders)
+        orders = tuple(map(index, orders))
         if any(d < 0 for d in orders):
             raise ValueError("orders must be non-negative")
         self.orders = orders
@@ -363,25 +364,26 @@ class AbGroup:
 class AbHom:
     """Homomorphism between AbGroups as an integer matrix (target x source).
 
-    Entries are kept canonical modulo the target orders; well-definedness
-    (order of each source generator killed in the target) is checked on
-    construction.
+    Integer entries (bools count) are kept canonical modulo the target
+    orders; well-definedness (order of each source generator killed in the
+    target) is checked entry by entry when some pair of orders can fail it.
     """
 
     __slots__ = ("source", "target", "matrix", "_system", "_hash", "_images")
 
     def __init__(self, source, target, matrix):
-        rows = [tuple(int(x) for x in row) for row in matrix]
+        rows = [tuple(map(index, row)) for row in matrix]
         if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
             raise ValueError("matrix shape mismatch")
-        canon = [tuple(x % d if d else x for x in row) for row, d in zip(rows, target.orders)]
-        for j, dj in enumerate(source.orders):
-            if dj == 0:
-                continue
-            for i, di in enumerate(target.orders):
-                v = dj * canon[i][j]
-                if (v % di if di else v) != 0:
-                    raise ValueError(f"not a well-defined homomorphism at entry ({i},{j})")
+        canon = [tuple(map(d.__rmod__, row)) if d else row for row, d in zip(rows, target.orders)]
+        if any(dj and (not di or dj % di) for di in set(target.orders) for dj in set(source.orders)):
+            for j, dj in enumerate(source.orders):
+                if dj == 0:
+                    continue
+                for i, di in enumerate(target.orders):
+                    v = dj * canon[i][j]
+                    if (v % di if di else v) != 0:
+                        raise ValueError(f"not a well-defined homomorphism at entry ({i},{j})")
         self.source = source
         self.target = target
         self.matrix = tuple(canon)
@@ -492,8 +494,9 @@ class _Factored:
         torsion = [i for i, d in enumerate(group.orders) if d]
         self.ncols = ncols
         self.echelon = None  # abelian.solve's kernel basis, built on its first call
-        self._rows = [list(row) + [d if i == t else 0 for t in torsion]
-                      for i, (row, d) in enumerate(zip(rows, group.orders))]
+        self._rows = [[*row, *[0] * len(torsion)] for row in rows]
+        for t, i in enumerate(torsion):  # d_i * e_i in torsion column t
+            self._rows[i][ncols + t] = group.orders[i]
         self._U = None
 
     def _factor(self):

@@ -120,11 +120,12 @@ def boundary(X, n, tup, basepoint=0, psi_sign=1):
 def verify_chain_complex(X, m, n, basepoint=0, bound=None, psi_sign=1):
     """Check d o d = 0 from degree n, composing coefficients outer-first.
 
-    X must be the base of m, else ValueError.  Each n-tuple's kept delta
-    rows of degree n-1 are multiplied through those of degree n-2, both
-    read with psi_sign, as sparse integer rows.  Returns (True, None) or
-    (False, (source_tuple, target_tuple, hom)) for the lexicographically
-    first offender.  Tuple count is capped.
+    X must be the base of m, else ValueError.  Each kept integer delta row of
+    degree n-1 is composed with those of degree n-2 (both read with psi_sign)
+    into one sparse accumulator and tested at once, coordinate by coordinate
+    up to the first failing n-tuple; only its rows are composed again, for the
+    witness.  Returns (True, None) or (False, (source_tuple, target_tuple,
+    hom)) for the lexicographically first offender.  Tuple count is capped.
     """
     if n < 2:
         raise ValueError("need n >= 2 to compose two boundaries")
@@ -138,23 +139,30 @@ def verify_chain_complex(X, m, n, basepoint=0, bound=None, psi_sign=1):
     cx = _complex(m)
     heads, outer = cx.delta(n - 1, basepoint, psi_sign)
     inner = cx.delta(n - 2, basepoint, psi_sign)[1]
-    orders = m.A.orders
-    r = len(orders)
-    for k, (_, tup) in enumerate(heads):
-        rows = []
-        for entries in outer[k * r:k * r + r]:
+    orders, r = m.A.orders, m.A.rank
+    first = len(heads)  # the first failing n-tuple found so far
+    for c, d in enumerate(orders):  # coordinate c of every tuple before it
+        for k, entries in enumerate(outer[c:first * r:r]):
             acc = {}
             for col, a in entries:
                 for j, b in inner[col]:
-                    acc[j] = acc.get(j, 0) + a * b
-            rows.append(acc)
-        bad = [j for acc, d in zip(rows, orders) for j, x in acc.items() if (x % d if d else x)]
-        if bad:
-            v = min(bad) // r
-            block = [[acc.get(v * r + j, 0) for j in range(r)] for acc in rows]
-            target = next(itertools.islice(_tuples(X.size, n - 2), v, None))
-            return False, (tup, target, AbHom(m.A, m.A, block))
-    return True, None
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            values = acc.values()
+            if any(values) and (not d or any(map(d.__rmod__, values))):
+                first = k
+                break
+    if first == len(heads):
+        return True, None
+    rows = [{} for _ in orders]
+    for acc, entries in zip(rows, outer[first * r:first * r + r]):
+        for col, a in entries:
+            for j, b in inner[col]:
+                acc[j] = acc.get(j, 0) + a * b
+    bad = [j for acc, d in zip(rows, orders) for j, x in acc.items() if (x % d if d else x)]
+    v = min(bad) // r
+    block = [[acc.get(v * r + j, 0) for j in range(r)] for acc in rows]
+    target = next(itertools.islice(_tuples(X.size, n - 2), v, None))
+    return False, (heads[first][1], target, AbHom(m.A, m.A, block))
 
 
 class Cochain:
@@ -178,6 +186,8 @@ class Cochain:
     def value(self, *xs):
         if len(xs) != self.degree:
             raise ValueError("wrong number of arguments")
+        if not all(x in range(self.size) for x in xs):
+            raise ValueError(f"arguments {xs} are not all elements of the base")
         return self.values[_flat(xs, self.size)]
 
     def _key(self):
@@ -209,7 +219,7 @@ class Cochain:
 
 
 def _cochain_to_vec(c):
-    return tuple(x for v in c.values for x in v)
+    return tuple(itertools.chain.from_iterable(c.values))
 
 
 def _vec_to_cochain(degree, size, group, vec):
@@ -222,9 +232,10 @@ def _vec_to_cochain(degree, size, group, vec):
 # constraint rows: each condition is stated once, as a row
 # (label, witness, terms) with terms a list of (coeff, h, flat_index), read as
 #   sum coeff * h(f_k) = 0  over the terms, on a flat cochain vector f.
-# A module's _Complex keeps each row list compiled; _rows_to_hom lays the
-# compiled rows out as a constraint matrix, and _row_values evaluates them on
-# one cochain, which gives delta and the witness reports.
+# A module's _Complex keeps each row list compiled, as A.rank integer rows of
+# (column, coefficient) pairs per condition.  Each reader is one flat pass over
+# them: _rows_to_hom lays out a constraint matrix, _row_values sums them on one
+# cochain (delta, witness reports), verify_chain_complex composes two degrees.
 
 
 def _eta_rows(X, m, degree):
@@ -370,33 +381,38 @@ def _rows_to_hom(A, n_unknowns, *pieces):
 
 
 def _row_values(m, c, piece):
-    """Value sum coeff * h(c_k) of each row on the cochain c, in A."""
+    """Value sum coeff * c_j of each integer row on the cochain c, modulo its order."""
     if c.size != m.base.size or c.group != m.A:
         raise ValueError("cochain does not match the base or group of the module")
     vec = _cochain_to_vec(c)
-    orders = m.A.orders
-    r = len(orders)
-    flat = [sum(a * vec[j] for j, a in entries) for entries in piece[1]]
-    return [tuple(x % d if d else x for x, d in zip(flat[k * r:k * r + r], orders))
-            for k in range(len(piece[0]))]
+    sums = []
+    for entries, d in zip(piece[1], itertools.cycle(m.A.orders)):
+        x = 0
+        for j, a in entries:
+            x += a * vec[j]
+        sums.append(x % d if d else x)
+    return sums
 
 
 def _report(m, c, *pieces):
     """(ok, diagnostics) with the witnesses of the failing rows per label."""
-    found = {}
-    zero = m.A.zero()
+    found, r = {}, m.A.rank
     for piece in pieces:
-        for (label, witness), value in zip(piece[0], _row_values(m, c, piece)):
-            if value != zero:
-                found.setdefault(label, []).append(witness)
+        values = _row_values(m, c, piece)
+        if any(values):  # else no condition fails, and none is walked
+            for k, (label, witness) in enumerate(piece[0]):
+                if any(values[k * r:k * r + r]):
+                    found.setdefault(label, []).append(witness)
     diags = [Diagnostic(k, v) for k, v in found.items()]
     return (not diags, diags)
 
 
 def delta(m, f, basepoint=0):
     """Coboundary: (delta f)(t) = sum h(f(u)) over terms h.(u) of d(t)."""
-    values = _row_values(m, f, _complex(m).delta(f.degree, basepoint))
-    return Cochain(f.degree + 1, m.base.size, m.A, values)
+    heads, _ = piece = _complex(m).delta(f.degree, basepoint)
+    values, r = _row_values(m, f, piece), m.A.rank
+    rows = zip(*[iter(values)] * r) if r else [()] * len(heads)  # r values per tuple
+    return Cochain(f.degree + 1, m.base.size, m.A, rows)
 
 
 class CochainSpace:

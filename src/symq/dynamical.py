@@ -314,14 +314,16 @@ def affine_tables(m, sigma):
     No axiom is checked here: the tables of an arbitrary candidate triple
     are exactly what a validator needs to see.
     """
-    X, A = m.base, m.A
+    X, A, n = m.base, m.A, m.base.size
     if not A.is_finite():
         raise InfiniteGroupUnsupported("fibers must be finite to tabulate")
-    sizes = (A.order(),) * X.size
+    if sigma.degree != 2 or sigma.size != n or sigma.group != A:
+        raise ValueError("sigma must be a 2-cochain on the base with values in A")
+    sizes = (A.order(),) * n
     alpha, beta = _fiber_tables(
         X, sizes,
         lambda x, y, s, t: A.element_index(A.add(
-            A.add(m.phi[x][y](A.element(s)), m.psi[x][y](A.element(t))), sigma.value(x, y))),
+            A.add(m.phi[x][y](A.element(s)), m.psi[x][y](A.element(t))), sigma.values[x * n + y])),
         lambda x, s: A.element_index(m.eta[x](A.element(s))),
     )
     return sizes, alpha, beta

@@ -122,7 +122,7 @@ def _check_affine_table(m, sigma, dext):
     # the glued table must match the product formula computed from scratch
     X, A = m.base, m.A
     phi, psi, eta = m.phi[0][0], m.psi[0][0], m.eta[0]
-    rack = dext.rack
+    rack, n = dext.rack, X.size
     for i in range(rack.size):
         x, s = dext.pair_of(i)
         r = dext.index_of((X.rho[x], A.element_index(eta(A.element(s)))))
@@ -130,7 +130,7 @@ def _check_affine_table(m, sigma, dext):
             raise AssertionError("extension involution disagrees with the affine formula")
         for j in range(rack.size):
             y, t = dext.pair_of(j)
-            fib = A.add(A.add(phi(A.element(s)), psi(A.element(t))), sigma.value(x, y))
+            fib = A.add(A.add(phi(A.element(s)), psi(A.element(t))), sigma.values[x * n + y])
             k = dext.index_of((X.op(x, y), A.element_index(fib)))
             if rack.op(i, j) != k:
                 raise AssertionError("extension table disagrees with the affine formula")
@@ -245,14 +245,18 @@ def _fiber_symmetry_problems(m, th):
 
 
 def _theta_problems(m, th):
-    # th is a fiber symmetry: an invertible map of A commuting with phi, psi, eta
-    if th.source != m.A or th.target != m.A:
+    # th is a fiber symmetry: an invertible map of A commuting with phi, psi, eta;
+    # over a finite A, th permutes A's elements and th(h(g)) == h(th(g)) on generators
+    A = m.A
+    if th.source != A or th.target != A:
         return ["shape"]
-    problems = [] if th.inverse() is not None else ["invertible"]
-    for name, h in (("phi", m.phi[0][0]), ("psi", m.psi[0][0]), ("eta", m.eta[0])):
-        if th.compose(h) != h.compose(th):
-            problems.append(name)
-    return problems
+    maps = (("phi", m.phi[0][0]), ("psi", m.psi[0][0]), ("eta", m.eta[0]))
+    if not A.is_finite():
+        problems = [] if th.inverse() is not None else ["invertible"]
+        return problems + [name for name, h in maps if th.compose(h) != h.compose(th)]
+    gens = [A.reduce(tuple(int(i == k) for i in range(A.rank))) for k in range(A.rank)]
+    problems = [] if len(set(map(th, A.elements()))) == A.order() else ["invertible"]
+    return problems + [name for name, h in maps if any(th(h(g)) != h(th(g)) for g in gens)]
 
 
 def _acted(ext, pair):
@@ -279,14 +283,11 @@ def enumerate_aut_pairs(ext, bound=None):
 
 def act_on_cocycle(m, pair, sigma):
     """(pair . sigma)(x, y) = theta(sigma(zeta^-1(x), zeta^-1(y)))."""
-    X = m.base
+    n, s = m.base.size, sigma.values
+    if sigma.degree != 2 or sigma.size != n or sigma.group != m.A:
+        raise ValueError("sigma must be a 2-cochain on the base with values in A")
     inv = _invert_word(pair.zeta)
-    values = [
-        pair.theta(sigma.value(inv[x], inv[y]))
-        for x in range(X.size)
-        for y in range(X.size)
-    ]
-    return Cochain(2, X.size, m.A, values)
+    return Cochain(2, n, m.A, [pair.theta(s[a * n + b]) for a in inv for b in inv])
 
 
 def lambda_map(ext, pair):
@@ -431,9 +432,7 @@ def extend_pair(ext, pair):
     nu = _witness(m, _acted(ext, pair).sub(ext.sigma), ext._degree1_map())
     if nu is None:
         return None
-    lam = Cochain(
-        1, m.base.size, m.A, [nu.value(pair.zeta[x]) for x in range(m.base.size)]
-    )
+    lam = Cochain(1, m.base.size, m.A, [nu.values[z] for z in pair.zeta])
     return LiftedAutomorphism(ext, pair, lam)
 
 

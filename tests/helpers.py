@@ -1,8 +1,10 @@
 """Exact matrix helpers, a dense Smith normal form, dense readings of a
-factorization, a subgroup closure, a brute-force good-involution search, a
-nested-loop chain complex check, a term-by-term cochain reference, the
-dynamical axioms in fiber coordinates and the affine part of a list of maps
-of an extension, for the tests and tests/wells_sweep.py only."""
+factorization, the entry-by-entry well-definedness check of a hom and the
+stacked system of `_Factored`, a subgroup closure, a brute-force
+good-involution search, a nested-loop chain complex check, a term-by-term
+cochain reference, the dynamical axioms in fiber coordinates and the affine
+part of a list of maps of an extension, for the tests and tests/wells_sweep.py
+only."""
 
 from fractions import Fraction
 from itertools import compress, product
@@ -216,6 +218,28 @@ def dense_smith_normal_form(M):
                 if D[j][j] < 0:
                     negate_row(j)
     return U, D, V
+
+
+def reference_ill_defined_entry(source, target, matrix):
+    """The first entry (i, j) at which an integer matrix fails to be a hom
+    source -> target, or None: the full double loop over source generators j,
+    then target coordinates i, that AbHom once ran on every construction."""
+    for j, dj in enumerate(source.orders):
+        if dj == 0:
+            continue
+        for i, di in enumerate(target.orders):
+            v = dj * matrix[i][j]
+            if (v % di if di else v) != 0:
+                return i, j
+    return None
+
+
+def reference_stacked_rows(rows, group):
+    """The rows `_Factored` factors, as the earlier comprehension stacked them:
+    each row of the map, then d_i * e_i for every finite order d_i of group."""
+    torsion = [i for i, d in enumerate(group.orders) if d]
+    return [list(row) + [d if i == t else 0 for t in torsion]
+            for i, (row, d) in enumerate(zip(rows, group.orders))]
 
 
 class DenseSystem:

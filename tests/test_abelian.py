@@ -1,5 +1,6 @@
 """Exact linear algebra over finitely generated abelian groups."""
 
+import itertools
 import random
 from math import gcd, prod
 
@@ -11,6 +12,7 @@ from symq.abelian import (
     AbHom,
     Subquotient,
     _echelon,
+    _Factored,
     image,
     kernel,
     quotient,
@@ -20,7 +22,13 @@ from symq.abelian import (
 )
 from symq.errors import InfiniteGroupUnsupported, SearchSpaceExceeded
 
-from helpers import det, mat_mul, reference_subgroup_elements
+from helpers import (
+    det,
+    mat_mul,
+    reference_ill_defined_entry,
+    reference_stacked_rows,
+    reference_subgroup_elements,
+)
 
 
 def random_matrix(rng, rows, cols, span=9):
@@ -183,6 +191,76 @@ class TestAbHom:
         A = AbGroup([4])
         f = AbHom.scalar(A, 2)
         assert f.inverse() is None
+
+
+# (), Z, Z2, Z3, Z4, Z2xZ2, Z4xZ2 and ZxZ2: every mix of equal, dividing,
+# coprime and infinite orders
+MIXED_ORDERS = ([], [0], [2], [3], [4], [2, 2], [4, 2], [0, 2])
+
+
+class TestWellDefinedness:
+    """AbHom's verdict against the full double loop over every entry."""
+
+    @pytest.mark.parametrize("target", MIXED_ORDERS, ids=str)
+    @pytest.mark.parametrize("source", MIXED_ORDERS, ids=str)
+    def test_verdict_and_entry_match_the_double_loop(self, source, target):
+        S, T = AbGroup(source), AbGroup(target)
+        shape = (len(target), len(source))
+        verdicts = set()
+        # every matrix with entries in -2..2, and each shifted by 20 to exercise reduction
+        for flat in itertools.product(range(-2, 3), repeat=shape[0] * shape[1]):
+            for shift in (0, 20):
+                matrix = [[x + shift for x in flat[i * shape[1]:(i + 1) * shape[1]]]
+                          for i in range(shape[0])]
+                bad = reference_ill_defined_entry(S, T, matrix)
+                verdicts.add(bad is None)
+                if bad is None:
+                    f = AbHom(S, T, matrix)
+                    assert f.matrix == tuple(tuple(x % d if d else x for x in row)
+                                             for row, d in zip(matrix, target))
+                else:
+                    with pytest.raises(ValueError) as exc:
+                        AbHom(S, T, matrix)
+                    i, j = bad
+                    assert str(exc.value) == f"not a well-defined homomorphism at entry ({i},{j})"
+        if any(dj and (not di or dj % di) for di in target for dj in source):
+            assert verdicts == {True, False}
+
+    def test_factored_stacks_rows_as_the_comprehension_did(self):
+        rng = random.Random(20261019)
+        for orders in MIXED_ORDERS + ([0, 4, 2, 0, 3], [2, 0, 0, 6]):
+            G = AbGroup(orders)
+            for ncols in (0, 1, 3):
+                rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in orders]
+                assert _Factored(rows, ncols, G)._rows == reference_stacked_rows(rows, G)
+                f = AbHom(AbGroup([0] * ncols), G, rows)
+                assert f._factored()._rows == reference_stacked_rows(f.matrix, G)
+
+
+class TestIntegralInput:
+    """Entries and orders must be integers; nothing is rounded or parsed."""
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "3", None], ids=repr)
+    def test_hom_entries_are_refused(self, bad):
+        A = AbGroup([4])
+        with pytest.raises(TypeError):
+            AbHom(A, A, [[bad]])
+        with pytest.raises(TypeError):
+            AbHom(AbGroup([0, 2]), AbGroup([0]), [[1, bad]])
+
+    @pytest.mark.parametrize("bad", [4.5, 4.0, "4", None], ids=repr)
+    def test_group_orders_are_refused(self, bad):
+        with pytest.raises(TypeError):
+            AbGroup([bad])
+        with pytest.raises(TypeError):
+            AbGroup([2, bad])
+
+    def test_bools_count_as_integers(self):
+        assert AbGroup([True, 2]).orders == (1, 2)
+        assert all(type(d) is int for d in AbGroup([True, False]).orders)
+        A = AbGroup([4])
+        assert AbHom(A, A, [[True]]).matrix == ((1,),)
+        assert type(AbHom(A, A, [[True]]).matrix[0][0]) is int
 
 
 def all_elements(group):

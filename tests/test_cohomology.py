@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -155,6 +156,17 @@ class TestChainCheckMatchesTheReference:
             for n, p, psi_sign in itertools.product((2, 3), range(X.size), (1, -1)):
                 same_as_reference(X, m, n, p, psi_sign)
 
+    @pytest.mark.parametrize("orders", ([3], [4, 2], [0, 2]), ids=str)
+    def test_random_tables(self, orders):
+        # tables that are not a module: most checks fail, at varied tuples and
+        # at either coordinate of A
+        X = rack("takasaki3")
+        rng = random.Random(str(orders))
+        for _ in range(3):
+            m = random_module(X, AbGroup(orders), rng)
+            for n, p, psi_sign in itertools.product((2, 3), range(X.size), (1, -1)):
+                same_as_reference(X, m, n, p, psi_sign)
+
     def test_first_offender_is_found_past_the_first_tuple(self):
         X = rack("t4")
         m = module("tw_z3", X)
@@ -254,6 +266,15 @@ class TestCocycleChecks:
         ok, diags = is_cocycle(m3, Cochain(0, X.size, m3.A, [(1,)]), THEORY_SQ)
         assert not ok
         assert [repr(d) for d in diags] == ["cocycle: [(0,), (1,)]"]
+
+    def test_value_refuses_arguments_outside_the_base(self):
+        c = Cochain(2, 3, AbGroup([9]), [(k,) for k in range(9)])
+        assert [c.value(x, y) for x in range(3) for y in range(3)] == list(c.values)
+        for args in ((0, 3), (-1, 0), (3, 0), (0, -1), (2, 5)):
+            with pytest.raises(ValueError, match="not all elements of the base"):
+                c.value(*args)
+        with pytest.raises(ValueError, match="wrong number of arguments"):
+            c.value(0)
 
     def test_shape_mismatch_rejected(self):
         X = rack("t2")
@@ -388,9 +409,17 @@ class TestBruteForceCount:
 
 
 def random_module(base, A, rng):
-    """Unchecked tables of random endomorphisms: every row reads other maps."""
+    """Unchecked tables of random endomorphisms: every row reads other maps.
+
+    Entry (i, j) is a random multiple of d_i / gcd(d_i, d_j), and 0 from a
+    finite to an infinite summand, so that every map is well defined.
+    """
+    def entry(di, dj):
+        x = rng.randint(-2, 2)
+        return x if not dj else 0 if not di else x * (di // gcd(di, dj))
+
     def h():
-        return AbHom(A, A, [[rng.randint(-2, 2) for _ in A.orders] for _ in A.orders])
+        return AbHom(A, A, [[entry(di, dj) for dj in A.orders] for di in A.orders])
 
     n = base.size
     return RackModule(base, A, [[h() for _ in range(n)] for _ in range(n)],
@@ -406,7 +435,7 @@ def random_cochain(m, degree, rng):
 REFERENCE_RACKS = {f"takasaki({n})": takasaki(n) for n in (3, 4, 5)}
 REFERENCE_RACKS.update(
     (name, rack(name)) for name in ("t2", "t4", "core_z4", "core_z4_shift", "conj_s3"))
-REFERENCE_GROUPS = ([0], [3], [4], [2, 2])
+REFERENCE_GROUPS = ([0], [3], [4], [2, 2], [4, 2], [0, 2])
 
 
 class TestCompiledRowsMatchTheReference:

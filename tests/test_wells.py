@@ -1,6 +1,7 @@
 """Affine extensions, symmetry pairs, lifting, and the exactness report."""
 
 import hashlib
+import itertools
 import random
 import time
 
@@ -18,7 +19,7 @@ from symq.cohomology import (
     cohomology_presentation,
     delta,
 )
-from symq.dynamical import DynamicalExtension
+from symq.dynamical import DynamicalExtension, affine_tables
 from symq.errors import (
     InfiniteGroupUnsupported,
     NotACocycle,
@@ -280,6 +281,65 @@ class TestModuleAutomorphisms:
             module_automorphisms(nonconstant_module())
 
 
+def compose_inverse_problems(m, th):
+    """_theta_problems by the general route: AbHom.inverse and composed maps."""
+    problems = [] if th.inverse() is not None else ["invertible"]
+    maps = (("phi", m.phi[0][0]), ("psi", m.psi[0][0]), ("eta", m.eta[0]))
+    return problems + [name for name, h in maps if th.compose(h) != h.compose(th)]
+
+
+def endomorphisms(A):
+    """Every endomorphism of a finite A, by the images of its generators."""
+    cols = [[v for v in A.elements() if not any(A.scale(d, v))] for d in A.orders]
+    return [AbHom(A, A, list(zip(*images))) for images in itertools.product(*cols)]
+
+
+def constant_modules(A, maps, rng, count=6):
+    """The dihedral module and constant modules with phi, psi, eta drawn from maps."""
+    X = rack("t2")
+    out = [dihedral_kamada_module(X, A)]
+    for _ in range(count):
+        phi, psi, eta = (rng.choice(maps) for _ in range(3))
+        out.append(RackModule(X, A, [[phi] * 2] * 2, [[psi] * 2] * 2, [eta] * 2))
+    return out
+
+
+class TestFiberSymmetryVerdicts:
+    """Element images decide fiber symmetries exactly as inverse and compose do."""
+
+    @pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [4, 2]], ids=str)
+    def test_every_endomorphism_of_a_finite_group(self, orders):
+        A = AbGroup(orders)
+        ends = endomorphisms(A)
+        assert len(ends) == len(set(ends))
+        verdicts = set()
+        for m in constant_modules(A, ends, random.Random(str(orders))):
+            for th in ends:
+                problems = symq.wells._theta_problems(m, th)
+                assert problems == compose_inverse_problems(m, th)
+                verdicts.add(tuple(problems))
+        assert () in verdicts and ("invertible",) in verdicts
+
+    @pytest.mark.parametrize("orders", [[0], [0, 2]], ids=str)
+    def test_samples_over_z(self, orders):
+        A = AbGroup(orders)
+        rng = random.Random(str(orders))
+
+        def sample():
+            # column j of a Z2 summand may not reach the free summand
+            return AbHom(A, A, [[rng.randint(-2, 2) if di or not dj else 0 for dj in orders]
+                                for di in orders])
+
+        maps = [AbHom.identity(A), AbHom.scalar(A, -1)] + [sample() for _ in range(20)]
+        for m in constant_modules(A, maps, rng):
+            for th in maps:
+                assert symq.wells._theta_problems(m, th) == compose_inverse_problems(m, th)
+
+    def test_a_map_between_other_groups_has_the_wrong_shape(self):
+        m = dihedral_kamada_module(rack("t2"), AbGroup([4]))
+        assert symq.wells._theta_problems(m, AbHom.identity(AbGroup([2]))) == ["shape"]
+
+
 class TestPairs:
     def test_enumeration_is_zeta_major(self):
         ext = z4_extension()
@@ -394,6 +454,18 @@ class TestActionAndLambda:
             out = act_on_cocycle(ext.module, p, ext.sigma)
             ok, diags = is_cocycle(ext.module, out, THEORY_SR)
             assert ok, diags
+
+    def test_a_sigma_of_another_shape_is_refused(self):
+        # both read sigma's values by position, so a table of the same length
+        # on other points or in another degree must not get through
+        ext = z4_extension()
+        m, n = ext.module, ext.module.base.size
+        for bad in (Cochain.zero(3, n, m.A), Cochain.zero(1, n * n, m.A),
+                    Cochain.zero(2, n + 1, m.A), Cochain.zero(2, n, AbGroup([2]))):
+            with pytest.raises(ValueError, match="sigma must be a 2-cochain"):
+                act_on_cocycle(m, AutPair.identity(m), bad)
+            with pytest.raises(ValueError, match="sigma must be a 2-cochain"):
+                affine_tables(m, bad)
 
     def test_lambda_values(self):
         ext = z4_extension()
