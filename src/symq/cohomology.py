@@ -140,24 +140,25 @@ def verify_chain_complex(X, m, n, basepoint=0, bound=None, psi_sign=1):
     heads, outer = cx.delta(n - 1, basepoint, psi_sign)
     inner = cx.delta(n - 2, basepoint, psi_sign)[1]
     orders, r = m.A.orders, m.A.rank
-    first = len(heads)  # the first failing n-tuple found so far
-    for c, d in enumerate(orders):  # coordinate c of every tuple before it
-        for k, entries in enumerate(outer[c:first * r:r]):
+
+    def composed(rows):
+        for entries in rows:
             acc = {}
             for col, a in entries:
                 for j, b in inner[col]:
                     acc[j] = acc[j] + a * b if j in acc else a * b
+            yield acc
+
+    first = len(heads)  # the first failing n-tuple found so far
+    for c, d in enumerate(orders):  # coordinate c of every tuple before it
+        for k, acc in enumerate(composed(outer[c:first * r:r])):
             values = acc.values()
             if any(values) and (not d or any(map(d.__rmod__, values))):
                 first = k
                 break
     if first == len(heads):
         return True, None
-    rows = [{} for _ in orders]
-    for acc, entries in zip(rows, outer[first * r:first * r + r]):
-        for col, a in entries:
-            for j, b in inner[col]:
-                acc[j] = acc.get(j, 0) + a * b
+    rows = list(composed(outer[first * r:first * r + r]))
     bad = [j for acc, d in zip(rows, orders) for j, x in acc.items() if (x % d if d else x)]
     v = min(bad) // r
     block = [[acc.get(v * r + j, 0) for j in range(r)] for acc in rows]

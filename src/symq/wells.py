@@ -245,17 +245,16 @@ def _fiber_symmetry_problems(m, th):
 
 
 def _theta_problems(m, th):
-    # th is a fiber symmetry: an invertible map of A commuting with phi, psi, eta;
-    # over a finite A, th permutes A's elements and th(h(g)) == h(th(g)) on generators
+    # th is a fiber symmetry: an invertible map of A commuting with phi, psi, eta
+    # on A's generators; over a tabulated A, invertible iff th permutes A's elements
     A = m.A
     if th.source != A or th.target != A:
         return ["shape"]
     maps = (("phi", m.phi[0][0]), ("psi", m.psi[0][0]), ("eta", m.eta[0]))
-    if not A.is_finite():
-        problems = [] if th.inverse() is not None else ["invertible"]
-        return problems + [name for name, h in maps if th.compose(h) != h.compose(th)]
     gens = [A.reduce(tuple(int(i == k) for i in range(A.rank))) for k in range(A.rank)]
-    problems = [] if len(set(map(th, A.elements()))) == A.order() else ["invertible"]
+    elems = A._elems
+    invertible = th.inverse() is not None if elems is None else len(set(map(th, elems))) == len(elems)
+    problems = [] if invertible else ["invertible"]
     return problems + [name for name, h in maps if any(th(h(g)) != h(th(g)) for g in gens)]
 
 

@@ -335,6 +335,29 @@ class TestFiberSymmetryVerdicts:
             for th in maps:
                 assert symq.wells._theta_problems(m, th) == compose_inverse_problems(m, th)
 
+    def test_a_large_finite_group_is_not_enumerated(self, monkeypatch):
+        # past the arithmetic tables invertibility is read off inverse(), so
+        # Z_(2^40) x Z_(2^40) is decided without listing its elements
+        A, N = AbGroup([2 ** 40, 2 ** 40]), 2 ** 40
+
+        def refuse(self):
+            raise AssertionError("a large group was enumerated")
+
+        monkeypatch.setattr(AbGroup, "elements", refuse)
+        maps = [AbHom(A, A, mat) for mat in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[3, 0], [0, 1]],
+                                             [[2, 0], [0, 1]], [[1, 1], [0, 1]], [[N - 1, 0], [0, 1]])]
+        X, ident, swap = rack("t2"), maps[0], maps[1]
+        m = RackModule(X, A, [[swap] * 2] * 2, [[ident.sub(swap)] * 2] * 2, [ident] * 2)
+        verdicts = set()
+        for th in maps:
+            problems = symq.wells._theta_problems(m, th)
+            assert problems == compose_inverse_problems(m, th)
+            diags = validate_aut_pair(m, AutPair((0, 1), th))
+            assert [(d.axiom, d.witnesses) for d in diags] == (
+                [("theta-symmetry", problems)] if problems else [])
+            verdicts.add(tuple(problems))
+        assert {(), ("invertible", "phi", "psi"), ("phi", "psi")} <= verdicts
+
     def test_a_map_between_other_groups_has_the_wrong_shape(self):
         m = dihedral_kamada_module(rack("t2"), AbGroup([4]))
         assert symq.wells._theta_problems(m, AbHom.identity(AbGroup([2]))) == ["shape"]
