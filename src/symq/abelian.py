@@ -262,9 +262,9 @@ def _get(table, key):
 class AbGroup:
     """Finitely generated abelian group as a tuple of cyclic orders (0 = Z).
 
-    A finite group of order at most limits.ARITH_TABLE_ORDER reads tables that
-    the formula fills, shared per orders: each canonical element to itself, the
-    elements in index order, and the sums of canonical elements as they are met.
+    A finite group of order at most limits.ARITH_TABLE_ORDER shares its index
+    tables per orders: its elements, their indices, and the index of every sum
+    and negative.  Canonical input reads them; all else takes the formula.
 
     >>> A = AbGroup([2, 4])
     >>> A.add((1, 3), (1, 2))
@@ -273,29 +273,42 @@ class AbGroup:
     'Z2 x Z4'
     """
 
-    __slots__ = ("orders", "_canon", "_elems", "_sums")
-    _tables = {}  # orders -> (canon, elems, sums)
+    __slots__ = ("orders", "_elems", "_index", "_sums", "_negs")
+    _tables = {}  # orders -> (elems, index, sums, negs)
 
     def __init__(self, orders):
         orders = tuple(map(index, orders))
         if any(d < 0 for d in orders):
             raise ValueError("orders must be non-negative")
         self.orders = orders
-        self._canon = self._elems = self._sums = None
+        self._elems = self._index = self._sums = self._negs = None
         if 0 not in orders and prod(orders) <= limits.ARITH_TABLE_ORDER:
             if orders not in self._tables:
-                elems = tuple(map(self.reduce, product(*map(range, orders))))
-                self._tables[orders] = {e: e for e in elems}, elems, {}
-            self._canon, self._elems, self._sums = self._tables[orders]
+                self._tables[orders] = self.index_tables()
+            self._elems, self._index, self._sums, self._negs = self._tables[orders]
+
+    def index_tables(self):
+        """(elements, index of each, sums, negs) as element indices; finite groups only.
+
+        Shared per orders up to the cap; above it built on the first call, for this group."""
+        if self._elems is None:
+            self.order()  # refuses an infinite group
+            sums, elems = [[0]], tuple(product(*map(range, self.orders)))
+            for d in self.orders:  # (g, a) + (h, b) has index sums_G[g][h] * d + (a + b) % d
+                sums = [[k * d + (a + b) % d for k, b in product(row, range(d))]
+                        for row, a in product(sums, range(d))]
+            self._elems, self._index = elems, {e: i for i, e in enumerate(elems)}
+            self._sums, self._negs = sums, [row.index(0) for row in sums]
+        return self._elems, self._index, self._sums, self._negs
 
     @property
     def rank(self):
         return len(self.orders)
 
     def reduce(self, v):
-        r = _get(self._canon, v)
-        if r is not None:
-            return r
+        i = _get(self._index, v)
+        if i is not None:
+            return self._elems[i]
         if len(v) != len(self.orders):
             raise ValueError("element length mismatch")
         return tuple(int(x) % d if d else int(x) for x, d in zip(v, self.orders))
@@ -304,18 +317,20 @@ class AbGroup:
         return (0,) * len(self.orders)
 
     def add(self, u, v):
-        r = _get(self._sums, (u, v))
-        if r is None:
-            r = self.reduce(tuple(a + b for a, b in zip(u, v)))
-            if _get(self._canon, u) is not None and _get(self._canon, v) is not None:
-                self._sums[u, v] = r
-        return r
+        i, j = _get(self._index, u), _get(self._index, v)
+        if i is None or j is None:
+            return self.reduce(tuple(a + b for a, b in zip(u, v)))
+        return self._elems[self._sums[i][j]]
 
     def neg(self, u):
-        return self.reduce(tuple(-a for a in u))
+        i = _get(self._index, u)
+        return self.reduce(tuple(-a for a in u)) if i is None else self._elems[self._negs[i]]
 
     def sub(self, u, v):
-        return self.reduce(tuple(a - b for a, b in zip(u, v)))
+        i, j = _get(self._index, u), _get(self._index, v)
+        if i is None or j is None:
+            return self.reduce(tuple(a - b for a, b in zip(u, v)))
+        return self._elems[self._sums[i][self._negs[j]]]
 
     def scale(self, k, u):
         return self.reduce(tuple(k * a for a in u))
@@ -369,7 +384,7 @@ class AbHom:
     target) is checked entry by entry when some pair of orders can fail it.
     """
 
-    __slots__ = ("source", "target", "matrix", "_system", "_hash", "_images")
+    __slots__ = ("source", "target", "matrix", "_system", "_hash", "_indices")
 
     def __init__(self, source, target, matrix):
         rows = [tuple(map(index, row)) for row in matrix]
@@ -389,7 +404,7 @@ class AbHom:
         self.matrix = tuple(canon)
         self._system = None
         self._hash = None
-        self._images = None if source._canon is None else {}  # canonical element -> image
+        self._indices = None
 
     def _factored(self):
         if self._system is None:
@@ -410,13 +425,19 @@ class AbHom:
         return cls(group, group, [[k if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __call__(self, v):
-        r = _get(self._images, v)
-        if r is None:
-            v = self.source.reduce(v)
-            r = self.target.reduce(mat_vec(self.matrix, v))
-            if self._images is not None:
-                self._images[v] = r
-        return r
+        i = _get(self.source._index, v)
+        if i is None or self.target._elems is None:
+            return self.target.reduce(mat_vec(self.matrix, self.source.reduce(v)))
+        return self.target._elems[self.indices()[i]]
+
+    def indices(self):
+        """The index of each image, in the order of source.elements(); built once, finite only."""
+        if self._indices is None:
+            t = self.target
+            t.order()  # refuses an infinite target
+            self._indices = tuple(t.element_index(t.reduce(mat_vec(self.matrix, v)))
+                                  for v in self.source.elements())
+        return self._indices
 
     def compose(self, other):
         """self after other."""

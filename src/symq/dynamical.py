@@ -320,11 +320,12 @@ def affine_tables(m, sigma):
     if sigma.degree != 2 or sigma.size != n or sigma.group != A:
         raise ValueError("sigma must be a 2-cochain on the base with values in A")
     sizes = (A.order(),) * n
+    _, index, sums, _ = A.index_tables()
+    phi, psi = ([[h.indices() for h in row] for row in maps] for maps in (m.phi, m.psi))
     alpha, beta = _fiber_tables(
         X, sizes,
-        lambda x, y, s, t: A.element_index(A.add(
-            A.add(m.phi[x][y](A.element(s)), m.psi[x][y](A.element(t))), sigma.values[x * n + y])),
-        lambda x, s: A.element_index(m.eta[x](A.element(s))),
+        lambda x, y, s, t: sums[sums[phi[x][y][s]][psi[x][y][t]]][index[sigma.values[x * n + y]]],
+        lambda x, s: m.eta[x].indices()[s],
     )
     return sizes, alpha, beta
 

@@ -119,21 +119,18 @@ def build_abelian_extension(m, sigma, theory=None):
 
 
 def _check_affine_table(m, sigma, dext):
-    # the glued table must match the product formula computed from scratch
-    X, A = m.base, m.A
-    phi, psi, eta = m.phi[0][0], m.psi[0][0], m.eta[0]
-    rack, n = dext.rack, X.size
+    # the glued table must match the product formula at every pair of labels, on indices
+    X, q, n, rack = m.base, m.A.order(), m.base.size, dext.rack
+    _, index, sums, _ = m.A.index_tables()
+    phi, psi, eta = (h.indices() for h in (m.phi[0][0], m.psi[0][0], m.eta[0]))
     for i in range(rack.size):
-        x, s = dext.pair_of(i)
-        r = dext.index_of((X.rho[x], A.element_index(eta(A.element(s)))))
-        if rack.rho[i] != r:
+        x, s = divmod(i, q)
+        if rack.rho[i] != X.rho[x] * q + eta[s]:
             raise AssertionError("extension involution disagrees with the affine formula")
-        for j in range(rack.size):
-            y, t = dext.pair_of(j)
-            fib = A.add(A.add(phi(A.element(s)), psi(A.element(t))), sigma.values[x * n + y])
-            k = dext.index_of((X.op(x, y), A.element_index(fib)))
-            if rack.op(i, j) != k:
-                raise AssertionError("extension table disagrees with the affine formula")
+        row = [sums[phi[s]][k] for k in psi]
+        if rack.rack.table[i] != tuple(X.op(x, y) * q + sums[k][index[sigma.values[x * n + y]]]
+                                       for y in range(n) for k in row):
+            raise AssertionError("extension table disagrees with the affine formula")
 
 
 def module_automorphisms(m, bound=None):
@@ -173,14 +170,13 @@ def module_automorphisms(m, bound=None):
             options.append([t for t in torsion if A.scale(d, t) == zero])
     if prod(map(len, options)) > limits.ENDO_ENUM:
         raise SearchSpaceExceeded("too many candidate fiber maps to scan")
-    out = []
-    for cols in product(*options):
-        h = AbHom(A, A, [[col[i] for col in cols] for i in range(A.rank)])
-        if not _fiber_symmetry_problems(m, h):
-            out.append(h)
-    out.sort(key=lambda h: h.matrix)
-    _check_group(out, AbHom.identity(A), AbHom.compose, "fiber symmetries")
-    return out
+
+    def scan():  # once per module: a refused map's verdict is not kept
+        maps = (AbHom(A, A, zip(*cols)) for cols in product(*options))
+        out = sorted((h for h in maps if not _fiber_symmetry_problems(m, h)), key=lambda h: h.matrix)
+        _check_group(out, AbHom.identity(A), AbHom.compose, "fiber symmetries")
+        return out
+    return list(_complex(m)._get(("fiber symmetries",), scan))
 
 
 class AutPair:
@@ -238,22 +234,24 @@ def validate_aut_pair(m, pair):
 
 
 def _fiber_symmetry_problems(m, th):
-    # _theta_problems once per module and map, kept beside the module's witness
-    # maps; keyed by the matrix, since th itself would keep its factorization alive
-    return _complex(m)._get(("theta", th.source, th.target, th.matrix),
-                            lambda: _theta_problems(m, th))
+    # accepted maps' verdicts only, kept keyed by the matrix (th would keep its factorization)
+    kept, key = _complex(m)._pieces, ("theta", th.source, th.target, th.matrix)
+    problems = [] if key in kept else _theta_problems(m, th)
+    if not problems:
+        kept[key] = problems
+    return problems
 
 
 def _theta_problems(m, th):
     # th is a fiber symmetry: an invertible map of A commuting with phi, psi, eta
-    # on A's generators; over a tabulated A, invertible iff th permutes A's elements
+    # on A's generators; over a tabulated A, invertible iff its image indices differ
     A = m.A
     if th.source != A or th.target != A:
         return ["shape"]
     maps = (("phi", m.phi[0][0]), ("psi", m.psi[0][0]), ("eta", m.eta[0]))
     gens = [A.reduce(tuple(int(i == k) for i in range(A.rank))) for k in range(A.rank)]
     elems = A._elems
-    invertible = th.inverse() is not None if elems is None else len(set(map(th, elems))) == len(elems)
+    invertible = th.inverse() is not None if elems is None else len(set(th.indices())) == len(elems)
     problems = [] if invertible else ["invertible"]
     return problems + [name for name, h in maps if any(th(h(g)) != h(th(g)) for g in gens)]
 
@@ -318,18 +316,19 @@ class LiftedAutomorphism:
     """xi(x, a) = (zeta(x), lam(x) + theta(a)), a symmetry of E over a pair.
 
     Each lift is decided once, on construction.  Over a finite fiber group
-    its permutation of extension labels is checked to be a symmetric-rack
-    isomorphism of the glued table at every pair of labels.  That table was
-    checked against the affine product formula when the extension was built,
-    so this holds exactly when lam is eta-compatible and solves the lift
-    equation.  A refused lift, and every lift over an infinite fiber group,
-    walks that formula, whose ValidationError names the failing points; a
-    lift that only the table refuses raises AssertionError.
+    its permutation of extension labels is accepted if it equals f after g,
+    composed_of = (f, g) being lifts of this extension, or else if it is a
+    symmetric-rack isomorphism of the glued table at every pair of labels,
+    which was checked against the affine product formula: that holds exactly
+    when lam is eta-compatible and solves the lift equation.  A refused lift,
+    and every lift over an infinite fiber group, walks that formula, whose
+    ValidationError names the failing points; a lift that only the table
+    refuses raises AssertionError.
     """
 
     __slots__ = ("extension", "pair", "lam", "perm")
 
-    def __init__(self, extension, pair, lam):
+    def __init__(self, extension, pair, lam, composed_of=(None, None)):
         _acted(extension, pair)
         m = extension.module
         if lam.degree != 1 or lam.size != m.base.size or lam.group != m.A:
@@ -337,7 +336,10 @@ class LiftedAutomorphism:
         self.extension, self.pair, self.lam, self.perm = extension, pair, lam, None
         if extension.extension is not None:
             self.perm = _lift_permutation(extension, pair, lam)
-            if is_isomorphism(RackMorphism(extension.rack, extension.rack, self.perm)):
+            f, g = composed_of
+            decided = all(isinstance(h, LiftedAutomorphism) and h.extension is extension for h in (f, g))
+            if decided and self.perm == _compose_words(f.perm, g.perm) or is_isomorphism(
+                    RackMorphism(extension.rack, extension.rack, self.perm)):
                 return
         _check_lift(extension, pair, lam)
         if self.perm is not None:
@@ -415,10 +417,11 @@ def _check_lift(ext, pair, lam):
 
 
 def _lift_permutation(ext, pair, lam):
-    A, index_of = ext.module.A, ext.extension.index_of
-    return tuple(
-        index_of((pair.zeta[x], A.element_index(A.add(lam.values[x], pair.theta(A.element(s))))))
-        for x, s in ext.extension.labels)
+    # (x, s) -> (zeta(x), lam(x) + theta(s)) on element indices; (x, s) is label x * q + s
+    _, index, sums, _ = ext.module.A.index_tables()
+    q, theta = len(index), pair.theta.indices()
+    return tuple(z * q + row[t] for z, v in zip(pair.zeta, lam.values)
+                 for row in (sums[index[v]],) for t in theta)
 
 
 def extend_pair(ext, pair):
@@ -448,29 +451,37 @@ def z1_elements(ext, bound=None):
 def enumerate_autA_extension(ext, bound=None):
     """All fiber-preserving symmetries of E: lifts of every unobstructed pair.
 
-    Lifts of one pair differ by 1-cocycles.  Every lift is decided on
-    construction, on the glued table, so a pair's base lift is built and
-    decided twice: by extend_pair and again as its zero-cocycle member.  The
-    permutations of E are checked to form a group on every element.
+    Lifts of one pair differ by 1-cocycles.  Each pair's base lift and each
+    z in Z^1, as a lift of the identity pair, are decided in full; every
+    other lift base + z by equality with a composition of two of those.
+    The permutations of E are checked to form a group on every element.
     """
     _glued(ext)
     zs = z1_elements(ext, bound)
-    return _lift_group(ext, enumerate_aut_pairs(ext, bound), zs)
+    return _lift_group(ext, enumerate_aut_pairs(ext, bound), zs)[0]
 
 
 def _lift_group(ext, pairs, zs):
-    # each unobstructed pair's lift from extend_pair, shifted by every 1-cocycle
+    # base + z by perm_id(z o zeta^-1) o perm(base), Z^1 being closed under z -> z o zeta^-1;
+    # the lifts of the z (returned too) are the identity pair's, whose base lift is 0
     _glued(ext)
+    ident = AutPair.identity(ext.module)
+    zlifts = [LiftedAutomorphism(ext, ident, zc) for zc in zs]
+    by_values = {xi.lam.values: xi for xi in zlifts}
     out = []
     for pair in pairs:
         base = extend_pair(ext, pair)
         if base is None:
             continue
+        if pair == ident:
+            out += zlifts
+            continue
+        inv = _invert_word(pair.zeta)
         for zc in zs:
-            out.append(LiftedAutomorphism(ext, pair, base.lam.add(zc)))
-    ident = tuple(range(ext.rack.size))
-    _check_group([xi.perm for xi in out], ident, _compose_words, "lift group")
-    return out
+            shift = by_values.get(tuple(map(zc.values.__getitem__, inv)))
+            out.append(LiftedAutomorphism(ext, pair, base.lam.add(zc), composed_of=(shift, base)))
+    _check_group([xi.perm for xi in out], tuple(range(ext.rack.size)), _compose_words, "lift group")
+    return out, zlifts
 
 
 def gamma_restriction(ext, xi):
@@ -504,12 +515,9 @@ def gamma_restriction(ext, xi):
             "the permutation does not cover a base permutation",
             [Diagnostic("fiber-map", split)],
         )
-    zero_idx = A.element_index(A.zero())
-    imgs = []
-    for k in range(A.rank):
-        e = A.reduce(tuple(1 if i == k else 0 for i in range(A.rank)))
-        s = A.element_index(e)
-        imgs.append(A.sub(A.element(fiber[0][s]), A.element(fiber[0][zero_idx])))
+    # theta(e_k) = xi(0, e_k) - xi(0, 0) on the fiber over 0, where zero has index 0
+    units = [A.reduce(tuple(int(i == k) for i in range(A.rank))) for k in range(A.rank)]
+    imgs = [A.sub(A.element(fiber[0][A.element_index(e)]), A.element(fiber[0][0])) for e in units]
     try:
         theta = AbHom(A, A, [[img[i] for img in imgs] for i in range(A.rank)])
     except ValueError:
@@ -520,7 +528,7 @@ def gamma_restriction(ext, xi):
     # the lift of (zeta, theta) with lam(x) the image of (x, 0), built once
     # and compared label by label
     pair = AutPair(tuple(zeta), theta)
-    lam = Cochain(1, X.size, A, [A.element(fiber[x][zero_idx]) for x in range(X.size)])
+    lam = Cochain(1, X.size, A, [A.element(fiber[x][0]) for x in range(X.size)])
     expected = _lift_permutation(ext, pair, lam)
     bad = [dext.pair_of(i) for i in range(rack.size) if perm[i] != expected[i]]
     if bad:
@@ -606,12 +614,12 @@ def wells_report(ext, bound=None):
     zero = ext.presentation.group.zero()
     stab = stabilizer(ext, pairs)
     zs = z1_elements(ext, bound)
-    auts = _lift_group(ext, pairs, zs)
+    auts, zlifts = _lift_group(ext, pairs, zs)
     if len({xi.perm for xi in auts}) != len(auts):
         raise AssertionError("lift enumeration produced duplicates")
     ident = AutPair.identity(ext.module)
     kernel = [xi for xi in auts if xi.pair == ident]
-    zperm = {z: _lift_permutation(ext, ident, z) for z in zs}
+    zperm = {xi.lam: xi.perm for xi in zlifts}
     z0 = Cochain.zero(1, ext.module.base.size, ext.module.A)
     gens = _check_group(zs, z0, Cochain.add, "1-cocycles")
     exact_cocycles = len(set(zperm.values())) == len(zs) and all(

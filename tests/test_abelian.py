@@ -124,7 +124,7 @@ class TestArithmeticTables:
             slow = AbGroup(orders)
         fast = AbGroup(orders)
         tabulated = 0 not in orders and prod(orders) <= limits.ARITH_TABLE_ORDER
-        assert (fast._canon is not None) == tabulated and slow._canon is None
+        assert (fast._index is not None) == tabulated and slow._index is None
         rng = random.Random(hash(orders))
         xs = probes(slow, rng)
         pairs = [(rng.choice(xs), rng.choice(xs)) for _ in range(150)]
@@ -164,12 +164,47 @@ class TestArithmeticTables:
                    for dj in orders] for di in target_orders]
         fast = AbHom(AbGroup(orders), AbGroup(target_orders), matrix)
         slow = AbHom(slow_source, slow_target, matrix)
-        tabulated = 0 not in orders and prod(orders) <= limits.ARITH_TABLE_ORDER
-        assert (fast._images is not None) == tabulated and slow._images is None
         xs = probes(slow_source, rng)
         for _ in range(2):
             for x in xs:
                 assert outcome(fast, x) == outcome(slow, x)
+        # images are read off the index tuple between tabulated groups only
+        assert (fast._indices is not None) == all(
+            0 not in o and prod(o) <= limits.ARITH_TABLE_ORDER for o in (orders, target_orders))
+        assert slow._indices is None
+        if 0 not in orders and 0 not in target_orders:
+            want = tuple(slow.target.element_index(slow(v)) for v in slow.source.elements())
+            assert fast.indices() == slow.indices() == want
+
+    @pytest.mark.parametrize("orders", [(2,), (3,), (4,), (2, 2), (4, 2), (67,)], ids=str)
+    def test_index_tables_agree_with_the_formula(self, orders):
+        A = AbGroup(orders)
+        elems, index, sums, negs = tables = A.index_tables()
+        assert list(elems) == A.elements() and [index[e] for e in elems] == list(range(len(elems)))
+        for i, u in enumerate(elems):
+            assert elems[negs[i]] == tuple(-a % d for a, d in zip(u, orders))
+            assert [elems[k] for k in sums[i]] == [
+                tuple((a + b) % d for a, b, d in zip(u, v, orders)) for v in elems]
+        # shared per orders up to the cap, built afresh above it
+        again = AbGroup(orders).index_tables()
+        assert again == tables and (again[2] is sums) == (A.order() <= limits.ARITH_TABLE_ORDER)
+
+    @pytest.mark.parametrize("orders", [(2,), (3,), (4,), (2, 2), (4, 2)], ids=str)
+    def test_add_sub_neg_on_every_pair(self, orders):
+        # canonical, unreduced and list input, every pair, against the formula
+        A = AbGroup(orders)
+
+        def formula(v):
+            return tuple(x % d for x, d in zip(v, orders))
+
+        elems = A.elements()
+        inputs = elems + [tuple(x - 2 * d for x, d in zip(e, orders)) for e in elems] + list(
+            map(list, elems))
+        for u in inputs:
+            assert A.neg(u) == formula([-a for a in u])
+            for v in inputs:
+                assert A.add(u, v) == formula([a + b for a, b in zip(u, v)])
+                assert A.sub(u, v) == formula([a - b for a, b in zip(u, v)])
 
 
 class TestAbHom:

@@ -32,6 +32,7 @@ from symq.modules import RackModule, dihedral_kamada_module
 from symq.racks import (
     FiniteRack,
     FiniteSymmetricRack,
+    _invert_word,
     good_involution_diagnostics,
     takasaki,
     trivial_rack,
@@ -85,13 +86,13 @@ def nonconstant_module():
 
 @pytest.fixture
 def lift_constructions(monkeypatch):
-    """Count the verified LiftedAutomorphism constructions."""
+    """Count the LiftedAutomorphism constructions, each deciding one lift."""
     calls = []
     original = symq.wells.LiftedAutomorphism.__init__
 
-    def counting(self, extension, pair, lam):
+    def counting(self, extension, pair, lam, **kw):
         calls.append(pair)
-        original(self, extension, pair, lam)
+        original(self, extension, pair, lam, **kw)
 
     monkeypatch.setattr(symq.wells.LiftedAutomorphism, "__init__", counting)
     return calls
@@ -631,6 +632,64 @@ class TestLifting:
             refused += want is not None
         assert refused > len(lifts)
 
+    @pytest.mark.parametrize("name", [
+        "t2/Z4/sr", "takasaki3/Z4/sr", "takasaki3/Z2/sq", "takasaki3/Z2xZ2/sq"])
+    def test_a_corrupted_shifted_lift_is_refused(self, name):
+        # lam0 + z is accepted when it equals perm_id(z o zeta^-1) o perm(lam0);
+        # lam0 + z + e at one point, for each nonzero e, must still be refused
+        # exactly as the constructor alone refuses it, and a composition that
+        # does not match (here a wrong z-lift) falls through to the full decision
+        ext = gamma_extension(name)
+        A, n = ext.module.A, ext.module.base.size
+        ident, zs = AutPair.identity(ext.module), z1_elements(ext)
+        zlift = {z.values: LiftedAutomorphism(ext, ident, z) for z in zs}
+        shifts = [a for a in A.elements() if a != A.zero()]
+        shifted = refused = 0
+        for pair in enumerate_aut_pairs(ext):
+            base = extend_pair(ext, pair)
+            if base is None or pair == ident:
+                continue
+            inv = _invert_word(pair.zeta)
+            for z, wrong in zip(zs, zs[1:] + zs[:1]):
+                f = zlift[tuple(z.values[y] for y in inv)]
+                lam = base.lam.add(z)
+                perm = LiftedAutomorphism(ext, pair, lam, composed_of=(f, base)).perm
+                assert perm == tuple(f.perm[v] for v in base.perm)
+                other = zlift[tuple(wrong.values[y] for y in inv)]
+                assert LiftedAutomorphism(ext, pair, lam, composed_of=(other, base)).perm == perm
+                for x, e in itertools.product(range(n), shifts):
+                    vals = list(lam.values)
+                    vals[x] = A.add(vals[x], e)
+                    bad = Cochain(1, n, A, vals)
+                    want = lift_outcome(LiftedAutomorphism, ext, pair, bad)
+                    composed = lift_outcome(
+                        lambda *args: LiftedAutomorphism(*args, composed_of=(f, base)), ext, pair, bad)
+                    assert composed == want
+                    refused += want is not None
+                shifted += 1
+        assert shifted and refused >= shifted
+
+    @pytest.mark.parametrize("name", ["t2/Z4/sr", "takasaki3/Z4/sr", "takasaki3/Z2xZ2/sq"])
+    def test_a_non_cocycle_in_the_z_list_is_refused(self, name):
+        # a 1-cochain that is not an eta-compatible 1-cocycle, put among the
+        # z: building the lift group raises what the constructor raises on it
+        ext = gamma_extension(name)
+        A, n = ext.module.A, ext.module.base.size
+        pairs, zs = enumerate_aut_pairs(ext), z1_elements(ext)
+        ident = AutPair.identity(ext.module)
+        for k, (z, e) in enumerate(itertools.product(zs, A.elements())):
+            vals = list(z.values)
+            vals[k % n] = A.add(vals[k % n], e)
+            c = Cochain(1, n, A, vals)
+            if c in zs:
+                continue
+            want = lift_outcome(LiftedAutomorphism, ext, ident, c)
+            assert want is not None
+            for bad in (zs[:k % len(zs)] + [c] + zs[k % len(zs):], [c] + zs[1:]):
+                got = lift_outcome(lambda ext, pair, lam: symq.wells._lift_group(ext, pairs, bad),
+                                   ext, ident, c)
+                assert got == want
+
     def test_a_lift_only_the_table_refuses_raises_assertion(self, monkeypatch):
         # two entries of one column of E's table swapped after the build:
         # every lift still solves the lift equation, and each lift that does
@@ -760,10 +819,21 @@ class TestEnumerationAndReport:
         assert orders == (16, 16, 16, 16, 256)
         assert rep.exact_at_cocycles and rep.exact_at_symmetries and rep.exact_at_pairs
 
-    def test_each_lift_is_verified_once(self, lift_constructions):
-        ext = z4_extension()
-        rep = wells_report(ext)
-        assert len(lift_constructions) <= rep.aut_size + len(rep.pairs) + rep.z1_size
+    def test_each_lift_is_verified_once(self, lift_constructions, monkeypatch):
+        # each lift is decided exactly once: every unobstructed pair's base
+        # lift and every z in Z^1 (a lift of the identity pair, standing in
+        # its place) in full, on the glued table; every other lift by equality
+        # with a composition of two of those
+        decide = symq.wells.is_isomorphism
+        for name in ("t2/Z4/sr", "takasaki3/Z4/sr", "takasaki3/Z2xZ2/sq"):
+            ext, full = gamma_extension(name), []
+            monkeypatch.setattr(symq.wells, "is_isomorphism", lambda f, ext=ext, full=full: (
+                f.source is ext.rack and full.append(f.map)) or decide(f))
+            lift_constructions.clear()
+            rep = wells_report(ext)
+            assert len(lift_constructions) == rep.aut_size + rep.image_size
+            assert len(full) == rep.image_size + rep.z1_size
+            assert rep.exact and rep.aut_size == rep.image_size * rep.z1_size > len(full)
 
     @pytest.mark.parametrize("run", [z1_elements, wells_report])
     def test_infinite_z1_is_refused_at_once(self, run):
@@ -803,6 +873,113 @@ def lift_outcome(build, ext, pair, lam):
         diags = [(d.axiom, d.witnesses, d.truncated) for d in getattr(exc, "diagnostics", [])]
         return type(exc).__name__, str(exc), diags
     return None
+
+
+def formula_index(A, v):
+    """Mixed-radix index of a canonical element, in A.elements() order."""
+    idx = 0
+    for x, d in zip(v, A.orders):
+        idx = idx * d + x
+    return idx
+
+
+def formula_apply(h, v):
+    return tuple(sum(a * b for a, b in zip(row, v)) % d for row, d in zip(h.matrix, h.target.orders))
+
+
+def formula_add(A, *vs):
+    return tuple(sum(xs) % d for *xs, d in zip(*vs, A.orders))
+
+
+def formula_affine_tables(m, sigma):
+    """affine_tables by the formula walk on element tuples, with no index table."""
+    X, A, n = m.base, m.A, m.base.size
+    E = list(itertools.product(*map(range, A.orders)))
+    alpha = [[[[formula_index(A, formula_add(A, formula_apply(m.phi[x][y], u),
+                                             formula_apply(m.psi[x][y], v), sigma.values[x * n + y]))
+                for v in E] for u in E] for y in range(n)] for x in range(n)]
+    beta = [[formula_index(A, formula_apply(m.eta[x], u)) for u in E] for x in range(n)]
+    return (len(E),) * n, alpha, beta
+
+
+def formula_table_verdict(m, sigma, dext):
+    """The message _check_affine_table raises, by the formula walk over labels, or None."""
+    X, A, n, rack = m.base, m.A, m.base.size, dext.rack
+    E = list(itertools.product(*map(range, A.orders)))
+    phi, psi, eta = m.phi[0][0], m.psi[0][0], m.eta[0]
+    for i, (x, s) in enumerate(dext.labels):
+        if rack.rho[i] != dext.index_of((X.rho[x], formula_index(A, formula_apply(eta, E[s])))):
+            return "extension involution disagrees with the affine formula"
+        for j, (y, t) in enumerate(dext.labels):
+            fib = formula_add(A, formula_apply(phi, E[s]), formula_apply(psi, E[t]), sigma.values[x * n + y])
+            if rack.op(i, j) != dext.index_of((X.op(x, y), formula_index(A, fib))):
+                return "extension table disagrees with the affine formula"
+    return None
+
+
+def formula_lift_permutation(ext, pair, lam):
+    A, dext = ext.module.A, ext.extension
+    E = list(itertools.product(*map(range, A.orders)))
+    return tuple(dext.index_of((pair.zeta[x], formula_index(
+        A, formula_add(A, lam.values[x], formula_apply(pair.theta, E[s]))))) for x, s in dext.labels)
+
+
+class TestCompiledFiberArithmetic:
+    """Index-table arithmetic of the affine tables, their check and lift permutations,
+    against the formula walk on element tuples; Z67 is above the table cap."""
+
+    GROUPS = [("takasaki3", [2]), ("takasaki3", [3]), ("t2", [4]), ("takasaki3", [2, 2]),
+              ("t2", [4, 2]), ("t2", [2, 2, 2]), ("t2", [67])]
+
+    @pytest.mark.parametrize("name, orders", GROUPS, ids=str)
+    def test_affine_tables(self, name, orders):
+        X, A = rack(name), AbGroup(orders)
+        rng = random.Random(str(orders))
+        E = A.elements()
+        maps = [AbHom(A, A, list(zip(*cols))) for cols in (
+            [rng.choice([v for v in E if not any(A.scale(d, v))]) for d in orders]
+            for _ in range(12))]
+        modules = [dihedral_kamada_module(X, A), nonconstant_module()] + [RackModule(
+            X, A, *[[[rng.choice(maps) for _ in range(X.size)] for _ in range(X.size)] for _ in "ab"],
+            [rng.choice(maps) for _ in range(X.size)]) for _ in range(3)]
+        for m in modules:
+            sigma = Cochain(2, m.base.size, m.A, [rng.choice(m.A.elements())
+                                                  for _ in range(m.base.size ** 2)])
+            assert affine_tables(m, sigma) == formula_affine_tables(m, sigma)
+
+    @pytest.mark.parametrize("name, orders", GROUPS, ids=str)
+    def test_table_check_and_lift_permutations(self, name, orders):
+        X, A = rack(name), AbGroup(orders)
+        m = dihedral_kamada_module(X, A)
+        pres = cohomology_presentation(m, 2, THEORY_SR)
+        sigma = pres.section(pres.group.elements()[-1])
+        ext = build_abelian_extension(m, sigma, THEORY_SR)
+        dext, rng = ext.extension, random.Random(str(orders) + name)
+        assert formula_table_verdict(m, sigma, dext) is None
+        for trial in range(6):  # two entries of a column of the table, or of rho, swapped
+            table, rho = [list(row) for row in dext.rack.rack.table], list(dext.rack.rho)
+            i, j, k = (rng.randrange(ext.size) for _ in range(3))
+            if trial % 2:
+                rho[i], rho[j] = rho[j], rho[i]
+            else:
+                table[i][k], table[j][k] = table[j][k], table[i][k]
+            bad = DynamicalExtension(FiniteSymmetricRack(FiniteRack(table, ext.rack.kind), rho),
+                                     dext.cocycle, dext.labels)
+            want = formula_table_verdict(m, sigma, bad)
+            try:
+                symq.wells._check_affine_table(m, sigma, bad)
+                got = None
+            except AssertionError as exc:
+                got = str(exc)
+            assert got == want and (want is None) == (i == j or bad.rack == dext.rack)
+        E = A.elements()
+        thetas = [AbHom.identity(A), AbHom.scalar(A, -1), AbHom.scalar(A, 2)]
+        for zeta in itertools.permutations(range(X.size)):
+            for theta in thetas:
+                lam = Cochain(1, X.size, A, [rng.choice(E) for _ in range(X.size)])
+                pair = AutPair(zeta, theta)
+                assert symq.wells._lift_permutation(ext, pair, lam) == formula_lift_permutation(
+                    ext, pair, lam)
 
 
 class TestFourTermSequence:
