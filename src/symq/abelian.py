@@ -634,12 +634,21 @@ def solve(f, b):
     the source relations), built once per map: each pivot coordinate c lands
     in [0, h_c).  On a finite source that is the lexicographically least
     solution; on any source it depends only on (f, b), not on the elimination.
+    So the solution of -b is the reduction of the negated solution of b:
+
+    >>> f = AbHom(AbGroup([4, 4]), AbGroup([4]), [[1, 2]])
+    >>> x = solve(f, (1,))
+    >>> x, solve(f, (3,)), _reduced(f, [-a for a in x], (3,))
+    ((1, 0), (1, 1), (1, 1))
     """
     b = f.target.reduce(b)
+    x = f._factored().solve(b)
+    return None if x is None else _reduced(f, x, b)
+
+
+def _reduced(f, x, b):
+    # solve's reduction of any integer x with f(x) = b (b canonical), checked exactly
     system = f._factored()
-    x = system.solve(b)
-    if x is None:
-        return None
     if system.echelon is None:
         system.echelon = _echelon(f.source, system.kernel())
     for c, row in system.echelon:

@@ -167,7 +167,8 @@ def verify_chain_complex(X, m, n, basepoint=0, bound=None, psi_sign=1):
 
 
 class Cochain:
-    """Map X^degree -> A, stored flat in lexicographic tuple order."""
+    """Map X^degree -> A, stored flat in lexicographic tuple order; raw values
+    are reduced, and add, sub and neg keep the group's canonical values."""
 
     __slots__ = ("degree", "size", "group", "values")
 
@@ -194,20 +195,23 @@ class Cochain:
     def _key(self):
         return (self.degree, self.size, self.group, self.values)
 
-    def _binop(self, other, fn):
-        if self._key()[:3] != other._key()[:3]:
+    def _map(self, fn, *others):
+        # fn on the values of self and of others of its shape, kept as fn returns them
+        if any(c._key()[:3] != self._key()[:3] for c in others):
             raise ValueError("cochain shape mismatch")
-        values = [fn(a, b) for a, b in zip(self.values, other.values)]
-        return Cochain(self.degree, self.size, self.group, values)
+        out = object.__new__(Cochain)
+        out.degree, out.size, out.group = self._key()[:3]
+        out.values = tuple(map(fn, self.values, *(c.values for c in others)))
+        return out
 
     def add(self, other):
-        return self._binop(other, self.group.add)
+        return self._map(self.group.add, other)
 
     def sub(self, other):
-        return self._binop(other, self.group.sub)
+        return self._map(self.group.sub, other)
 
     def neg(self):
-        return Cochain(self.degree, self.size, self.group, map(self.group.neg, self.values))
+        return self._map(self.group.neg)
 
     def __eq__(self, other):
         return isinstance(other, Cochain) and self._key() == other._key()
@@ -327,7 +331,8 @@ class _Complex:
     theory, delta rows by degree and psi_sign (and by basepoint in degree 0
     only; every degree refuses a basepoint outside the base).  The witness
     maps and the degree-2 presentations are kept too, so each is factored
-    once however many extensions and checks read it.
+    once however many extensions and checks read it, and so is the verdict
+    of a module that passed validation (a failing one is walked every time).
     """
 
     __slots__ = ("module", "_pieces")

@@ -28,7 +28,7 @@ isomorphisms over the base.
 """
 
 from . import limits
-from .cohomology import THEORY_SQ, THEORY_SR, is_cocycle
+from .cohomology import THEORY_SQ, THEORY_SR, _complex, is_cocycle
 from .errors import (
     Diagnostic,
     InfiniteGroupUnsupported,
@@ -331,13 +331,14 @@ def affine_tables(m, sigma):
 
 
 def _checked_theory(m, sigma, theory):
-    # the module axioms and the cocycle conditions, once per cocycle; the
-    # default theory follows the kind of the base
+    # the module axioms until they hold (the verdict is kept with the module), the
+    # cocycle conditions once per cocycle; the default theory follows the base
     if theory is None:
         theory = THEORY_SQ if m.base.kind == QUANDLE else THEORY_SR
-    check = validate_module(m)
+    check = _complex(m)._pieces.get(("module",)) or validate_module(m)
     if not check.ok:
         raise ValidationError("coefficients are not a module", check.diagnostics)
+    _complex(m)._pieces[("module",)] = check
     ok, diags = is_cocycle(m, sigma, theory)
     if not ok:
         raise NotACocycle("not a 2-cocycle: " + "; ".join(d.axiom for d in diags))
@@ -347,8 +348,9 @@ def _checked_theory(m, sigma, theory):
 def from_cocycle(m, sigma, theory=None):
     """Dynamical cocycle of a module 2-cocycle; every route is verified.
 
-    The module axioms and the cocycle conditions are checked, the affine
-    tables are built, and the dynamical axioms are confirmed on the result.
+    The module axioms (walked until a module passes, then kept with it) and
+    the cocycle conditions are checked, the affine tables are built, and the
+    dynamical axioms are confirmed on the result.
     The quandle theory asks for a quandle extension, the rack theory for a
     rack extension; the default follows the kind of the base.
     """

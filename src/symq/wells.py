@@ -27,10 +27,10 @@ from itertools import product
 from math import prod
 
 from . import limits
-from .abelian import AbHom, kernel, subgroup_elements
+from .abelian import AbHom, _reduced, kernel, subgroup_elements
 # coboundary_witness stays importable from this module
-from .cohomology import (THEORY_SQ, THEORY_SR, Cochain, _complex, _vec_to_cochain, _witness,
-                         coboundary_witness, is_cocycle)
+from .cohomology import (THEORY_SQ, THEORY_SR, Cochain, _cochain_to_vec, _complex,
+                         _vec_to_cochain, _witness, coboundary_witness, is_cocycle)
 from .dynamical import _checked_theory, build_extension, from_cocycle
 from .errors import (Diagnostic, InfiniteGroupUnsupported, NotConstantModule,
                      SearchSpaceExceeded, SizeBoundExceeded, ValidationError)
@@ -47,12 +47,13 @@ class AbelianExtension:
     obstruction classes off its degree-2 presentation; both are built once per
     module and shared by all its extensions.  Each symmetry pair is validated
     once per extension, and its pair . sigma is formed and cocycle-checked
-    once; every obstruction route reads it.
+    once; every obstruction route reads it, and its lift equation is solved
+    once for both the stabilizer and the lift.
     """
 
     __slots__ = (
         "module", "sigma", "theory", "extension", "rack",
-        "_sigma_class", "_acted",
+        "_sigma_class", "_acted", "_tau",
     )
 
     def __init__(self, module, sigma, theory, extension):
@@ -63,6 +64,7 @@ class AbelianExtension:
         self.rack = extension.rack if extension is not None else None
         self._sigma_class = None
         self._acted = {}
+        self._tau = {}
 
     def _degree1_map(self):
         return _complex(self.module).witness_map(1, self.theory, 0)
@@ -271,6 +273,13 @@ def _acted(ext, pair):
     return acted
 
 
+def _tau(ext, pair):
+    # tau with delta(tau) = sigma - pair . sigma, or None; once per pair and extension
+    if pair not in ext._tau:
+        ext._tau[pair] = _witness(ext.module, ext.sigma.sub(_acted(ext, pair)), ext._degree1_map())
+    return ext._tau[pair]
+
+
 def enumerate_aut_pairs(ext, bound=None):
     """Every symmetry pair of the base data, rack symmetries major."""
     zetas = enumerate_automorphisms(ext.module.base, bound)
@@ -299,17 +308,13 @@ def lambda_map(ext, pair):
 def stabilizer(ext, pairs=None, bound=None):
     """Pairs fixing [sigma], found by solving for a coboundary witness.
 
-    This route is independent of the projection used by lambda_map; the
-    report checks that both agree.
+    The witness tau, delta(tau) = sigma - pair . sigma, is kept for
+    extend_pair.  This route is independent of the projection used by
+    lambda_map; the report checks that both agree.
     """
     if pairs is None:
         pairs = enumerate_aut_pairs(ext, bound)
-    m = ext.module
-    out = []
-    for p in pairs:
-        if _witness(m, ext.sigma.sub(_acted(ext, p)), ext._degree1_map()) is not None:
-            out.append(p)
-    return out
+    return [p for p in pairs if _tau(ext, p) is not None]
 
 
 class LiftedAutomorphism:
@@ -427,14 +432,18 @@ def _lift_permutation(ext, pair, lam):
 def extend_pair(ext, pair):
     """A lift of the pair to E, or None exactly when it is obstructed.
 
-    The witness nu with delta(nu) = (pair . sigma) - sigma is pulled back
-    along zeta to the lift lambda; the lift is verified on construction.
+    nu, the canonical solution of delta(nu) = (pair . sigma) - sigma, is not
+    solved for: it is the checked reduction of -tau, tau the stabilizer's
+    witness (b and -b are solvable on the same rows of U and diagonal).  Its
+    pullback along zeta is the lift lambda, verified on construction.
     """
-    m = ext.module
-    nu = _witness(m, _acted(ext, pair).sub(ext.sigma), ext._degree1_map())
-    if nu is None:
+    tau = _tau(ext, pair)
+    if tau is None:
         return None
-    lam = Cochain(1, m.base.size, m.A, [nu.values[z] for z in pair.zeta])
+    m, d1, r = ext.module, ext._degree1_map(), ext.module.A.rank
+    b = _cochain_to_vec(_acted(ext, pair).sub(ext.sigma))
+    nu = _reduced(d1, _cochain_to_vec(tau.neg()), b + (0,) * (d1.target.rank - len(b)))
+    lam = Cochain(1, m.base.size, m.A, [nu[z * r:z * r + r] for z in pair.zeta])
     return LiftedAutomorphism(ext, pair, lam)
 
 

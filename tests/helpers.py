@@ -2,9 +2,9 @@
 factorization, the entry-by-entry well-definedness check of a hom and the
 stacked system of `_Factored`, a subgroup closure, a brute-force
 good-involution search, a nested-loop chain complex check, a term-by-term
-cochain reference, the dynamical axioms in fiber coordinates and the affine
-part of a list of maps of an extension, for the tests and tests/wells_sweep.py
-only."""
+cochain reference, the dynamical axioms in fiber coordinates, the affine
+part of a list of maps of an extension and an independent solve of each lift
+equation, for the tests and tests/wells_sweep.py only."""
 
 from fractions import Fraction
 from itertools import compress, product
@@ -17,12 +17,13 @@ from symq.abelian import (
     _product_rows,
     mat_vec,
     smith_normal_form,
+    solve,
 )
-from symq.cohomology import boundary
+from symq.cohomology import Cochain, _cochain_to_vec, _vec_to_cochain, _witness_map, boundary, delta
 from symq.dynamical import _resolve_quandle_flag, _shape_problems
 from symq.errors import Diagnostic, ValidationError
 from symq.racks import good_involution_diagnostics
-from symq.wells import gamma_restriction
+from symq.wells import act_on_cocycle, gamma_restriction
 
 
 def mat_mul(A, B):
@@ -550,3 +551,25 @@ def affine_part(ext, perms):
             continue
         out.add(perm)
     return out
+
+
+def reference_lift_lambda(ext, pair):
+    """extend_pair's lambda by its own solve, or None when the pair is obstructed.
+
+    The canonical nu with delta(nu) = (pair . sigma) - sigma is solved on a
+    fresh degree-1 witness map, with its own factorization, from a right side
+    built by the reducing Cochain constructor, and pulled back along zeta: it
+    shares nothing with the stabilizer's witness.
+    """
+    m, n = ext.module, ext.module.base.size
+    acted = act_on_cocycle(m, pair, ext.sigma)
+    c = Cochain(2, n, m.A, [tuple(a - b for a, b in zip(u, v))
+                            for u, v in zip(acted.values, ext.sigma.values)])
+    hom = _witness_map(m, 1, ext.theory)
+    target = _cochain_to_vec(c)
+    x = solve(hom, target + (0,) * (hom.target.rank - len(target)))
+    if x is None:
+        return None
+    nu = _vec_to_cochain(1, n, m.A, x)
+    assert delta(m, nu) == c
+    return tuple(nu.values[z] for z in pair.zeta)

@@ -288,6 +288,51 @@ class TestCocycleChecks:
                 delta(m, c)
 
 
+class TestCochainArithmetic:
+    """add, sub and neg keep the group's canonical values; raw values are reduced."""
+
+    GROUPS = {"Z": [0], "Z4": [4], "Z2xZ2": [2, 2], "Z8xZ16": [8, 16]}
+
+    @pytest.mark.parametrize("orders", GROUPS.values(), ids=GROUPS)
+    def test_operations_equal_the_reducing_constructor(self, orders):
+        A = AbGroup(orders)
+        assert (A._elems is None) == (orders in ([0], [8, 16]))  # Z8xZ16 has no tables
+        rng = random.Random(20261020)
+        for degree, size in ((0, 3), (1, 3), (2, 3), (2, 4)):
+            def raw():
+                return [tuple(rng.randint(-40, 40) for _ in orders) for _ in range(size ** degree)]
+
+            for _ in range(8):
+                a, b = Cochain(degree, size, A, raw()), Cochain(degree, size, A, raw())
+                pairs = list(zip(a.values, b.values))
+                for got, values in (
+                    (a.add(b), [tuple(x + y for x, y in zip(u, v)) for u, v in pairs]),
+                    (a.sub(b), [tuple(x - y for x, y in zip(u, v)) for u, v in pairs]),
+                    (a.neg(), [tuple(-x for x in u) for u in a.values]),
+                ):
+                    want = Cochain(degree, size, A, values)
+                    assert type(got) is Cochain and got == want and hash(got) == hash(want)
+                    assert got.values == want.values
+                    assert all(type(v) is tuple and A.reduce(v) == v for v in got.values)
+        with pytest.raises(ValueError, match="cochain shape mismatch"):
+            Cochain.zero(1, 2, A).add(Cochain.zero(1, 3, A))
+
+    def test_raw_values_are_reduced_or_refused_as_before(self):
+        Z, Z4, Z2xZ2, Z8xZ16 = AbGroup([0]), AbGroup([4]), AbGroup([2, 2]), AbGroup([8, 16])
+        assert Cochain(1, 2, Z4, [(-1,), (5,)]).values == ((3,), (1,))
+        assert Cochain(1, 2, Z4, [[-6], [2]]).values == ((2,), (2,))
+        assert Cochain(1, 2, Z, [[-3], (7,)]).values == ((-3,), (7,))
+        assert Cochain(1, 2, Z2xZ2, [(3, -1), [4, 2]]).values == ((1, 1), (0, 0))
+        assert Cochain(1, 2, Z8xZ16, [(9, -1), [-8, 40]]).values == ((1, 15), (0, 8))
+        for c in (Cochain(1, 2, Z4, [[-6], [2]]), Cochain(1, 2, Z8xZ16, [[9, -1], (0, 0)])):
+            assert all(type(v) is tuple for v in c.values)
+        for degree, values in ((1, [(1,)]), (1, [(1,)] * 3), (2, [(0,)] * 3)):
+            with pytest.raises(ValueError, match="value table has wrong length"):
+                Cochain(degree, 2, Z4, values)
+        with pytest.raises(ValueError, match="element length mismatch"):
+            Cochain(1, 2, Z4, [(1, 2), (0,)])
+
+
 class TestCohomologyGroups:
     def test_takasaki_h2_vanishes_over_z(self):
         m = dihedral_kamada_module(takasaki(3), AbGroup([0]))

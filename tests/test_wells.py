@@ -28,7 +28,7 @@ from symq.errors import (
     SizeBoundExceeded,
     ValidationError,
 )
-from symq.modules import RackModule, dihedral_kamada_module
+from symq.modules import RackModule, constant_module, dihedral_kamada_module, validate_module
 from symq.racks import (
     FiniteRack,
     FiniteSymmetricRack,
@@ -56,7 +56,7 @@ from symq.wells import (
 )
 
 from conftest import cochain, module, rack
-from helpers import affine_part, reference_subgroup_elements
+from helpers import affine_part, reference_lift_lambda, reference_subgroup_elements
 
 
 def z4_extension():
@@ -82,6 +82,19 @@ def nonconstant_module():
     zero = AbHom.zero(A, A)
     eta = [AbHom.scalar(A, 2), AbHom.scalar(A, 3)]
     return RackModule(X, A, [[ident] * 2] * 2, [[zero] * 2] * 2, eta)
+
+
+def counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper recording the positional arguments of each call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 @pytest.fixture
@@ -158,6 +171,32 @@ class TestBuildExtension:
         with pytest.raises(ValidationError) as e:
             build_abelian_extension(m, Cochain.zero(2, 2, A), THEORY_SR)
         assert [d.axiom for d in e.value.diagnostics] == ["M3"]
+
+    def test_a_module_is_validated_once_across_builds(self, monkeypatch):
+        walks = counted(monkeypatch, symq.dynamical, "validate_module")
+        for orders in ([4], [0]):
+            m = dihedral_kamada_module(rack("t2"), AbGroup(orders))
+            sigma = Cochain.zero(2, 2, m.A)
+            for theory in (THEORY_SR, THEORY_SQ, THEORY_SR, None):
+                build_abelian_extension(m, sigma, theory)
+            assert walks == [(m,)]
+            walks.clear()
+
+    @pytest.mark.parametrize("orders", [[4], [0]])
+    def test_a_failing_module_is_refused_on_every_build(self, monkeypatch, orders):
+        # a constant module built directly, with phi = 2 id, which is not invertible
+        X, A = rack("t2"), AbGroup(orders)
+        phi, zero, neg = AbHom.scalar(A, 2), AbHom.zero(A, A), AbHom.scalar(A, -1)
+        m = RackModule(X, A, [[phi] * 2] * 2, [[zero] * 2] * 2, [neg] * 2)
+        assert m.constant
+        want = [(d.axiom, d.witnesses) for d in validate_module(m).diagnostics]
+        assert want[0] == ("phi-invertible", [(0, 0), (0, 1), (1, 0), (1, 1)])
+        walks = counted(monkeypatch, symq.dynamical, "validate_module")
+        for k in range(1, 4):
+            with pytest.raises(ValidationError, match="coefficients are not a module") as e:
+                build_abelian_extension(m, Cochain.zero(2, 2, A), THEORY_SR)
+            assert [(d.axiom, d.witnesses) for d in e.value.diagnostics] == want
+            assert walks == [(m,)] * k
 
     def test_shape_mismatch(self):
         X = rack("t2")
@@ -736,6 +775,84 @@ class TestLifting:
             for i in range(8):
                 x, a = ext.pair_of(i)
                 assert finv.apply(*f.apply(x, a)) == (x, a)
+
+
+def zero_extension(name, orders, theory):
+    X = rack(name)
+    m = dihedral_kamada_module(X, AbGroup(orders))
+    return build_abelian_extension(m, Cochain.zero(2, X.size, m.A), theory)
+
+
+def alexander_extension(X, n, maps, theory, k):
+    """The extension of the scalar constant module (phi, psi, eta) over Zn at its k-th H^2 class."""
+    m = constant_module(X, AbGroup([n]), *[[[h]] for h in maps])
+    pres = cohomology_presentation(m, 2, theory)
+    return build_abelian_extension(m, pres.section(pres.group.elements()[k]), theory)
+
+
+# extensions whose lifts are held to an independent solve of each lift equation; on
+# the two scalar modules the negated stabilizer witness is not canonical for some pairs
+WITNESS_EXTENSIONS = {
+    "t2/Z4/sr/fixture": z4_extension,
+    "takasaki3/Z4/sr/zero": lambda: zero_extension("takasaki3", [4], THEORY_SR),
+    "takasaki3/Z2/sq/zero": lambda: zero_extension("takasaki3", [2], THEORY_SQ),
+    "takasaki3/Z2xZ2/sq/zero": lambda: zero_extension("takasaki3", [2, 2], THEORY_SQ),
+    "takasaki3/Z4/sr/last": lambda: gamma_extension("takasaki3/Z4/sr"),
+    "takasaki3/Z2xZ2/sq/last": lambda: gamma_extension("takasaki3/Z2xZ2/sq"),
+    "t2/Z/sr/fixture": z_extension,
+    "trivial2/Z8/sq/(7,2,1)": lambda: alexander_extension(trivial_rack(2), 8, (7, 2, 1), THEORY_SQ, 3),
+    "takasaki3/Z9/sr/(8,2,1)": lambda: alexander_extension(takasaki(3), 9, (8, 2, 1), THEORY_SR, 1),
+}
+
+
+class TestOneSolvePerPair:
+    """The stabilizer's witness serves the lift: one solve per pair and extension."""
+
+    @pytest.mark.parametrize("route", ["after-stabilizer", "fresh-extension"])
+    def test_lifts_match_an_independent_solve(self, route):
+        lams = []
+        for name, build in WITNESS_EXTENSIONS.items():
+            ext = build()
+            pairs = enumerate_aut_pairs(ext)
+            if route == "after-stabilizer":
+                stab = stabilizer(ext, pairs)
+                got = [extend_pair(ext, p) for p in pairs]
+                assert [p for p, xi in zip(pairs, got) if xi is not None] == stab, name
+            else:  # one extend_pair per new extension, as `symq wells extend` makes
+                got = []
+                for p in pairs:
+                    fresh = build()
+                    got.append(extend_pair(fresh, p))
+                    assert list(fresh._tau) == [p]
+            got = [None if xi is None else xi.lam.values for xi in got]
+            assert got == [reference_lift_lambda(ext, p) for p in pairs], name
+            lams += got
+        # the corpus has obstructed pairs, and lifts with lambda != 0
+        assert None in lams
+        assert any(lam and any(map(any, lam)) for lam in lams)
+
+    def test_some_negated_witnesses_need_reduction(self):
+        # -tau itself is not extend_pair's witness on some pairs, so the test
+        # above tells the canonical reduction from a plain negation
+        for name in ("trivial2/Z8/sq/(7,2,1)", "takasaki3/Z9/sr/(8,2,1)"):
+            ext = WITNESS_EXTENSIONS[name]()
+            lifts = [(p, extend_pair(ext, p)) for p in enumerate_aut_pairs(ext)]
+            moved = [p for p, xi in lifts if xi is not None
+                     and xi.lam.values != tuple(ext._tau[p].neg().values[z] for z in p.zeta)]
+            assert len(moved) == {"trivial2": 6, "takasaki3": 12}[name.split("/")[0]]
+
+    @pytest.mark.parametrize("name", ["t2/Z4/sr/fixture", "takasaki3/Z2xZ2/sq/last"])
+    def test_the_report_solves_each_pair_once(self, monkeypatch, name):
+        ext = WITNESS_EXTENSIONS[name]()
+        witnesses = counted(monkeypatch, symq.wells, "_witness")
+        solves = counted(monkeypatch, symq.cohomology, "solve")
+        rep = wells_report(ext)
+        assert len(witnesses) == len(solves) == len(rep.pairs)
+        assert rep.exact
+        enumerate_autA_extension(ext)
+        for p in rep.pairs:
+            extend_pair(ext, p)
+        assert len(witnesses) == len(solves) == len(rep.pairs)
 
 
 class TestEnumerationAndReport:
