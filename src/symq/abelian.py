@@ -26,7 +26,7 @@ through a `_Factored` of U, made once, on the first call.
     'Z2'
 """
 
-from itertools import compress, product
+from itertools import compress, pairwise, product
 from math import prod
 from operator import index
 
@@ -75,7 +75,7 @@ def _product_rows(A, B):
 
 def _combine(mat, i, j, p, q, u, v):
     # rows i,j of mat <- (p*ri + q*rj, u*ri + v*rj), unimodular: every row step of
-    # smith_normal_form on D and U, and every column step on V, goes through here
+    # smith_normal_form on U, every column step on V, and all but one kind on D
     ri, rj = mat[i], mat[j]
     if (p, q, v) == (1, 0, 1):  # rj += u * ri, in place
         for k, x in ri.items():
@@ -133,8 +133,10 @@ def smith_normal_form(M):
     in row-major order; the scan stops at the first unit, and each row's least
     |entry| is cached until the row changes.  D, U and the columns of V are
     sparse rows throughout, so each step costs the nonzeros it touches, and a
-    column swap on D relabels keys.  U @ M @ V == D is checked exactly on every
-    call, over nonzeros, never sampled (AssertionError if not).
+    column swap on D relabels keys.  U and V take every step through _combine,
+    D all but the divisible row step (inline); an O(r) test of consecutive
+    diagonal pairs gates the divisibility repair.  U @ M @ V == D is checked
+    exactly on every call, over nonzeros, never sampled (AssertionError if not).
 
     >>> smith_normal_form([[2, 0], [0, 3]]).diagonal()
     [1, 6]
@@ -198,8 +200,15 @@ def smith_normal_form(M):
         while mixed:
             for i in [r for r in range(t + 1, m) if c in D[r]]:
                 b, a = D[i][c], D[t][c]
-                if b % a == 0:
-                    row_op(t, i, 1, 0, -(b // a), 1)
+                if b % a == 0:  # on D inline, in _combine's key order
+                    u, rj = -(b // a), D[i]
+                    for k, x in D[t].items():
+                        if y := rj.get(k, 0) + u * x:
+                            rj[k] = y
+                        else:
+                            del rj[k]
+                    _combine(U, t, i, 1, 0, u, 1)
+                    low[i] = None
                 else:
                     g, p, q = _egcd(a, b)
                     row_op(t, i, p, q, -(b // g), a // g)
@@ -222,8 +231,9 @@ def smith_normal_form(M):
         if D[i].get(i, 0) < 0:
             negate_row(i)
 
-    # enforce the divisibility chain d_i | d_j for i < j (zeros sort last)
-    changed = True
+    # enforce d_i | d_j for i < j (zeros last); it holds if each consecutive pair does
+    diag = pairwise(D[i].get(i, 0) for i in range(r))
+    changed = not all((b % a == 0) if a else b == 0 for a, b in diag)
     while changed:
         changed = False
         for i in range(r):
@@ -669,14 +679,14 @@ class Subquotient:
 
     __slots__ = ("ambient", "sub_gens", "by_gens", "group", "_kept", "_U", "_U_system", "_memb")
 
-    def __init__(self, ambient, sub_gens, by_gens):
+    def __init__(self, ambient, sub_gens, by_gens, _memb=None):
         self.ambient = ambient
         self.sub_gens = [ambient.reduce(g) for g in sub_gens]
         self.by_gens = [ambient.reduce(g) for g in by_gens]
         k = len(self.sub_gens)
-        # membership system: combinations of the sub-generators in the ambient
-        self._memb = _Factored([[g[i] for g in self.sub_gens] for i in range(ambient.rank)],
-                               k, ambient)
+        # membership system: sub-generator combinations in the ambient, unless _memb has it
+        self._memb = _memb or _Factored(
+            [[g[i] for g in self.sub_gens] for i in range(ambient.rank)], k, ambient)
         # coordinates of each by-generator in terms of the sub-generators
         by_coords = []
         for b in self.by_gens:

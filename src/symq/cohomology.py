@@ -504,9 +504,9 @@ class CohomologyPresentation:
         )
 
     def cocycle_group(self):
-        """Z^degree as an abstract group."""
-        z = [_cochain_to_vec(c) for c in self.cocycle_gens]
-        return Subquotient(self._ambient, z, []).group
+        """Z^degree as an abstract group; the relations among the cocycle generators
+        are read off the presentation's own membership factorization."""
+        return Subquotient(self._ambient, self._sub.sub_gens, [], self._sub._memb).group
 
     def coboundary_group(self):
         """B^degree as an abstract group."""

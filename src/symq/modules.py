@@ -15,6 +15,7 @@ in End(A), subject to axioms M1-M8 (M9 additionally on quandles):
 """
 
 from .abelian import AbHom
+from .cohomology import _complex
 from .errors import Diagnostic, ValidationError
 from .racks import QUANDLE
 
@@ -40,7 +41,8 @@ class RackModule:
     """Module data over a symmetric rack: dense tables of AbHoms on A.
 
     Read-only once built: the cochain complex that cohomology keeps in
-    `_complex`, made on first use, is built from these fields.
+    `_complex`, made on first use, is built from these fields; a passing
+    validation verdict is kept there too.
     """
 
     __slots__ = _FIELDS + ("_complex",)
@@ -178,6 +180,7 @@ def constant_module(base, A, phi_matrix, psi_matrix, eta_matrix):
     check = validate_module(m)
     if not check.ok:
         raise ValidationError("constant maps do not form a module", check.diagnostics)
+    _complex(m)._pieces[("module",)] = check  # kept where every extension build reads it
     return m
 
 

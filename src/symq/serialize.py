@@ -29,7 +29,7 @@ from itertools import product
 
 from . import limits
 from .abelian import AbGroup, AbHom
-from .cohomology import Cochain
+from .cohomology import Cochain, _complex
 from .errors import ValidationError
 from .groups import FiniteGroup
 from .modules import RackModule, validate_module
@@ -238,6 +238,7 @@ def module_from_dict(obj, base, where="module"):
     check = validate_module(m)
     if not check.ok:
         raise ValidationError("module axioms fail", check.diagnostics)
+    _complex(m)._pieces[("module",)] = check  # kept where every extension build reads it
     return m
 
 

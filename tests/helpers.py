@@ -104,12 +104,13 @@ def _egcd(a, b):
     return old_r, old_s, old_t
 
 
-def dense_smith_normal_form(M):
+def dense_smith_normal_form(M, repairs=None):
     """(U, D, V) from a dense Smith normal form: the reference for the sparse core.
 
     A copy of the earlier smith_normal_form: a pivot scan of every row slice
     on each step, row and column steps over whole rows and columns, and the
-    same pivot rule, steps and divisibility repair.
+    same pivot rule, steps and divisibility repair.  A list passed as repairs
+    receives the diagonal pair (i, j) of each repair step.
     """
     m = len(M)
     n = len(M[0]) if m else 0
@@ -211,6 +212,8 @@ def dense_smith_normal_form(M):
                 if a != 0 and b % a == 0:
                     continue
                 changed = True
+                if repairs is not None:
+                    repairs.append((i, j))
                 add_col(j, i, 1)
                 g, p, q = _egcd(D[i][i], D[j][i])
                 row_op(i, j, p, q, -(D[j][i] // g), D[i][i] // g)

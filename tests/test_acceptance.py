@@ -122,6 +122,18 @@ def test_larger_regime_presentation():
     emit("large", "presentation-t7-z4-sq", dt, 2.5)
 
 
+def test_large_regime_presentation_over_z2_squared():
+    """The degree-2 quandle presentation of takasaki(8) over Z2 x Z2, whose
+    witness map factors 1296 x 1424 (128 unknowns, 1296 torsion columns): H is
+    Z2^4.  Its time is printed for the record, with no budget."""
+    m = dihedral_kamada_module(takasaki(8), AbGroup([2, 2]))
+    t0 = time.perf_counter()
+    pres = cohomology_presentation(m, 2, THEORY_SQ)
+    dt = time.perf_counter() - t0
+    assert pres.group.orders == (2, 2, 2, 2)
+    emit("large", "presentation-t8-z2xz2-sq", dt)
+
+
 def test_criterion_2_obstructed_symmetry():
     """The alternating integral cocycle on the 2-point quandle obstructs -id."""
     t0 = time.perf_counter()

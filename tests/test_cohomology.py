@@ -6,8 +6,9 @@ from math import gcd
 
 import pytest
 
+import symq.abelian
 import symq.cohomology
-from symq.abelian import AbGroup, AbHom
+from symq.abelian import AbGroup, AbHom, quotient
 from symq.cohomology import (
     THEORY_SQ,
     THEORY_SR,
@@ -346,6 +347,27 @@ class TestCohomologyGroups:
         assert pres.group.orders == (4,)
         assert str(pres.cocycle_group()) == "Z4"
         assert str(pres.coboundary_group()) == "0"
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("orders", [(0,), (4,), (2, 2)], ids=["Z", "Z4", "Z2xZ2"])
+    def test_cocycle_group_matches_a_fresh_subquotient(self, n, orders):
+        # the route cocycle_group took before it read the presentation's own
+        # membership factorization: a new subquotient of the cocycle generators
+        m = dihedral_kamada_module(takasaki(n), AbGroup(orders))
+        for degree, theory in itertools.product((1, 2), (THEORY_SR, THEORY_SQ)):
+            pres = cohomology_presentation(m, degree, theory)
+            ambient = AbGroup(orders * n ** degree)
+            z = [symq.cohomology._cochain_to_vec(c) for c in pres.cocycle_gens]
+            assert pres.cocycle_group() == quotient(ambient, z, []).group
+
+    def test_cocycle_group_makes_one_factorization(self, monkeypatch):
+        m = dihedral_kamada_module(takasaki(4), AbGroup([4]))
+        pres = cohomology_presentation(m, 2, THEORY_SQ)
+        calls = []
+        snf = symq.abelian.smith_normal_form
+        monkeypatch.setattr(symq.abelian, "smith_normal_form", lambda M: calls.append(M) or snf(M))
+        assert str(pres.cocycle_group()) == "Z2 x Z2 x Z2 x Z2"
+        assert len(calls) == 1  # the relations only; the membership system is not factored again
 
     def test_t2_h2_over_z(self):
         X = rack("t2")

@@ -10,7 +10,11 @@ digests its inputs and its outputs separately, so a change in how a
 presentation assembles its constraint systems is told apart from a change in
 the factorization.
 
-Record a digest with `digests(pairs)` on the reference code.
+Record a digest with `digests(pairs)` on the reference code.  Beside the
+digests, every system of the degree-1 and degree-2 presentations of
+takasaki(3..6) is compared entry for entry with the dense reference of
+tests/helpers.py, and so are inputs that elimination leaves off the
+divisibility chain, so that the repair still runs where it is needed.
 """
 
 import hashlib
@@ -24,7 +28,7 @@ from symq.cohomology import cohomology_presentation
 from symq.modules import dihedral_kamada_module
 from symq.racks import takasaki
 
-from helpers import inverse, mat_mul
+from helpers import dense_smith_normal_form, inverse, mat_mul
 
 
 def digests(pairs):
@@ -92,6 +96,53 @@ def test_degree_two_presentation_systems(monkeypatch, n, orders, theory):
     got_inputs, got_outputs = digests(pairs)
     assert got_inputs == want_inputs, "the constraint systems changed, not the factorization"
     assert got_outputs == want_outputs
+
+
+@pytest.mark.parametrize("theory", ["sr", "sq"])
+@pytest.mark.parametrize("orders", [(0,), (4,), (2, 2), (4, 2)], ids=["Z", "Z4", "Z2xZ2", "Z4xZ2"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_presentation_systems_match_the_dense_reference(monkeypatch, n, orders, theory):
+    # every system of the degree-1 and degree-2 presentations, entry for entry
+    m = dihedral_kamada_module(takasaki(n), AbGroup(orders))
+    systems = []
+    monkeypatch.setattr(symq.abelian, "smith_normal_form",
+                        lambda M: systems.append(M) or smith_normal_form(M))
+    for degree in (1, 2):
+        cohomology_presentation(m, degree, theory)
+    assert systems
+    for M in systems:
+        s = smith_normal_form(M)
+        assert (s.U, s.D, s.V) == dense_smith_normal_form(M)
+
+
+@pytest.mark.parametrize("M,diagonal", [
+    ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], [2, 2, 60]),
+    ([[2, 0, 0], [0, 0, 0], [0, 0, 3]], [1, 6, 0]),
+    ([[6, 0, 0, 0], [0, 4, 0, 0], [0, 0, 0, 0], [0, 0, 0, 9]], [1, 6, 36, 0]),
+    ([[3, 0], [0, 2], [0, 0]], [1, 6]),
+])
+def test_elimination_left_off_the_chain_is_repaired(M, diagonal):
+    repairs = []
+    U, D, V = dense_smith_normal_form(M, repairs)
+    assert repairs, "the elimination alone leaves this diagonal off the chain"
+    s = smith_normal_form(M)
+    assert s.diagonal() == diagonal
+    assert (s.U, s.D, s.V) == (U, D, V)
+
+
+def test_the_repair_still_runs_on_the_sparse_corpus():
+    # the chain is tested on consecutive pairs only; a wrong test would skip a
+    # needed repair here and leave D off the chain and off the reference
+    repairs, repaired = [], 0
+    for M in sparse_corpus():
+        before = len(repairs)
+        U, D, V = dense_smith_normal_form(M, repairs)
+        s = smith_normal_form(M)
+        assert (s.U, s.D, s.V) == (U, D, V)
+        d = s.diagonal()
+        assert all((b % a == 0) if a else b == 0 for a, b in zip(d, d[1:]))
+        repaired += len(repairs) > before
+    assert (len(repairs), repaired) == (36, 33)
 
 
 def test_the_certificate_runs_on_every_call(monkeypatch):

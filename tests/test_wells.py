@@ -173,14 +173,30 @@ class TestBuildExtension:
         assert [d.axiom for d in e.value.diagnostics] == ["M3"]
 
     def test_a_module_is_validated_once_across_builds(self, monkeypatch):
+        # constant_module keeps its passing verdict, so no build walks it again
         walks = counted(monkeypatch, symq.dynamical, "validate_module")
         for orders in ([4], [0]):
             m = dihedral_kamada_module(rack("t2"), AbGroup(orders))
             sigma = Cochain.zero(2, 2, m.A)
             for theory in (THEORY_SR, THEORY_SQ, THEORY_SR, None):
                 build_abelian_extension(m, sigma, theory)
-            assert walks == [(m,)]
-            walks.clear()
+            assert walks == []
+
+    @pytest.mark.parametrize("orders", [[4], [0]])
+    def test_a_module_built_directly_is_walked_at_its_first_build(self, monkeypatch, orders):
+        X, A = rack("t2"), AbGroup(orders)
+        ident, zero, neg = AbHom.identity(A), AbHom.zero(A, A), AbHom.scalar(A, -1)
+        m = RackModule(X, A, [[ident] * 2] * 2, [[zero] * 2] * 2, [neg] * 2)
+        walks = counted(monkeypatch, symq.dynamical, "validate_module")
+        for theory in (THEORY_SR, THEORY_SQ, None):
+            build_abelian_extension(m, Cochain.zero(2, 2, A), theory)
+        assert walks == [(m,)]
+
+    def test_a_loaded_module_keeps_its_verdict(self, monkeypatch):
+        walks = counted(monkeypatch, symq.dynamical, "validate_module")
+        m = module("m0_z4", rack("t2"))
+        build_abelian_extension(m, Cochain.zero(2, 2, m.A), THEORY_SR)
+        assert walks == []
 
     @pytest.mark.parametrize("orders", [[4], [0]])
     def test_a_failing_module_is_refused_on_every_build(self, monkeypatch, orders):
