@@ -10,11 +10,11 @@ system: the columns of a map next to one torsion column d_i * e_i per
 finite order of its target group.  `_Factored` builds that system and runs
 Smith normal form on it once, on first demand; each AbHom owns at most one,
 so every kernel basis, solution and inverse of that map is read off the same
-factorization.  A factorization is U, D and V only, no inverse of U, kept
-as sparse rows ({index: entry} over nonzeros): rows of U and D, columns of V.
-Readers use those rows directly; dense U, D and V are built only when read.
-A Subquotient keeps U of its relations, and its section solves U @ u = w
-through a `_Factored` of U, made once, on the first call.
+factorization.  A factorization keeps sparse rows ({index: entry} over
+nonzeros) of D, columns of V and the row steps that took M to D; U is
+replayed from the steps on its first read (solve, Subquotient, the public
+U), so kernel() never builds it, and a Subquotient's section solves
+U @ u = w by undoing the steps on w.  Dense U, D and V are built only when read.
 
     >>> G = AbGroup([4])
     >>> f = AbHom(G, G, [[2]])
@@ -74,8 +74,8 @@ def _product_rows(A, B):
 
 
 def _combine(mat, i, j, p, q, u, v):
-    # rows i,j of mat <- (p*ri + q*rj, u*ri + v*rj), unimodular: every row step of
-    # smith_normal_form on U, every column step on V, and all but one kind on D
+    # rows i,j of mat <- (p*ri + q*rj, u*ri + v*rj), unimodular: every gcd block
+    # that _replay applies, and every column step of smith_normal_form on V
     ri, rj = mat[i], mat[j]
     if (p, q, v) == (1, 0, 1):  # rj += u * ri, in place
         for k, x in ri.items():
@@ -94,6 +94,28 @@ def _combine(mat, i, j, p, q, u, v):
     mat[i], mat[j] = si, sj
 
 
+def _replay(rows, steps, undo=False):
+    # smith_normal_form's row steps on rows, in place: (i, j, p, q, u, v) as in _combine
+    # or (i, i) negating row i; undone last first, a block by adjugate times det (+-1)
+    for step in reversed(steps) if undo else steps:
+        if len(step) == 2:
+            rows[step[0]] = {k: -x for k, x in rows[step[0]].items()}
+            continue
+        i, j, p, q, u, v = step
+        if (p, q, v) == (1, 0, 1):  # rj += u * ri inline; undone, ri is mostly {i: d_i}
+            u, ri, rj = -u if undo else u, rows[i], rows[j]
+            for k, x in ri.items():
+                if y := rj.get(k, 0) + u * x:
+                    rj[k] = y
+                else:
+                    del rj[k]
+        elif (p, q, u, v) == (0, 1, 1, 0):
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            s = p * v - q * u
+            _combine(rows, i, j, *((s * v, -s * q, -s * u, s * p) if undo else (p, q, u, v)))
+
+
 def mat_vec(A, v):
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in A)
 
@@ -101,18 +123,28 @@ def mat_vec(A, v):
 class SmithDecomposition:
     """U @ M @ V = D with D diagonal under a divisibility chain; U, V unimodular.
 
-    Kept as the elimination left them: sparse rows of U and D, sparse columns
-    of V.  U, D and V read as dense lists of rows, built on each read.
+    Sparse rows of D, sparse columns of V, the row steps and M @ V.  U is
+    replayed from the steps on its first read and kept once U @ (M @ V) == D
+    holds.  U, D and V read as dense lists of rows, built on each read.
     """
 
-    __slots__ = ("_U", "_D", "_Vt")
+    __slots__ = ("_D", "_Vt", "_steps", "_MV", "_U")
 
-    def __init__(self, U, D, Vt):
-        self._U, self._D, self._Vt = U, D, Vt
+    def __init__(self, D, Vt, steps, MV):
+        self._D, self._Vt, self._steps, self._MV, self._U = D, Vt, steps, MV, None
+
+    def _rows_of_U(self):
+        if self._U is None:
+            U = _unit_rows(len(self._D))
+            _replay(U, self._steps)
+            if any(row != d for row, d in zip(_product_rows(U, self._MV), self._D, strict=True)):
+                raise AssertionError("smith normal form internal check failed")
+            self._U, self._MV = U, None
+        return self._U
 
     @property
     def U(self):
-        return _dense_rows(self._U, len(self._U))
+        return _dense_rows(self._rows_of_U(), len(self._D))
 
     @property
     def D(self):
@@ -123,7 +155,7 @@ class SmithDecomposition:
         return [[col.get(i, 0) for col in self._Vt] for i in range(len(self._Vt))]
 
     def diagonal(self):
-        return [self._D[i].get(i, 0) for i in range(min(len(self._U), len(self._Vt)))]
+        return [self._D[i].get(i, 0) for i in range(min(len(self._D), len(self._Vt)))]
 
 
 def smith_normal_form(M):
@@ -131,12 +163,12 @@ def smith_normal_form(M):
 
     Each pivot is the least |entry| of the block left to reduce, ties broken
     in row-major order; the scan stops at the first unit, and each row's least
-    |entry| is cached until the row changes.  D, U and the columns of V are
+    |entry| is cached until the row changes.  D and the columns of V are
     sparse rows throughout, so each step costs the nonzeros it touches, and a
-    column swap on D relabels keys.  U and V take every step through _combine,
-    D all but the divisible row step (inline); an O(r) test of consecutive
-    diagonal pairs gates the divisibility repair.  U @ M @ V == D is checked
-    exactly on every call, over nonzeros, never sampled (AssertionError if not).
+    column swap on D relabels keys.  Row steps on D are recorded, not applied
+    to a U; an O(r) test of consecutive diagonal pairs gates the divisibility
+    repair.  On every call a copy of D with the steps undone must equal M @ V,
+    one product over nonzeros, never sampled (AssertionError if not).
 
     >>> smith_normal_form([[2, 0], [0, 3]]).diagonal()
     [1, 6]
@@ -145,15 +177,16 @@ def smith_normal_form(M):
     n = len(M[0]) if m else 0
     rows = [{j: int(row[j]) for j in compress(range(len(row)), row)} for row in M]
     D = [dict(row) for row in rows]
-    U, Vt = _unit_rows(m), _unit_rows(n)  # Vt[j] is column j of V
+    Vt = _unit_rows(n)  # Vt[j] is column j of V
+    steps = []  # the row steps on D, in order, as _replay reads them
     low = [None] * m  # least nonzero |D[i][t:]| (0 if none); None: recompute
     key = list(range(n))  # column j of D sits at key j of its rows
     pos = list(range(n))  # and key k holds column pos[k]
 
-    def row_op(i, j, *block):
-        _combine(D, i, j, *block)
-        _combine(U, i, j, *block)
-        low[i] = low[j] = None
+    def row_op(*step):  # a gcd block, a swap or a negation, applied to D and recorded
+        steps.append(step)
+        _replay(D, [step])
+        low[step[0]] = low[step[1]] = None
 
     def col_op(i, j, p, q, u, v, rows):
         # columns i,j of D and V <- (p*ci + q*cj, u*ci + v*cj); rows holds every
@@ -169,10 +202,6 @@ def smith_normal_form(M):
                     row[kj] = x
                 low[r] = None
         _combine(Vt, i, j, p, q, u, v)
-
-    def negate_row(i):
-        D[i] = {k: -x for k, x in D[i].items()}
-        U[i] = {k: -x for k, x in U[i].items()}
 
     for t in range(min(m, n)):
         # the first least |entry| in row-major order; a unit ends the scan.  Rows
@@ -190,8 +219,7 @@ def smith_normal_form(M):
             break
         j = min(pos[k] for k, x in D[i].items() if abs(x) == best)
         if i != t:  # bring the pivot to (t, t)
-            for mat in (D, U, low):
-                mat[t], mat[i] = mat[i], mat[t]
+            row_op(t, i, 0, 1, 1, 0)
         if j != t:  # D's columns swap keys, and V's columns move
             key[t], key[j] = key[j], key[t]
             pos[key[t]], pos[key[j]] = t, j
@@ -207,7 +235,7 @@ def smith_normal_form(M):
                             rj[k] = y
                         else:
                             del rj[k]
-                    _combine(U, t, i, 1, 0, u, 1)
+                    steps.append((t, i, 1, 0, u, 1))
                     low[i] = None
                 else:
                     g, p, q = _egcd(a, b)
@@ -229,7 +257,7 @@ def smith_normal_form(M):
     r = min(m, n)
     for i in range(r):
         if D[i].get(i, 0) < 0:
-            negate_row(i)
+            row_op(i, i)
 
     # enforce d_i | d_j for i < j (zeros last); it holds if each consecutive pair does
     diag = pairwise(D[i].get(i, 0) for i in range(r))
@@ -250,16 +278,18 @@ def smith_normal_form(M):
                 if D[i].get(j):
                     col_op(i, j, 1, 0, -(D[i][j] // D[i][i]), 1, range(m))
                 if D[j].get(j, 0) < 0:
-                    negate_row(j)
+                    row_op(j, j)
 
-    # one row of U @ M @ V at a time, so that no product matrix is held
+    # U^-1 @ D, the steps undone on a copy of D, must be M @ V; it is kept for U
     V = [{} for _ in range(n)]
     for j, col in enumerate(Vt):
         for i, x in col.items():
             V[i][j] = x
-    if any(row != d for row, d in zip(_product_rows(_product_rows(U, rows), V), D, strict=True)):
+    MV = [dict(row) for row in D]
+    _replay(MV, steps, undo=True)
+    if any(row != d for row, d in zip(_product_rows(rows, V), MV, strict=True)):
         raise AssertionError("smith normal form internal check failed")
-    return SmithDecomposition(U, D, Vt)
+    return SmithDecomposition(D, Vt, steps, MV)
 
 
 def _get(table, key):
@@ -511,15 +541,15 @@ class _Factored:
     rows holds the map's matrix, one row per coordinate of group, with ncols
     entries each.  Appending the column d_i * e_i for every finite order d_i
     makes integer solutions of the stacked system exactly the solutions
-    modulo the group.  kernel() and solve() read the sparse rows of U and
-    columns of V and the diagonal, never a dense factor, and cut their
-    answers down to the map's own ncols coordinates.  Smith normal
-    form runs on first use only: a zero subgroup of a large ambient group has
-    nothing to solve while it is built, and its torsion-only system can be
-    as large as the ambient group.
+    modulo the group.  kernel() reads the columns of V and the diagonal, so
+    it never has U built; solve() reads U's rows too.  Both cut their answers
+    down to the map's own ncols coordinates.  Smith normal form runs on first
+    use only: a zero subgroup of a large ambient group has nothing to solve
+    while it is built, and its torsion-only system can be as large as the
+    ambient group.
     """
 
-    __slots__ = ("ncols", "echelon", "_rows", "_U", "_Vt", "_diag")
+    __slots__ = ("ncols", "echelon", "_rows", "_snf", "_diag")
 
     def __init__(self, rows, ncols, group):
         torsion = [i for i, d in enumerate(group.orders) if d]
@@ -528,37 +558,33 @@ class _Factored:
         self._rows = [[*row, *[0] * len(torsion)] for row in rows]
         for t, i in enumerate(torsion):  # d_i * e_i in torsion column t
             self._rows[i][ncols + t] = group.orders[i]
-        self._U = None
+        self._snf = None
 
     def _factor(self):
-        if self._U is None:
-            if self._rows:
-                snf = smith_normal_form(self._rows)
-                self._U, self._Vt, self._diag = snf._U, snf._Vt, snf.diagonal()
-            else:
-                # no constraints: everything solves, and solves zero
-                self._U, self._Vt, self._diag = [], _unit_rows(self.ncols), []
-            self._rows = None
+        if self._snf is None:
+            self._snf = (smith_normal_form(self._rows) if self._rows  # no rows: all solve, to 0
+                         else SmithDecomposition([], _unit_rows(self.ncols), [], []))
+            self._diag, self._rows = self._snf.diagonal(), None
 
     def kernel(self):
         """Basis of the integer kernel of the stacked system, on the map's columns."""
         self._factor()
         diag, ncols = self._diag, self.ncols
         return [tuple(col.get(i, 0) for i in range(ncols))
-                for j, col in enumerate(self._Vt) if j >= len(diag) or diag[j] == 0]
+                for j, col in enumerate(self._snf._Vt) if j >= len(diag) or diag[j] == 0]
 
     def solve(self, b):
         """One integer x with rows @ x = b modulo the group, or None."""
         self._factor()
         diag, ncols = self._diag, self.ncols
         x = [0] * ncols
-        for i, row in enumerate(self._U):
+        for i, row in enumerate(self._snf._rows_of_U()):
             y = _dot(row, b)
             d = diag[i] if i < len(diag) else 0
             if (y % d if d else y) != 0:
                 return None
             if y:  # x += V @ (y // d) e_i, on the map's columns
-                for r, v in self._Vt[i].items():
+                for r, v in self._snf._Vt[i].items():
                     if r < ncols:
                         x[r] += v * (y // d)
         return tuple(x)
@@ -674,10 +700,11 @@ class Subquotient:
     """A subgroup-modulo-subgroup of an ambient AbGroup, presented canonically.
 
     project sends an ambient element of the subgroup to its class vector in
-    the quotient group; section picks a representative; project(section(w)) == w.
+    the quotient group; section picks a representative, the relation steps
+    undone on the class vector; project(section(w)) == w.
     """
 
-    __slots__ = ("ambient", "sub_gens", "by_gens", "group", "_kept", "_U", "_U_system", "_memb")
+    __slots__ = ("ambient", "sub_gens", "by_gens", "group", "_kept", "_snf", "_memb")
 
     def __init__(self, ambient, sub_gens, by_gens, _memb=None):
         self.ambient = ambient
@@ -697,15 +724,12 @@ class Subquotient:
         # relations among the sub-generators inside the ambient group; with
         # no sub-generators there are none, and nothing more is factored
         rel_cols = self._memb.kernel() + by_coords if k else []
-        if rel_cols:
-            snf = smith_normal_form([[col[i] for col in rel_cols] for i in range(k)])
-            diag, self._U = snf.diagonal(), snf._U
-        else:
-            diag, self._U = [], _unit_rows(k)
+        self._snf = (smith_normal_form([[col[i] for col in rel_cols] for i in range(k)])
+                     if rel_cols else SmithDecomposition([{}] * k, [], [], [{}] * k))  # k x 0
+        diag = self._snf.diagonal()
         orders = [diag[i] if i < len(diag) else 0 for i in range(k)]
         self._kept = tuple(i for i, d in enumerate(orders) if d != 1)
         self.group = AbGroup(tuple(orders[i] for i in self._kept))
-        self._U_system = None
 
     def contains(self, element):
         """Membership of an ambient element in the subgroup (not the quotient)."""
@@ -716,19 +740,21 @@ class Subquotient:
         u = self._memb.solve(self.ambient.reduce(element))
         if u is None:
             raise NotASubgroup("element is outside the subgroup")
-        return self.group.reduce(tuple(_dot(self._U[i], u) for i in self._kept))
+        U = self._snf._rows_of_U()
+        return self.group.reduce(tuple(_dot(U[i], u) for i in self._kept))
 
     def section(self, class_vector):
         """A representative ambient element of the given class."""
         class_vector = self.group.reduce(class_vector)
-        w_full = [0] * len(self._U)
+        w = [0] * len(self.sub_gens)
         for pos, i in enumerate(self._kept):
-            w_full[i] = class_vector[pos]
-        if self._U_system is None:
-            k = len(self._U)
-            self._U_system = _Factored(_dense_rows(self._U, k), k, AbGroup([0] * k))
-        # U is unimodular, so U @ u = w_full has exactly one integer solution
-        u = self._U_system.solve(w_full)
+            w[i] = class_vector[pos]
+        # U is unimodular, so U @ u = w has one integer solution, U^-1 @ w
+        rows = [{0: x} if x else {} for x in w]  # w as a column
+        _replay(rows, self._snf._steps, undo=True)
+        u = [row.get(0, 0) for row in rows]
+        if any(_dot(row, u) != x for row, x in zip(self._snf._rows_of_U(), w, strict=True)):
+            raise AssertionError("section internal check failed")
         total = self.ambient.zero()
         for coeff, g in zip(u, self.sub_gens):
             total = self.ambient.add(total, self.ambient.scale(coeff, g))

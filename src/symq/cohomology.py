@@ -168,7 +168,7 @@ def verify_chain_complex(X, m, n, basepoint=0, bound=None, psi_sign=1):
 
 class Cochain:
     """Map X^degree -> A, stored flat in lexicographic tuple order; raw values
-    are reduced, and add, sub and neg keep the group's canonical values."""
+    are reduced, and add, sub, neg and _canonical keep canonical values."""
 
     __slots__ = ("degree", "size", "group", "values")
 
@@ -180,6 +180,12 @@ class Cochain:
         self.size = size
         self.group = group
         self.values = values
+
+    @classmethod
+    def _canonical(cls, degree, size, group, values):  # values the caller vouches for
+        out = object.__new__(cls)
+        out.degree, out.size, out.group, out.values = degree, size, group, tuple(values)
+        return out
 
     @classmethod
     def zero(cls, degree, size, group):
@@ -199,10 +205,8 @@ class Cochain:
         # fn on the values of self and of others of its shape, kept as fn returns them
         if any(c._key()[:3] != self._key()[:3] for c in others):
             raise ValueError("cochain shape mismatch")
-        out = object.__new__(Cochain)
-        out.degree, out.size, out.group = self._key()[:3]
-        out.values = tuple(map(fn, self.values, *(c.values for c in others)))
-        return out
+        values = map(fn, self.values, *(c.values for c in others))
+        return Cochain._canonical(*self._key()[:3], values)
 
     def add(self, other):
         return self._map(self.group.add, other)
@@ -228,9 +232,9 @@ def _cochain_to_vec(c):
 
 
 def _vec_to_cochain(degree, size, group, vec):
-    r = group.rank
-    vals = [tuple(vec[k * r : (k + 1) * r]) for k in range(size ** degree)]
-    return Cochain(degree, size, group, vals)
+    r = group.rank  # vec is canonical in A^(size^degree): a kernel, solved or section vector
+    return Cochain._canonical(degree, size, group,
+                              (tuple(vec[k * r : (k + 1) * r]) for k in range(size ** degree)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +422,7 @@ def delta(m, f, basepoint=0):
     heads, _ = piece = _complex(m).delta(f.degree, basepoint)
     values, r = _row_values(m, f, piece), m.A.rank
     rows = zip(*[iter(values)] * r) if r else [()] * len(heads)  # r values per tuple
-    return Cochain(f.degree + 1, m.base.size, m.A, rows)
+    return Cochain._canonical(f.degree + 1, m.base.size, m.A, rows)  # each value mod its order
 
 
 class CochainSpace:

@@ -293,7 +293,7 @@ def act_on_cocycle(m, pair, sigma):
     if sigma.degree != 2 or sigma.size != n or sigma.group != m.A:
         raise ValueError("sigma must be a 2-cochain on the base with values in A")
     inv = _invert_word(pair.zeta)
-    return Cochain(2, n, m.A, [pair.theta(s[a * n + b]) for a in inv for b in inv])
+    return Cochain._canonical(2, n, m.A, [pair.theta(s[a * n + b]) for a in inv for b in inv])
 
 
 def lambda_map(ext, pair):
@@ -443,7 +443,7 @@ def extend_pair(ext, pair):
     m, d1, r = ext.module, ext._degree1_map(), ext.module.A.rank
     b = _cochain_to_vec(_acted(ext, pair).sub(ext.sigma))
     nu = _reduced(d1, _cochain_to_vec(tau.neg()), b + (0,) * (d1.target.rank - len(b)))
-    lam = Cochain(1, m.base.size, m.A, [nu[z * r:z * r + r] for z in pair.zeta])
+    lam = Cochain._canonical(1, m.base.size, m.A, [nu[z * r:z * r + r] for z in pair.zeta])
     return LiftedAutomorphism(ext, pair, lam)
 
 

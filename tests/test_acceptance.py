@@ -134,6 +134,19 @@ def test_large_regime_presentation_over_z2_squared():
     emit("large", "presentation-t8-z2xz2-sq", dt)
 
 
+def test_large_regime_presentation_over_z4():
+    """The degree-2 quandle presentation of takasaki(10) over Z4: H is
+    Z2 x Z2.  Its witness map is read for its kernel only, so U of that
+    factorization is never built.  Its time is printed for the record, with
+    no budget."""
+    m = dihedral_kamada_module(takasaki(10), AbGroup([4]))
+    t0 = time.perf_counter()
+    pres = cohomology_presentation(m, 2, THEORY_SQ)
+    dt = time.perf_counter() - t0
+    assert pres.group.orders == (2, 2)
+    emit("large", "presentation-t10-z4-sq", dt)
+
+
 def test_criterion_2_obstructed_symmetry():
     """The alternating integral cocycle on the 2-point quandle obstructs -id."""
     t0 = time.perf_counter()

@@ -24,8 +24,9 @@ from symq.cohomology import (
     verify_chain_complex,
 )
 from symq.errors import Diagnostic, NotACocycle, ValidationError
-from symq.modules import RackModule, dihedral_kamada_module
-from symq.racks import QUANDLE, takasaki
+from symq.modules import RackModule, constant_module, dihedral_kamada_module
+from symq.racks import QUANDLE, enumerate_automorphisms, takasaki
+from symq.wells import AutPair, act_on_cocycle, build_abelian_extension, extend_pair
 
 from conftest import cochain, module, rack
 from helpers import reference_chain_check, reference_delta, reference_failures
@@ -317,6 +318,45 @@ class TestCochainArithmetic:
                     assert all(type(v) is tuple and A.reduce(v) == v for v in got.values)
         with pytest.raises(ValueError, match="cochain shape mismatch"):
             Cochain.zero(1, 2, A).add(Cochain.zero(1, 3, A))
+
+    @pytest.mark.parametrize("orders", GROUPS.values(), ids=GROUPS)
+    def test_library_builders_equal_the_reducing_constructor(self, orders):
+        # delta, act_on_cocycle, extend_pair's lambda and every cochain read
+        # off a vector (kernel, solve, section) keep their values unreduced
+        def canonical(c):
+            want = Cochain(c.degree, c.size, c.group, c.values)
+            assert type(c) is Cochain and c == want and hash(c) == hash(want)
+            assert all(type(v) is tuple for v in c.values)
+            return c
+
+        A, X, rng = AbGroup(orders), takasaki(4), random.Random(20261021)
+        ident = [[int(i == j) for j in range(len(orders))] for i in range(len(orders))]
+        m = constant_module(X, A, ident, [[0] * len(orders) for _ in orders], ident)
+        pres = cohomology_presentation(m, 2, THEORY_SQ)
+        for c in pres.cocycle_gens + pres.coboundary_gens:
+            canonical(c)
+        for cls in itertools.islice(itertools.product(*map(range, pres.group.orders)), 8):
+            canonical(pres.section(cls))
+        for degree in (0, 1, 2):
+            for _ in range(4):
+                canonical(delta(m, random_cochain(m, degree, rng)))
+        for g in cochain_space(m, 1, THEORY_SQ).gens:
+            canonical(g)
+        # every 1-cochain is eta-compatible here; this one is not a cocycle
+        tau = Cochain(1, X.size, A, [(1,) * len(orders)] + [A.zero()] * (X.size - 1))
+        sigma = canonical(delta(m, tau))
+        assert sigma != Cochain.zero(2, X.size, A)
+        assert delta(m, canonical(coboundary_witness(m, sigma, THEORY_SQ))) == sigma
+        thetas = [h for h in map(lambda k: AbHom.scalar(A, k), (1, -1, 3)) if h.inverse()]
+        pairs = [AutPair(z, h) for z in enumerate_automorphisms(X) for h in thetas]
+        for pair in pairs:
+            canonical(act_on_cocycle(m, pair, sigma))
+            canonical(act_on_cocycle(m, pair, random_cochain(m, 2, rng)))
+        if orders == [8, 16]:
+            return  # E has 512 elements there: its rack check alone takes seconds
+        ext = build_abelian_extension(m, sigma, THEORY_SQ)
+        lams = [canonical(extend_pair(ext, pair).lam) for pair in pairs]
+        assert any(lam != Cochain.zero(1, X.size, A) for lam in lams)
 
     def test_raw_values_are_reduced_or_refused_as_before(self):
         Z, Z4, Z2xZ2, Z8xZ16 = AbGroup([0]), AbGroup([4]), AbGroup([2, 2]), AbGroup([8, 16])

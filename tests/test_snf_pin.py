@@ -23,7 +23,8 @@ import random
 import pytest
 
 import symq.abelian
-from symq.abelian import AbGroup, smith_normal_form
+import symq.cohomology
+from symq.abelian import AbGroup, AbHom, kernel, smith_normal_form, solve
 from symq.cohomology import cohomology_presentation
 from symq.modules import dihedral_kamada_module
 from symq.racks import takasaki
@@ -146,7 +147,8 @@ def test_the_repair_still_runs_on_the_sparse_corpus():
 
 
 def test_the_certificate_runs_on_every_call(monkeypatch):
-    # U @ M @ V is formed row by row from two products on every call
+    # M @ V is formed row by row from one product on every call, and compared
+    # with D with the recorded row steps undone
     products = []
     rows = symq.abelian._product_rows
 
@@ -158,7 +160,7 @@ def test_the_certificate_runs_on_every_call(monkeypatch):
     corpus = sparse_corpus()[:20]
     for M in corpus:
         smith_normal_form(M)
-    assert len(products) == 2 * len(corpus)
+    assert len(products) == len(corpus)
     monkeypatch.setattr(symq.abelian, "_product_rows", lambda A, B: iter([[0]]))
     with pytest.raises(AssertionError, match="internal check failed"):
         smith_normal_form([[1]])
@@ -176,22 +178,47 @@ def full_support_corpus():
     return out
 
 
+def corrupted(step):
+    """A different step in place of a recorded one, still of det +-1.
+
+    A block (i, j, p, q, u, v) also adds (or subtracts) its new row i to its
+    new row j, never leaving a divisible step with u = 0, and a negation of
+    row i becomes a no-op.  Row i is nonzero right after each recorded step
+    (the pivot or the repaired diagonal entry sits in it), so undoing the
+    corrupted step moves M @ V off D by a nonzero row."""
+    if len(step) == 2:
+        return (step[0], step[0], 1, 0, 0, 1)
+    i, j, p, q, u, v = step
+    e = 1 if u + p else -1
+    return (i, j, p, q, u + e * p, v + e * q)
+
+
 def test_a_one_sided_corruption_fails_the_certificate(monkeypatch):
-    # Alter one entry of U, or of a column of V, right after one step of the
-    # elimination and leave D alone.  Every later step is unimodular on both
-    # sides, so U @ M @ V moves off D by a nonzero amount whenever M has no zero
-    # row (for U) and no zero column (for V): the certificate must fail.
-    original = symq.abelian._combine
-    corrupted = {"U": 0, "V": 0}
+    # Alter one recorded row step, or one entry of a column of V right after
+    # one step of the elimination, and leave D alone.  Every other step is
+    # unimodular, so M @ V moves off U^-1 @ D by a nonzero amount (for V,
+    # whenever M has no zero column): the certificate must fail.
+    original, replay = symq.abelian._combine, symq.abelian._replay
+    caught = {"U": 0, "V": 0}
     for M in full_support_corpus():
         seen = []
         monkeypatch.setattr(symq.abelian, "_combine",
                             lambda mat, *args: (seen.append(mat), original(mat, *args)))
         s = smith_normal_form(M)
-        kinds = ["U" if mat is s._U else "V" if mat is s._Vt else "D" for mat in seen]
-        for k, kind in enumerate(kinds):
-            if kind == "D":
-                continue
+        monkeypatch.setattr(symq.abelian, "_combine", original)
+        for k, step in enumerate(s._steps):
+            def undo_corrupted(rows, steps, undo=False, k=k, step=step):
+                if undo:  # the certificate, on the clean steps
+                    assert steps == s._steps
+                    steps = steps[:k] + [corrupted(step)] + steps[k + 1:]
+                replay(rows, steps, undo)
+
+            monkeypatch.setattr(symq.abelian, "_replay", undo_corrupted)
+            with pytest.raises(AssertionError, match="internal check failed"):
+                smith_normal_form(M)
+            caught["U"] += 1
+        monkeypatch.setattr(symq.abelian, "_replay", replay)
+        for k in [k for k, mat in enumerate(seen) if mat is s._Vt]:
             calls = []
 
             def corrupting(mat, i, j, *block):
@@ -206,8 +233,60 @@ def test_a_one_sided_corruption_fails_the_certificate(monkeypatch):
             monkeypatch.setattr(symq.abelian, "_combine", corrupting)
             with pytest.raises(AssertionError, match="internal check failed"):
                 smith_normal_form(M)
-            corrupted[kind] += 1
-    assert corrupted["U"] > 20 and corrupted["V"] > 20
+            caught["V"] += 1
+        monkeypatch.setattr(symq.abelian, "_combine", original)
+    assert caught["U"] > 20 and caught["V"] > 20
+
+
+def test_a_corrupted_replay_of_U_fails_at_its_first_read(monkeypatch):
+    # U is replayed from the steps only when read, and checked against M @ V
+    # and D before it is handed out
+    replay, failed = symq.abelian._replay, 0
+
+    def corrupting(rows, steps, undo=False):
+        replay(rows, steps, undo)
+        rows[0][0] = rows[0].get(0, 0) + 1
+
+    for M in full_support_corpus():
+        s = smith_normal_form(M)
+        assert s._U is None
+        monkeypatch.setattr(symq.abelian, "_replay", corrupting)
+        with pytest.raises(AssertionError, match="internal check failed"):
+            s.U
+        failed += 1
+        monkeypatch.setattr(symq.abelian, "_replay", replay)
+        assert s.U == smith_normal_form(M).U  # the failed read kept nothing
+    assert failed == len(full_support_corpus())
+
+
+def test_a_presentation_never_builds_U_of_its_witness_map(monkeypatch):
+    # Z is read off the kernel of the witness map: V and the diagonal only
+    maps = []
+    witness_map = symq.cohomology._witness_map
+    monkeypatch.setattr(symq.cohomology, "_witness_map",
+                        lambda *args: maps.append(witness_map(*args)) or maps[-1])
+    pres = cohomology_presentation(dihedral_kamada_module(takasaki(5), AbGroup([4])), 2, "sq")
+    assert len(maps) == 1 and pres.group.orders == ()
+    snf = maps[0]._system._snf
+    assert snf._steps and snf._U is None
+
+
+def test_repeated_solves_build_U_once(monkeypatch):
+    f = AbHom(AbGroup([0, 0, 0]), AbGroup([12, 0]), [[2, 4, 6], [3, 5, 7]])
+    calls = []
+    monkeypatch.setattr(symq.abelian, "smith_normal_form",
+                        lambda M: calls.append(M) or smith_normal_form(M))
+    kernel(f)
+    snf, replays = f._factored()._snf, []
+    assert snf._U is None
+    replay = symq.abelian._replay
+    monkeypatch.setattr(symq.abelian, "_replay",
+                        lambda rows, steps, undo=False: (replays.append((steps is snf._steps, undo)),
+                                                         replay(rows, steps, undo)))
+    for b in [(0, 0), (2, 3), (4, 1), (1, 0), (6, 9)]:
+        x = solve(f, b)
+        assert x is None or f(x) == AbGroup([12, 0]).reduce(b)
+    assert len(calls) == 1 and replays == [(True, False)] and snf._U is not None
 
 
 class TestMatMulShapes:
