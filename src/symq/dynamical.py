@@ -5,8 +5,8 @@ alpha_{x,y}: S_x x S_y -> S_{x*y} and beta_x: S_x -> S_{rho(x)}, and glue
 
   (x,s)*(y,t) = (x*y, alpha_{x,y}(s,t)),    rho(x,s) = (rho(x), beta_x(s)).
 
-Each condition below is the glued-table axiom in brackets, and the glued
-table is what dynamical_diagnostics checks:
+Each condition below is the glued-table axiom in brackets: dynamical_diagnostics
+walks the glued table, and from_cocycle proves affine tables at the generators of A:
 
   (1) alpha_{x,y}(-, t) bijective for every t  [right translations bijective]
   (2) alpha_{x*y,z}(alpha_{x,y}(s,t), w)
@@ -72,16 +72,21 @@ class DynamicalCocycle:
     __slots__ = ("base", "sizes", "alpha", "beta", "quandle")
 
     def __init__(self, base, sizes, alpha, beta, quandle=None):
-        n = base.size
         sizes = tuple(int(s) for s in sizes)
         diags = dynamical_diagnostics(base, sizes, alpha, beta, quandle)
         if diags:
             raise ValidationError("fiber data is not a dynamical cocycle", diags)
-        self.base = base
-        self.sizes = sizes
-        self.alpha = tuple(tuple(tuple(map(tuple, alpha[x][y])) for y in range(n)) for x in range(n))
-        self.beta = tuple(tuple(beta[x]) for x in range(n))
-        self.quandle = _resolve_quandle_flag(base, quandle)
+        self._hold(base, sizes, alpha, beta, _resolve_quandle_flag(base, quandle))
+
+    @classmethod
+    def _proven(cls, *fields):  # base, sizes, alpha, beta and quandle that _affine_axioms accepted
+        return object.__new__(cls)._hold(*fields)
+
+    def _hold(self, base, sizes, alpha, beta, quandle):
+        self.base, self.sizes, self.quandle = base, sizes, quandle
+        self.alpha = tuple(tuple(tuple(map(tuple, block)) for block in row) for row in alpha)
+        self.beta = tuple(map(tuple, beta))
+        return self
 
     # the axioms were checked on these fields, so they are never replaced
     def __setattr__(self, name, value):
@@ -95,14 +100,8 @@ class DynamicalCocycle:
         object.__delattr__(self, name)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, DynamicalCocycle)
-            and self.base == other.base
-            and self.sizes == other.sizes
-            and self.quandle == other.quandle
-            and self.alpha == other.alpha
-            and self.beta == other.beta
-        )
+        return isinstance(other, DynamicalCocycle) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def __hash__(self):
         return hash((self.sizes, self.alpha, self.beta, self.quandle))
@@ -217,8 +216,8 @@ class DynamicalExtension:
 def build_extension(dc):
     """Glue the total symmetric rack of a dynamical cocycle.
 
-    The cocycle's constructor checked this very table, and its fields are
-    read-only, so the table is not checked again.
+    The cocycle's constructor walked this very table, or from_cocycle proved
+    its axioms, and the fields are read-only, so it is not checked again.
     """
     labels, table, rho = _glue(dc.base, dc.sizes, dc.alpha, dc.beta)
     rack = FiniteRack(table, QUANDLE if dc.quandle else RACK)
@@ -330,6 +329,44 @@ def affine_tables(m, sigma):
     return sizes, alpha, beta
 
 
+def _affine_axioms(X, A, alpha, beta, quandle):
+    """True only if the tables of affine_tables glue a symmetric rack (a quandle if asked).
+
+    With alpha_{x,y}(s, t) = g(s) + h(t) + c and beta_x(s) = k(s) + b proven, g, h, k additive,
+    each of (1)-(6) is an identity of affine maps of A^k: it is checked at 0 and at each
+    generator of A in each argument, next to the same axiom of X."""
+    n, q, op, rho = X.size, A.order(), X.rack.table, X.rho
+    _, index, sums, negs = A.index_tables()
+    gens = [index[A.reduce([int(i == j) for j in range(A.rank)])] for i in range(A.rank)]
+    points = [(0, 0, 0)] + [(0,) * i + (e,) + (0,) * (2 - i) for i in range(3) for e in gens]
+
+    def linear(f):  # f - f(0) if it is additive: g(s + e) = g(s) + g(e) for each generator e
+        g = [sums[v][negs[f[0]]] for v in f]
+        return all([g[r[e]] for r in sums] == [sums[v][g[e]] for v in g] for e in gens) and g
+
+    for x in range(n):  # True only once every map is proven affine
+        rx, bx, ax = rho[x], beta[x], alpha[x]
+        if rho[rx] != x or quandle and op[x][x] != x or not linear(bx) or any(  # (4), (6)
+                beta[rx][bx[s]] != s or quandle and ax[x][s][s] != s for s, _, _ in points):
+            return False
+        for y in range(n):
+            xy, u, axy, ay, by = op[x][y], op[x][rho[y]], ax[y], alpha[y], beta[y]
+            g, h = linear(col := [row[0] for row in axy]), linear(axy[0])
+            if not (g and h) or len(set(g)) != q or (  # alpha(s, t) = alpha(s, 0) + h(t), (1)
+                    [sums[v][k] for v in col for k in h] != [v for row in axy for v in row]):
+                return False
+            if rho[xy] != op[rx][y] or op[u][y] != x or any(  # (3), (5)
+                    alpha[rx][y][bx[s]][t] != beta[xy][axy[s][t]]
+                    or alpha[u][y][ax[rho[y]][s][by[t]]][t] != s for s, t, _ in points):
+                return False
+            for z, (xz, yz) in enumerate(zip(op[x], op[y])):
+                left, right, axz, ayz = alpha[xy][z], alpha[xz][yz], ax[z], ay[z]
+                if op[xy][z] != op[xz][yz] or any(  # (2)
+                        left[axy[s][t]][w] != right[axz[s][w]][ayz[t][w]] for s, t, w in points):
+                    return False
+    return True
+
+
 def _checked_theory(m, sigma, theory):
     # the module axioms until they hold (the verdict is kept with the module), the
     # cocycle conditions once per cocycle; the default theory follows the base
@@ -348,14 +385,17 @@ def _checked_theory(m, sigma, theory):
 def from_cocycle(m, sigma, theory=None):
     """Dynamical cocycle of a module 2-cocycle; every route is verified.
 
-    The module axioms (walked until a module passes, then kept with it) and
-    the cocycle conditions are checked, the affine tables are built, and the
-    dynamical axioms are confirmed on the result.
+    The module axioms (walked until a module passes, then kept with it) and the cocycle
+    conditions are checked, and the dynamical axioms are proven on the affine tables at
+    the generators of A; failing that, the constructor's walk of the glued table decides.
     The quandle theory asks for a quandle extension, the rack theory for a
     rack extension; the default follows the kind of the base.
     """
     theory = _checked_theory(m, sigma, theory)
-    return DynamicalCocycle(m.base, *affine_tables(m, sigma), quandle=theory == THEORY_SQ)
+    tables = (m.base, *affine_tables(m, sigma), _resolve_quandle_flag(m.base, theory == THEORY_SQ))
+    if _affine_axioms(m.base, m.A, *tables[2:]):
+        return DynamicalCocycle._proven(*tables)
+    return DynamicalCocycle(*tables)
 
 
 def from_surjection(f):

@@ -104,10 +104,10 @@ def build_abelian_extension(m, sigma, theory=None):
     """Assemble the affine extension of a constant module by a 2-cocycle.
 
     The module and the cocycle are checked once for either fiber group.  A
-    finite fiber group's table is glued by from_cocycle and build_extension
-    and rechecked against the affine product formula; an infinite fiber
-    group keeps the extension symbolic.  The default theory follows the
-    kind of the base.
+    finite fiber group's table is proven by from_cocycle at the generators of
+    A, glued by build_extension and rechecked against the affine product
+    formula at every pair; an infinite fiber group keeps the extension
+    symbolic.  The default theory follows the kind of the base.
     """
     if not m.constant:
         raise NotConstantModule("extension symmetries need a constant module")

@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 
+import symq.wells
 from symq.abelian import AbGroup, AbHom
 from symq.cohomology import (
     THEORY_SQ,
@@ -31,7 +32,7 @@ from symq.dynamical import (
     gauge_transform,
 )
 from symq.groups import FiniteGroup, core_quandle
-from symq.modules import RackModule, dihedral_kamada_module, validate_module
+from symq.modules import RackModule, constant_module, dihedral_kamada_module, validate_module
 from symq.racks import (
     QUANDLE,
     RackMorphism,
@@ -145,6 +146,27 @@ def test_large_regime_presentation_over_z4():
     dt = time.perf_counter() - t0
     assert pres.group.orders == (2, 2)
     emit("large", "presentation-t10-z4-sq", dt)
+
+
+def test_large_regime_extension(monkeypatch):
+    """The extension of takasaki(4) by the trivial module (id, 0, id) over Z8 x Z16
+    with sigma = delta(tau), 512 elements, is built inside its budget: its axioms
+    are proven at the generators of A, not walked over 512^3 triples, and its
+    table is still checked against the affine formula at every pair."""
+    A, X = AbGroup([8, 16]), takasaki(4)
+    ident = [[1, 0], [0, 1]]
+    m = constant_module(X, A, ident, [[0, 0], [0, 0]], ident)
+    sigma = delta(m, Cochain(1, X.size, A, [(1, 1)] + [A.zero()] * (X.size - 1)))
+    checked = []
+    check = symq.wells._check_affine_table
+    monkeypatch.setattr(symq.wells, "_check_affine_table",
+                        lambda *args: checked.append(args[2]) or check(*args))
+    t0 = time.perf_counter()
+    ext = build_abelian_extension(m, sigma, THEORY_SQ)
+    dt = time.perf_counter() - t0
+    assert ext.rack.size == 512
+    assert checked == [ext.extension]
+    emit("large", "extension-t4-z8xz16-sq", dt, 2)
 
 
 def test_criterion_2_obstructed_symmetry():

@@ -352,8 +352,6 @@ class TestCochainArithmetic:
         for pair in pairs:
             canonical(act_on_cocycle(m, pair, sigma))
             canonical(act_on_cocycle(m, pair, random_cochain(m, 2, rng)))
-        if orders == [8, 16]:
-            return  # E has 512 elements there: its rack check alone takes seconds
         ext = build_abelian_extension(m, sigma, THEORY_SQ)
         lams = [canonical(extend_pair(ext, pair).lam) for pair in pairs]
         assert any(lam != Cochain.zero(1, X.size, A) for lam in lams)

@@ -1,6 +1,8 @@
 """Dynamical cocycles: validation, gluing, gauge action, group splittings."""
 
+import copy
 import hashlib
+import itertools
 import random
 import time
 
@@ -10,7 +12,15 @@ import symq.cli
 import symq.dynamical
 import symq.groups
 from symq.abelian import AbGroup
-from symq.cohomology import THEORY_SR, delta, delta1
+from symq.cohomology import (
+    THEORY_SQ,
+    THEORY_SR,
+    Cochain,
+    cohomology_presentation,
+    delta,
+    delta1,
+    is_cocycle,
+)
 from symq.dynamical import (
     DynamicalCocycle,
     Gauge,
@@ -30,11 +40,14 @@ from symq.errors import (
     ValidationError,
 )
 from symq.groups import FiniteGroup, is_normal
-from symq.modules import dihedral_kamada_module
+from symq.modules import dihedral_kamada_module, validate_module
 from symq.racks import (
     QUANDLE,
+    FiniteRack,
+    FiniteSymmetricRack,
     RackMorphism,
     good_involution_diagnostics,
+    rack_diagnostics,
     takasaki,
     trivial_rack,
     validate_good_involution,
@@ -46,6 +59,8 @@ from symq.wells import build_abelian_extension
 from conftest import cochain, module, rack
 from helpers import reference_dynamical_diagnostics
 from test_cohomology import random_cochain, random_one_cochain
+from test_modules import manual_constant
+from test_wells import nonconstant_module
 
 
 def z4_alpha_cocycle():
@@ -213,17 +228,25 @@ class TestReference:
 
 
 @pytest.fixture
-def axiom_passes(monkeypatch):
-    """Count the runs of dynamical_diagnostics, from the library and from the CLI."""
+def decisions(monkeypatch):
+    """Each decision on fiber tables, in order: "walk" for a run of dynamical_diagnostics,
+    from the library or from the CLI, and "proof" or "no proof" for a verdict of the affine
+    proof of from_cocycle."""
     calls = []
-    original = symq.dynamical.dynamical_diagnostics
+    walk, proof = symq.dynamical.dynamical_diagnostics, symq.dynamical._affine_axioms
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def walking(*args, **kwargs):
+        calls.append("walk")
+        return walk(*args, **kwargs)
 
-    monkeypatch.setattr(symq.dynamical, "dynamical_diagnostics", counting)
-    monkeypatch.setattr(symq.cli, "dynamical_diagnostics", counting)
+    def proving(*args):
+        verdict = proof(*args)
+        calls.append("proof" if verdict else "no proof")
+        return verdict
+
+    monkeypatch.setattr(symq.dynamical, "dynamical_diagnostics", walking)
+    monkeypatch.setattr(symq.cli, "dynamical_diagnostics", walking)
+    monkeypatch.setattr(symq.dynamical, "_affine_axioms", proving)
     return calls
 
 
@@ -241,19 +264,159 @@ def s3_over_a3():
 
 
 class TestOneAxiomPass:
-    @pytest.mark.parametrize("route,passes", [
-        (s3_over_a3, 1),
-        (lambda: from_surjection(RackMorphism(rack("core_z4"), takasaki(2), (0, 1, 0, 1))), 1),
-        (lambda: build_extension(from_cocycle(*z4_alpha_cocycle()[1:], THEORY_SR)), 1),
-        (lambda: build_abelian_extension(*z4_alpha_cocycle()[1:], THEORY_SR), 1),
-        (lambda: dynamical_cli("extend"), 1),
+    # one decision per cocycle: an accepted affine proof or one walk of the glued table;
+    # the two affine routes never walk, and the other routes never try the proof
+    @pytest.mark.parametrize("route,expected", [
+        (s3_over_a3, ["walk"]),
+        (lambda: from_surjection(RackMorphism(rack("core_z4"), takasaki(2), (0, 1, 0, 1))),
+         ["walk"]),
+        (lambda: build_extension(from_cocycle(*z4_alpha_cocycle()[1:], THEORY_SR)), ["proof"]),
+        (lambda: build_abelian_extension(*z4_alpha_cocycle()[1:], THEORY_SR), ["proof"]),
+        (lambda: dynamical_cli("extend"), ["walk"]),
         # the two inputs and the cocycle the found gauge transports
-        (lambda: dynamical_cli("equiv", "--other", DYN), 3),
+        (lambda: dynamical_cli("equiv", "--other", DYN), ["walk"] * 3),
     ], ids=["from_group_extension", "from_surjection", "from_cocycle", "build_abelian_extension",
             "cli-extend", "cli-equiv"])
-    def test_each_cocycle_is_checked_once(self, axiom_passes, route, passes):
+    def test_each_cocycle_is_checked_once(self, decisions, route, expected):
         route()
-        assert len(axiom_passes) == passes
+        assert decisions == expected
+
+
+PROOF_BASES = {f"takasaki({n})": takasaki(n) for n in (3, 4, 5)}
+PROOF_BASES.update((name, rack(name)) for name in ("t2", "t4", "core_z4"))
+PROOF_GROUPS = ([2], [3], [4], [2, 2])
+
+
+def scalar_modules(bases):
+    """Every constant module of scalars (phi, psi, eta) = (a, b, c) over each base and fiber
+    group, valid or not, with scalars below the exponent of the group."""
+    for X in bases:
+        for orders in PROOF_GROUPS:
+            for abc in itertools.product(range(max(orders)), repeat=3):
+                yield manual_constant(X, AbGroup(orders), *abc)
+
+
+def valid_extensions():
+    """(module, cocycle, theory): every valid scalar module of PROOF_BASES and the nonconstant
+    module of test_wells, with sigma = 0, two seeded coboundaries and two presentation
+    sections, in each theory where sigma is a cocycle."""
+    mods = [m for m in scalar_modules(PROOF_BASES.values()) if validate_module(m).ok]
+    for i, m in enumerate(mods + [nonconstant_module()]):
+        rng = random.Random(i)
+        sigmas = [Cochain.zero(2, m.base.size, m.A)]
+        sigmas += [delta(m, random_one_cochain(m, rng)) for _ in range(2)]
+        for theory in (THEORY_SR, THEORY_SQ):
+            pres = cohomology_presentation(m, 2, theory)
+            sections = [pres.section(c) for c in itertools.islice(pres.group.elements(), 1, 3)]
+            for sigma in sigmas + sections:
+                if is_cocycle(m, sigma, theory)[0]:
+                    yield m, sigma, theory
+
+
+def reported(diags):
+    return [(d.axiom, d.witnesses, d.truncated) for d in diags]
+
+
+def decided_like_the_walk(m, sigma, theory):
+    """from_cocycle against the full walk of the same tables: it must accept exactly when
+    the walk finds nothing, through the proof, and otherwise raise the walk's diagnostics."""
+    X, quandle = m.base, theory == THEORY_SQ
+    sizes, alpha, beta = affine_tables(m, sigma)
+    walk = dynamical_diagnostics(X, sizes, alpha, beta, quandle)
+    assert symq.dynamical._affine_axioms(X, m.A, alpha, beta, quandle) == (walk == [])
+    if walk:
+        with pytest.raises(ValidationError) as e:
+            from_cocycle(m, sigma, theory)
+        assert reported(e.value.diagnostics) == reported(walk)
+    else:
+        dc = from_cocycle(m, sigma, theory)
+        assert (dc.sizes, dc.alpha, dc.beta, dc.quandle) == (
+            sizes, *fiber_tuples(alpha, beta), quandle)
+    return bool(walk)
+
+
+def fiber_tuples(alpha, beta):
+    return (tuple(tuple(tuple(map(tuple, b)) for b in row) for row in alpha),
+            tuple(map(tuple, beta)))
+
+
+class TestAffineProof:
+    """The affine proof of from_cocycle against the full walk of the glued table."""
+
+    def test_valid_extensions_are_proven_and_the_walk_agrees(self, decisions):
+        cases = list(valid_extensions())
+        assert len(cases) > 400
+        assert any(not m.constant for m, _, _ in cases)
+        assert {theory for _, _, theory in cases} == {THEORY_SR, THEORY_SQ}
+        for m, sigma, theory in cases:
+            dc = from_cocycle(m, sigma, theory)
+            assert decisions[-1:] == ["proof"]
+            assert dynamical_diagnostics(m.base, dc.sizes, dc.alpha, dc.beta, dc.quandle) == []
+        assert decisions.count("proof") == len(cases)
+        assert "no proof" not in decisions
+
+    def test_unchecked_modules_and_cochains_get_the_walks_verdict(self, monkeypatch):
+        # with the module and cocycle checks out of the way, every scalar module and a
+        # seeded cochain reach the proof; a refusal must carry the walk's diagnostics
+        monkeypatch.setattr(symq.dynamical, "_checked_theory", lambda m, sigma, theory: theory)
+        rng = random.Random(29)
+        bases = [PROOF_BASES[name] for name in ("takasaki(3)", "t2", "t4", "core_z4")]
+        verdicts = []
+        for i, m in enumerate(scalar_modules(bases)):
+            sigma = random_cochain(m, 2, rng) if i % 2 else Cochain.zero(2, m.base.size, m.A)
+            verdicts.append(decided_like_the_walk(m, sigma, THEORY_SQ if i % 3 == 0 else THEORY_SR))
+        assert 100 < sum(verdicts) < len(verdicts)
+
+    def test_a_non_cocycle_past_the_cocycle_check_gets_the_walks_diagnostics(self, monkeypatch):
+        X, m, c = z4_alpha_cocycle()
+        sigma = random_cochain(m, 2, random.Random(3))
+        assert not is_cocycle(m, sigma, THEORY_SR)[0]
+        monkeypatch.setattr(symq.dynamical, "is_cocycle", lambda *args: (True, []))
+        assert decided_like_the_walk(m, sigma, THEORY_SR)
+
+    def test_every_corrupted_alpha_entry_fails_the_proof(self, monkeypatch, decisions):
+        X, m, c = z4_alpha_cocycle()
+        sizes, alpha, beta = affine_tables(m, c)
+        for x, y, s, t in itertools.product(range(2), range(2), range(4), range(4)):
+            bad = copy.deepcopy(alpha)
+            bad[x][y][s][t] = (bad[x][y][s][t] + 1) % 4
+            walk = dynamical_diagnostics(X, sizes, bad, beta, False)
+            assert walk
+            monkeypatch.setattr(symq.dynamical, "affine_tables", lambda m, sigma: (sizes, bad, beta))
+            decisions.clear()
+            with pytest.raises(ValidationError) as e:
+                from_cocycle(m, c, THEORY_SR)
+            assert decisions == ["no proof", "walk"]
+            assert reported(e.value.diagnostics) == reported(walk)
+
+    @pytest.mark.parametrize("carrier,axiom", [("alpha", "S3-inverse-translation"),
+                                               ("beta", "S1-involution")])
+    def test_a_split_map_that_is_not_additive_fails_the_proof(self, monkeypatch, decisions,
+                                                               carrier, axiom):
+        # pi fixes 0 and 1 of Z5 and cycles 2 -> 3 -> 4.  As alpha(s, t) = pi(s), or as
+        # beta = pi under alpha(s, t) = s, it splits as g(s) + h(t) + c or k(s) + b and meets
+        # every condition at the basis points 0 and 1; only the additivity check refuses it
+        X, pi, ident = takasaki(3), [0, 1, 3, 4, 2], list(range(5))
+        m = dihedral_kamada_module(X, AbGroup([5]))
+        column = pi if carrier == "alpha" else ident
+        sizes, alpha = (5,) * 3, [[[[column[s]] * 5 for s in range(5)] for _ in range(3)]
+                                  for _ in range(3)]
+        beta = [list(pi if carrier == "beta" else ident) for _ in range(3)]
+        walk = dynamical_diagnostics(X, sizes, alpha, beta, False)
+        assert [d.axiom for d in walk] == [axiom]
+        monkeypatch.setattr(symq.dynamical, "affine_tables", lambda m, sigma: (sizes, alpha, beta))
+        with pytest.raises(ValidationError) as e:
+            from_cocycle(m, Cochain.zero(2, 3, m.A), THEORY_SR)
+        assert decisions == ["no proof", "walk"]
+        assert reported(e.value.diagnostics) == reported(walk)
+
+    def test_a_base_that_is_not_a_rack_fails_the_proof(self, monkeypatch):
+        table = [[0, 2, 1], [1, 1, 0], [2, 0, 2]]
+        assert [d.axiom for d in rack_diagnostics(table, QUANDLE)] == ["self-distributivity"]
+        X = FiniteSymmetricRack(FiniteRack(table, QUANDLE), (0, 1, 2))
+        monkeypatch.setattr(symq.dynamical, "_checked_theory", lambda m, sigma, theory: theory)
+        m = manual_constant(X, AbGroup([2]), 1, 0, 1)
+        assert decided_like_the_walk(m, Cochain.zero(2, 3, m.A), THEORY_SQ)
 
 
 class TestExtension:

@@ -1,7 +1,8 @@
 """src/symq: every import used, none samples, none asserts, one factors, one axiom pass,
 one reader of the boundary, one lister of subgroups, one place that builds the CLI parser,
 one builder of the fiber-table layout, one gluing path of affine tables, one guard of the
-glued table in wells.py, one check of a dynamical cocycle's glued table."""
+glued table in wells.py, one check of a dynamical cocycle's glued table, one caller of the
+constructor that skips that check."""
 
 import ast
 from pathlib import Path
@@ -188,6 +189,26 @@ def test_the_check_sees_a_second_check_of_the_glued_table(tmp_path):
     assert call_sites(path, "rack_diagnostics") == [("build_extension", 6)]
     assert call_sites(path, "good_involution_diagnostics") == [("build_extension", 6)]
     assert call_sites(path, "_glue") == [("build_extension", 5)]
+
+
+def test_one_caller_skips_the_walk():
+    # DynamicalCocycle._proven stores tables without walking them; only from_cocycle
+    # holds the affine proof it needs, and nothing else runs that proof
+    assert callers_in_src("_proven") == {("dynamical.py", "from_cocycle")}
+    assert callers_in_src("_affine_axioms") == {("dynamical.py", "from_cocycle")}
+
+
+def test_the_check_sees_a_second_caller_of_the_proven_constructor(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from .dynamical import DynamicalCocycle\n\n"
+        "def from_cocycle(tables):\n"
+        "    return DynamicalCocycle._proven(*tables)\n\n"
+        "class Gauge:\n"
+        "    def transport(self, dc, tables):\n"
+        "        return type(dc)._proven(*tables)\n"
+    )
+    assert call_sites(path, "_proven") == [("Gauge.transport", 8), ("from_cocycle", 4)]
 
 
 def test_one_statement_of_the_boundary():
