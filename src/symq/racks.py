@@ -234,80 +234,78 @@ def enumerate_good_involutions(rack, bound=None):
 def _isomorphisms(S, T, cap, fibers=None):
     """Every bijection S -> T preserving op and rho, lexicographic by image word.
 
-    S and T have the same size.  Images are assigned in element order, values tried in ascending order;
-    each assignment is pushed through x*y and rho, so only elements outside
-    the closure of what is assigned are branched on.  fibers=(p, q, zeta)
-    keeps the maps sending fiber p[x] of S onto fiber zeta[p[x]] of T (the
-    fiber of v in T is q[v]); a None entry of zeta is chosen by the search.
-    Once more than cap candidate images have been tried the search raises
-    SearchSpaceExceeded; it never stops early with a partial answer.
+    S and T have the same size.  Each generator of S is the least element
+    outside the closure (under x*y, y*x and rho) of those before it; its
+    block derives each element it adds once, as rho(a) or a*b of earlier
+    ones.  Generator images are tried in ascending order, and a block filled
+    by lookups is kept if each new element preserves rho and both products
+    with every assigned one.  fibers=(p, q, zeta) keeps the maps sending
+    fiber p[x] of S onto fiber zeta[p[x]] of T (q[v] is the fiber of v); the
+    search chooses each None entry of zeta.  Once more than cap candidate
+    images are tried it raises SearchSpaceExceeded, never a partial answer.
     """
-    n = S.size
-    sop, top, srho, trho = S.rack.table, T.rack.table, S.rho, T.rho
+    n, sop, top, srho, trho = S.size, S.rack.table, T.rack.table, S.rho, T.rho
     p, q, zeta = fibers if fibers is not None else ((0,) * n, (0,) * n, (0,))
-    zeta = list(zeta)
-    f = [None] * n
-    used = [False] * n
+    zeta, blocks, order, inside = list(zeta), [], [], [False] * n
+    for g in range(n):
+        if inside[g]:
+            continue
+        inside[g] = True
+        blocks.append([(g, None, None)])  # (z, a, b): z = rho(a) if b is None, else a*b
+        for x, _, _ in blocks[-1]:  # also visits the entries appended below
+            order.append(x)
+            for z, a, b in [(srho[x], x, None)] + [
+                    d for y in order for d in ((sop[x][y], x, y), (sop[y][x], y, x))]:
+                if not inside[z]:
+                    inside[z] = True
+                    blocks[-1].append((z, a, b))
+    f, used, tried = [None] * n, [False] * n, 0
     dom, chosen = [], []  # assigned elements and chosen zeta entries, in order
-    tried = 0
 
     def fits(x, v):
         b = p[x]
         return not used[v] and (zeta[b] == q[v] or zeta[b] is None and q[v] not in zeta)
 
-    def assign(x, v):
-        # x -> v with everything it forces; False on the first clash
-        todo = [(x, v)]
-        while todo:
-            x, v = todo.pop()
-            if f[x] is not None:
-                if f[x] != v:
-                    return False
-                continue
-            if not fits(x, v):
+    def extend(block, v):
+        # the block's images from v by lookups; False on the first clash
+        start = len(dom)
+        for z, a, b in block:
+            w = v if a is None else trho[f[a]] if b is None else top[f[a]][f[b]]
+            if not fits(z, w):
                 return False
-            b = p[x]
-            if zeta[b] is None:
-                zeta[b] = q[v]
-                chosen.append(b)
-            f[x] = v
-            used[v] = True
-            dom.append(x)
-            forced = [(srho[x], trho[v])]
-            for y in dom:
-                forced += ((sop[x][y], top[v][f[y]]), (sop[y][x], top[f[y]][v]))
-            for z, w in forced:
-                if f[z] is None:
-                    todo.append((z, w))
-                elif f[z] != w:
+            if zeta[p[z]] is None:
+                zeta[p[z]] = q[w]
+                chosen.append(p[z])
+            f[z], used[w] = w, True
+            dom.append(z)
+        for i in range(start, len(dom)):
+            x, w = dom[i], f[dom[i]]
+            if f[srho[x]] != trho[w]:
+                return False
+            for y in dom[:i + 1]:
+                if f[sop[x][y]] != top[w][f[y]] or f[sop[y][x]] != top[f[y]][w]:
                     return False
         return True
 
-    def undo(mark_dom, mark_zeta):
-        while len(dom) > mark_dom:
-            x = dom.pop()
-            used[f[x]] = False
-            f[x] = None
-        while len(chosen) > mark_zeta:
-            zeta[chosen.pop()] = None
-
     def search(k):
         nonlocal tried
-        while k < n and f[k] is not None:
-            k += 1
-        if k == n:
+        if k == len(blocks):
             yield tuple(f)
             return
         for v in range(n):
-            if not fits(k, v):
+            if not fits(blocks[k][0][0], v):
                 continue
             tried += 1
             if tried > cap:
                 raise SearchSpaceExceeded(f"more than {cap} candidate images tried")
-            marks = len(dom), len(chosen)
-            if assign(k, v):
+            assigned, picked = len(dom), len(chosen)
+            if extend(blocks[k], v):
                 yield from search(k + 1)
-            undo(*marks)
+            for x in dom[assigned:]:  # undo the block
+                used[f[x]], f[x] = False, None
+            for b in chosen[picked:]:
+                zeta[b] = None
+            del dom[assigned:], chosen[picked:]
 
     yield from search(0)
 

@@ -3,8 +3,10 @@ factorization, the entry-by-entry well-definedness check of a hom and the
 stacked system of `_Factored`, a subgroup closure, a brute-force
 good-involution search, a nested-loop chain complex check, a term-by-term
 cochain reference, the dynamical axioms in fiber coordinates, the affine
-part of a list of maps of an extension and an independent solve of each lift
-equation, for the tests and tests/wells_sweep.py only."""
+part of a list of maps of an extension, an independent solve of each lift
+equation, the lift of an inverse pair and the symmetry search that pushes
+each assignment through a todo stack, for the tests and tests/wells_sweep.py
+only."""
 
 from fractions import Fraction
 from itertools import compress, product
@@ -21,9 +23,9 @@ from symq.abelian import (
 )
 from symq.cohomology import Cochain, _cochain_to_vec, _vec_to_cochain, _witness_map, boundary, delta
 from symq.dynamical import _resolve_quandle_flag, _shape_problems
-from symq.errors import Diagnostic, ValidationError
+from symq.errors import Diagnostic, SearchSpaceExceeded, ValidationError
 from symq.racks import good_involution_diagnostics
-from symq.wells import act_on_cocycle, gamma_restriction
+from symq.wells import LiftedAutomorphism, act_on_cocycle, gamma_restriction
 
 
 def mat_mul(A, B):
@@ -576,3 +578,92 @@ def reference_lift_lambda(ext, pair):
     nu = _vec_to_cochain(1, n, m.A, x)
     assert delta(m, nu) == c
     return tuple(nu.values[z] for z in pair.zeta)
+
+
+def reference_lift_inverse(xi):
+    """The lift of the inverse pair, lam'(x) = -theta^-1(lam(zeta^-1(x))), decided in full."""
+    pair = xi.pair.inverse()
+    m = xi.extension.module
+    vals = [m.A.neg(pair.theta(xi.lam.value(pair.zeta[x]))) for x in range(m.base.size)]
+    return LiftedAutomorphism(xi.extension, pair, Cochain(1, m.base.size, m.A, vals))
+
+
+def reference_isomorphisms(S, T, cap, fibers=None):
+    """Every bijection S -> T preserving op and rho, lexicographic by image word.
+
+    S and T have the same size.  Images are assigned in element order, values tried in ascending order;
+    each assignment is pushed through x*y and rho, so only elements outside
+    the closure of what is assigned are branched on.  fibers=(p, q, zeta)
+    keeps the maps sending fiber p[x] of S onto fiber zeta[p[x]] of T (the
+    fiber of v in T is q[v]); a None entry of zeta is chosen by the search.
+    Once more than cap candidate images have been tried the search raises
+    SearchSpaceExceeded; it never stops early with a partial answer.
+    """
+    n = S.size
+    sop, top, srho, trho = S.rack.table, T.rack.table, S.rho, T.rho
+    p, q, zeta = fibers if fibers is not None else ((0,) * n, (0,) * n, (0,))
+    zeta = list(zeta)
+    f = [None] * n
+    used = [False] * n
+    dom, chosen = [], []  # assigned elements and chosen zeta entries, in order
+    tried = 0
+
+    def fits(x, v):
+        b = p[x]
+        return not used[v] and (zeta[b] == q[v] or zeta[b] is None and q[v] not in zeta)
+
+    def assign(x, v):
+        # x -> v with everything it forces; False on the first clash
+        todo = [(x, v)]
+        while todo:
+            x, v = todo.pop()
+            if f[x] is not None:
+                if f[x] != v:
+                    return False
+                continue
+            if not fits(x, v):
+                return False
+            b = p[x]
+            if zeta[b] is None:
+                zeta[b] = q[v]
+                chosen.append(b)
+            f[x] = v
+            used[v] = True
+            dom.append(x)
+            forced = [(srho[x], trho[v])]
+            for y in dom:
+                forced += ((sop[x][y], top[v][f[y]]), (sop[y][x], top[f[y]][v]))
+            for z, w in forced:
+                if f[z] is None:
+                    todo.append((z, w))
+                elif f[z] != w:
+                    return False
+        return True
+
+    def undo(mark_dom, mark_zeta):
+        while len(dom) > mark_dom:
+            x = dom.pop()
+            used[f[x]] = False
+            f[x] = None
+        while len(chosen) > mark_zeta:
+            zeta[chosen.pop()] = None
+
+    def search(k):
+        nonlocal tried
+        while k < n and f[k] is not None:
+            k += 1
+        if k == n:
+            yield tuple(f)
+            return
+        for v in range(n):
+            if not fits(k, v):
+                continue
+            tried += 1
+            if tried > cap:
+                raise SearchSpaceExceeded(f"more than {cap} candidate images tried")
+            marks = len(dom), len(chosen)
+            if assign(k, v):
+                yield from search(k + 1)
+            undo(*marks)
+
+    yield from search(0)

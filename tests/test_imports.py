@@ -2,7 +2,7 @@
 one reader of the boundary, one lister of subgroups, one place that builds the CLI parser,
 one builder of the fiber-table layout, one gluing path of affine tables, one guard of the
 glued table in wells.py, one check of a dynamical cocycle's glued table, one caller of the
-constructor that skips that check."""
+constructor that skips that check, one symmetry search with three callers."""
 
 import ast
 from pathlib import Path
@@ -209,6 +209,28 @@ def test_the_check_sees_a_second_caller_of_the_proven_constructor(tmp_path):
         "        return type(dc)._proven(*tables)\n"
     )
     assert call_sites(path, "_proven") == [("Gauge.transport", 8), ("from_cocycle", 4)]
+
+
+def test_one_symmetry_search():
+    # automorphisms, gauge equivalence and the brute-force fiber symmetries
+    # all run the one closure-order search of racks.py
+    assert callers_in_src("_isomorphisms") == {
+        ("racks.py", "enumerate_automorphisms"), ("dynamical.py", "are_cohomologous_dynamical"),
+        ("wells.py", "brute_force_fiber_automorphisms")}
+
+
+def test_the_check_sees_a_second_caller_of_the_search(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from . import racks\n"
+        "from .racks import _isomorphisms as search\n\n"
+        "def enumerate_automorphisms(X):\n"
+        "    return list(racks._isomorphisms(X, X, 10))\n\n"
+        "class Census:\n"
+        "    def symmetries(self, S, T):\n"
+        "        return next(search(S, T, 10), None)\n"
+    )
+    assert call_sites(path, "_isomorphisms") == [("Census.symmetries", 9), ("enumerate_automorphisms", 5)]
 
 
 def test_one_statement_of_the_boundary():

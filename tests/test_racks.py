@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from symq import limits
+from symq import THEORY_SQ, AbGroup, Cochain, build_abelian_extension, dihedral_kamada_module, limits
 from symq.errors import EmptyCarrier, SearchSpaceExceeded, SizeBoundExceeded, ValidationError
 from symq.groups import FiniteGroup, conj_quandle, core_quandle
 from symq.racks import (
@@ -15,6 +15,7 @@ from symq.racks import (
     RackMorphism,
     _check_group,
     _compose_words,
+    _isomorphisms,
     cycle_notation,
     enumerate_automorphisms,
     enumerate_good_involutions,
@@ -28,7 +29,7 @@ from symq.racks import (
 )
 
 from conftest import rack
-from helpers import reference_good_involutions
+from helpers import reference_good_involutions, reference_isomorphisms
 
 GROUPS = {f"Z{k}": FiniteGroup.cyclic(k) for k in range(1, 9)}
 GROUPS["S3"] = FiniteGroup.symmetric(3)
@@ -176,6 +177,54 @@ class TestAutomorphisms:
         monkeypatch.setattr(limits, "GAUGE_SEARCH", 5000)
         with pytest.raises(SearchSpaceExceeded):
             enumerate_automorphisms(trivial_rack(7))
+
+
+def zero_extension_search(name, order, zeta_fixed):
+    """The glued table of a zero-sigma sq extension and fibers with zeta fixed or chosen."""
+    X = rack(name)
+    m = dihedral_kamada_module(X, AbGroup([order]))
+    ext = build_abelian_extension(m, Cochain.zero(2, X.size, m.A), THEORY_SQ)
+    bases = [x for x, _ in ext.extension.labels]
+    return ext.rack, (bases, bases, list(range(X.size)) if zeta_fixed else [None] * X.size)
+
+
+SEARCH_CORPUS = (
+    [(f"takasaki{n}", lambda n=n: (takasaki(n), None)) for n in (3, 4, 5, 6, 8)]
+    + [("trivial5", lambda: (trivial_rack(5), None)),
+       ("trivial4-swapped", lambda: (trivial_rack(4, (1, 0, 3, 2)), None)),
+       ("conj-S3", lambda: (conj_quandle(GROUPS["S3"]), None)),
+       ("core-Z4", lambda: (core_quandle(GROUPS["Z4"]), None)),
+       ("core-Z8", lambda: (core_quandle(GROUPS["Z8"]), None))]
+    + [(f"{name}/Z{order}-{how}", lambda a=(name, order, how == "fixed"): zero_extension_search(*a))
+       for name, order in (("t2", 4), ("takasaki3", 2), ("takasaki3", 3), ("takasaki3", 4),
+                           ("takasaki4", 2))
+       for how in ("fixed", "chosen")]
+)
+
+
+def searched(search, S, cap, fibers):
+    """The words a search yields, in order, and whether it then refused."""
+    words = []
+    try:
+        for word in search(S, S, cap, fibers):
+            words.append(word)
+    except SearchSpaceExceeded:
+        return words, True
+    return words, False
+
+
+class TestOneSymmetrySearch:
+    @pytest.mark.parametrize("make", [make for _, make in SEARCH_CORPUS],
+                             ids=[name for name, _ in SEARCH_CORPUS])
+    def test_same_words_order_and_refusal_as_the_pushing_search(self, make):
+        # the generator blocks branch where the todo stack did: at every cap
+        # the same words come out in the same order before the same refusal
+        S, fibers = make()
+        caps = list(range(40)) + [50, 100, 200, 500, 1000, limits.GAUGE_SEARCH]
+        runs = [(searched(_isomorphisms, S, cap, fibers), searched(reference_isomorphisms, S, cap, fibers))
+                for cap in caps]
+        assert all(new == old for new, old in runs)
+        assert runs[0][0] == ([], True) and not runs[-1][0][1] and runs[-1][0][0]
 
 
 def closure(gens, identity, mul):

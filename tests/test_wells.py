@@ -32,6 +32,7 @@ from symq.modules import RackModule, constant_module, dihedral_kamada_module, va
 from symq.racks import (
     FiniteRack,
     FiniteSymmetricRack,
+    _compose_words,
     _invert_word,
     good_involution_diagnostics,
     takasaki,
@@ -56,7 +57,7 @@ from symq.wells import (
 )
 
 from conftest import cochain, module, rack
-from helpers import affine_part, reference_lift_lambda, reference_subgroup_elements
+from helpers import affine_part, reference_lift_inverse, reference_lift_lambda, reference_subgroup_elements
 
 
 def z4_extension():
@@ -775,22 +776,36 @@ class TestLifting:
         assert extend_pair(ext, AutPair((0, 1), AbHom.scalar(ext.module.A, -1))) is None
 
     def test_apply_and_compose(self):
+        # f after g is the lift of the composed pair with lam o zeta' + theta . lam',
+        # and its permutation is the composition of the two, point by point
         ext = z4_extension()
+        A = ext.module.A
         lifts = enumerate_autA_extension(ext)
         for f in lifts:
             for g in lifts:
                 fg = f.compose(g)
+                assert fg.perm == _compose_words(f.perm, g.perm)
+                assert fg.pair == f.pair.compose(g.pair)
+                assert fg.lam.values == tuple(A.add(f.lam.value(g.pair.zeta[x]), f.pair.theta(g.lam.value(x)))
+                                              for x in range(2))
                 for i in range(8):
-                    x, a = ext.pair_of(i)
-                    assert fg.apply(x, a) == f.apply(*g.apply(x, a))
+                    assert ext.pair_of(fg(i)) == affine_image(f, *affine_image(g, *ext.pair_of(i)))
 
     def test_inverse(self):
+        # the lift of the inverse pair, built and decided in full, inverts every lift
         ext = z4_extension()
-        for f in enumerate_autA_extension(ext):
-            finv = f.inverse()
+        lifts = enumerate_autA_extension(ext)
+        for f in lifts:
+            finv = reference_lift_inverse(f)
+            assert finv in lifts
+            assert finv.perm == _invert_word(f.perm)
             for i in range(8):
-                x, a = ext.pair_of(i)
-                assert finv.apply(*f.apply(x, a)) == (x, a)
+                assert affine_image(finv, *affine_image(f, *ext.pair_of(i))) == ext.pair_of(i)
+
+
+def affine_image(xi, x, a):
+    """(zeta(x), lam(x) + theta(a)): a lift's affine formula at one point of E."""
+    return xi.pair.zeta[x], xi.extension.module.A.add(xi.lam.value(x), xi.pair.theta(a))
 
 
 def zero_extension(name, orders, theory):
@@ -953,10 +968,10 @@ class TestEnumerationAndReport:
         assert rep.exact_at_cocycles and rep.exact_at_symmetries and rep.exact_at_pairs
 
     def test_each_lift_is_verified_once(self, lift_constructions, monkeypatch):
-        # each lift is decided exactly once: every unobstructed pair's base
-        # lift and every z in Z^1 (a lift of the identity pair, standing in
-        # its place) in full, on the glued table; every other lift by equality
-        # with a composition of two of those
+        # each lift is decided exactly once: every z in Z^1 (a lift of the
+        # identity pair, whose base lift is never built) and every other
+        # unobstructed pair's base lift in full, on the glued table; every
+        # other lift by equality with a composition of two of those
         decide = symq.wells.is_isomorphism
         for name in ("t2/Z4/sr", "takasaki3/Z4/sr", "takasaki3/Z2xZ2/sq"):
             ext, full = gamma_extension(name), []
@@ -964,8 +979,8 @@ class TestEnumerationAndReport:
                 f.source is ext.rack and full.append(f.map)) or decide(f))
             lift_constructions.clear()
             rep = wells_report(ext)
-            assert len(lift_constructions) == rep.aut_size + rep.image_size
-            assert len(full) == rep.image_size + rep.z1_size
+            assert len(lift_constructions) == rep.aut_size + rep.image_size - 1
+            assert len(full) == rep.image_size + rep.z1_size - 1
             assert rep.exact and rep.aut_size == rep.image_size * rep.z1_size > len(full)
 
     @pytest.mark.parametrize("run", [z1_elements, wells_report])
