@@ -79,9 +79,9 @@ def _build_parser():
     add("check", "rack module cocycle group theory basepoint",
         "validate rack/module/cocycle/group files")
     add("involutions", "rack", "enumerate good involutions of a rack",
-        bound="largest rack size to enumerate")
+        bound="candidate values of rho the search may try")
     add("aut", "rack", "enumerate symmetric rack automorphisms",
-        bound="largest rack size to enumerate")
+        bound="candidate images the search may try")
     add("from-group", "group sub flavor n z",
         "split a group extension into a dynamical cocycle")
     add("cohomology", "rack module cocycle theory degree basepoint",
@@ -95,7 +95,7 @@ def _build_parser():
     add("wells", "rack module cocycle theory zeta theta",
         "symmetry sequence report, or lift one pair",
         actions={"report": "bound", "extend": "zeta theta"},
-        bound="largest rack size, fiber torsion order and number of 1-cocycles")
+        bound="candidate rack images, candidate fiber maps and 1-cocycles, each")
     return parser
 
 

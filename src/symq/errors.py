@@ -10,7 +10,7 @@ class EmptyCarrier(SymqError):
 
 
 class SizeBoundExceeded(SymqError):
-    """An enumeration or verification exceeds its configured size bound."""
+    """A verification would visit more tuples than its configured cap."""
 
 
 class SearchSpaceExceeded(SymqError):

@@ -1,9 +1,6 @@
-"""Default bounds; a caller overrides an enumeration bound by passing its own bound."""
+"""Default caps, each a count of work; a caller overrides an enumeration's cap by passing its own bound."""
 
-GOOD_INVOLUTION_SIZE = 10  # largest rack whose good involutions are enumerated
-AUTOMORPHISM_SIZE = 12  # largest rack whose automorphisms are enumerated
-MODULE_AUT_ORDER = 64  # torsion order of A above which fiber symmetries are refused
-GAUGE_SEARCH = 10 ** 6  # candidate images tried by the one symmetry search
+GAUGE_SEARCH = 10 ** 6  # candidate values tried by the symmetry and good-involution searches
 CHAIN_VERIFY_TUPLES = 10 ** 6  # n-tuples that one d o d = 0 check may visit
 ENDO_ENUM = 10 ** 6  # candidate fiber maps scanned, and 1-cocycles listed
 TABLE_SIZE = 128  # largest rack or group table read from a file, before its O(n^3) checks

@@ -15,7 +15,6 @@ from .errors import (
     Diagnostic,
     EmptyCarrier,
     SearchSpaceExceeded,
-    SizeBoundExceeded,
     ValidationError,
 )
 from . import limits
@@ -90,18 +89,11 @@ def rack_diagnostics(table, kind=RACK):
     if bad_range:
         diags.append(Diagnostic("entry-range", bad_range))
         return diags
-    bad_cols = []
-    for y in range(n):
-        if len({table[x][y] for x in range(n)}) != n:
-            bad_cols.append(y)
+    bad_cols = [y for y in range(n) if len({row[y] for row in table}) != n]
     if bad_cols:
         diags.append(Diagnostic("right-translation-bijective", bad_cols))
-    sd = []
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if table[table[x][y]][z] != table[table[x][z]][table[y][z]]:
-                    sd.append((x, y, z))
+    sd = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)
+          if table[table[x][y]][z] != table[table[x][z]][table[y][z]]]
     if sd:
         diags.append(Diagnostic("self-distributivity", sd))
     if kind == QUANDLE:
@@ -192,43 +184,60 @@ def validate_good_involution(rack, rho):
     return FiniteSymmetricRack(rack, rho)
 
 
-def _involution_words(n, allowed):
-    # involutive words of {0..n-1} with rho(i) in allowed[i], in lexicographic
-    # order; allowed is symmetric, so a swap (i, j) is checked from i alone
-    def rec(word, free):
-        if not free:
-            yield tuple(word)
-            return
-        i = free[0]
-        if i in allowed[i]:
-            word[i] = i
-            yield from rec(word, free[1:])
-        for j in free[1:]:
-            if j in allowed[i]:
-                word[i], word[j] = j, i
-                yield from rec(word, [k for k in free[1:] if k != j])
-        word[i] = None
-
-    return rec([None] * n, list(range(n)))
-
-
 def enumerate_good_involutions(rack, bound=None):
     """All good involutions of the rack, lexicographic by permutation word.
 
-    By S3 rho(y) is some z whose right translation inverts that of y, so only
-    those z are tried; every word found is still checked against S1-S3.
+    By S2 rho commutes with every right translation, so it is fixed on an
+    orbit of the inner group by its value at the orbit's least element.  At
+    the least unassigned i, each z with rho(z) unassigned whose right
+    translation inverts that of i (S3), on an orbit as large, is tried in
+    ascending order; rho(a*y) = rho(a)*y then derives each other element of
+    the orbit once, and a clash drops z.  Every word found is still checked
+    against S1-S3.  Once more than bound (default limits.GAUGE_SEARCH) values
+    are tried it raises SearchSpaceExceeded, never a partial answer.
     """
-    bound = limits.GOOD_INVOLUTION_SIZE if bound is None else bound
-    if rack.size > bound:
-        raise SizeBoundExceeded(
-            f"good-involution enumeration bounded at size {bound}"
-        )
-    n = rack.size
-    cols = [tuple(rack.op(x, y) for x in range(n)) for y in range(n)]
+    cap = limits.GAUGE_SEARCH if bound is None else bound
+    n, op, cols = rack.size, rack.table, list(zip(*rack.table))
     inverse = [tuple(rack.left_inverse_op(x, y) for x in range(n)) for y in range(n)]
-    allowed = [{z for z in range(n) if cols[z] == inverse[y]} for y in range(n)]
-    return [rho for rho in _involution_words(n, allowed)
-            if not good_involution_diagnostics(rack, rho)]
+    orbit = [None] * n  # orbit[b]: b's orbit as (c, a, y) with c = a*y, from its least element
+    for i in range(n):
+        if orbit[i] is None:
+            orbit[i] = tree = [(i, None, None)]
+            for a, _, _ in tree:  # also visits the entries appended below
+                for y, b in enumerate(op[a]):
+                    if orbit[b] is None:
+                        orbit[b] = tree
+                        tree.append((b, a, y))
+    allowed = [[z for z in range(n) if cols[z] == inverse[i] and len(orbit[z]) == len(orbit[i])]
+               for i in range(n)]
+    rho, words, tried = [None] * n, [], 0
+
+    def search(i):
+        nonlocal tried
+        while i < n and rho[i] is not None:
+            i += 1
+        if i == n:
+            words.append(tuple(rho))
+            return
+        for z in (z for z in allowed[i] if rho[z] is None):
+            tried += 1
+            if tried > cap:
+                raise SearchSpaceExceeded(f"more than {cap} candidate values of rho tried")
+            assigned = []
+            for b, a, y in orbit[i]:
+                w = z if a is None else op[rho[a]][y]
+                if rho[b] is None and rho[w] is None:
+                    rho[b], rho[w] = w, b
+                    assigned += (b, w)
+                elif rho[b] != w:
+                    break
+            else:
+                search(i + 1)
+            for x in assigned:
+                rho[x] = None
+
+    search(0)
+    return [w for w in words if not good_involution_diagnostics(rack, w)]
 
 
 def _isomorphisms(S, T, cap, fibers=None):
@@ -315,15 +324,11 @@ def enumerate_automorphisms(X, bound=None):
 
     Returned in lexicographic order of the permutation word (identity first),
     and checked to be a group on every element.  The search is capped at
-    limits.GAUGE_SEARCH candidate images and refuses, rather than truncates,
-    a larger one.
+    bound (default limits.GAUGE_SEARCH) candidate images and refuses, rather
+    than truncates, a larger one.
     """
-    bound = limits.AUTOMORPHISM_SIZE if bound is None else bound
-    n = X.size
-    if n > bound:
-        raise SizeBoundExceeded(f"automorphism enumeration bounded at size {bound}")
-    out = list(_isomorphisms(X, X, limits.GAUGE_SEARCH))
-    _check_group(out, tuple(range(n)), _compose_words, "automorphism set")
+    out = list(_isomorphisms(X, X, limits.GAUGE_SEARCH if bound is None else bound))
+    _check_group(out, tuple(range(X.size)), _compose_words, "automorphism set")
     return out
 
 
@@ -420,19 +425,13 @@ def is_isomorphism(f):
 def trivial_rack(n, rho=None):
     """Trivial quandle x*y = x with an arbitrary involution (default identity)."""
     table = [[x] * n for x in range(n)]
-    rack = validate_rack(table, QUANDLE)
-    if rho is None:
-        rho = tuple(range(n))
-    return validate_good_involution(rack, rho)
+    return validate_good_involution(validate_rack(table, QUANDLE), range(n) if rho is None else rho)
 
 
 def takasaki(n, rho=None):
     """Takasaki (dihedral) quandle on Z_n: x*y = 2y - x mod n, rho = id."""
     table = [[(2 * y - x) % n for y in range(n)] for x in range(n)]
-    rack = validate_rack(table, QUANDLE)
-    if rho is None:
-        rho = tuple(range(n))
-    return validate_good_involution(rack, rho)
+    return validate_good_involution(validate_rack(table, QUANDLE), range(n) if rho is None else rho)
 
 
 def cycle_notation(perm):

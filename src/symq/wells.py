@@ -24,7 +24,7 @@ identity pair form a group isomorphic to Z^1.
 """
 
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 from . import limits
 from .abelian import AbHom, _reduced, kernel, subgroup_elements
@@ -33,7 +33,7 @@ from .cohomology import (THEORY_SQ, THEORY_SR, Cochain, _cochain_to_vec, _comple
                          _vec_to_cochain, _witness, coboundary_witness, is_cocycle)
 from .dynamical import _checked_theory, build_extension, from_cocycle
 from .errors import (Diagnostic, InfiniteGroupUnsupported, NotConstantModule,
-                     SearchSpaceExceeded, SizeBoundExceeded, ValidationError)
+                     SearchSpaceExceeded, ValidationError)
 from .racks import (RackMorphism, _check_group, _compose_words, _invert_word,
                     _isomorphisms, enumerate_automorphisms, is_isomorphism)
 
@@ -140,38 +140,33 @@ def module_automorphisms(m, bound=None):
 
     Needs a constant module whose fiber group has free rank at most one:
     rank two already makes the symmetry group infinite.  Candidates are
-    enumerated by generator images, torsion order capped by the bound.
-    The result is checked to be a group on every element.
+    enumerated by generator images; more than bound (default
+    limits.ENDO_ENUM) of them are refused before any is scanned.  The
+    result is checked to be a group on every element.
     """
     if not m.constant:
         raise NotConstantModule("fiber symmetries need a constant module")
     A = m.A
-    cap = limits.MODULE_AUT_ORDER if bound is None else bound
     if sum(1 for d in A.orders if d == 0) > 1:
         raise InfiniteGroupUnsupported(
             "free rank above one gives infinitely many fiber symmetries"
         )
-    if prod(d for d in A.orders if d) > cap:
-        raise SizeBoundExceeded(f"fiber symmetry search capped at torsion order {cap}")
+    cap = limits.ENDO_ENUM if bound is None else bound
+    # counted before any is listed: a generator of order d may go to the
+    # prod gcd(d, e) elements t with d*t = 0, a free one to +-1 plus torsion
+    orders = [d for d in A.orders if d]
+    if prod(prod(gcd(d, e) for e in orders) if d else 2 * prod(orders) for d in A.orders) > cap:
+        raise SearchSpaceExceeded(f"more than {cap} candidate fiber maps to scan")
     torsion = [
         A.reduce(v) for v in product(*[range(d) if d else (0,) for d in A.orders])
     ]
     zero = A.zero()
     options = []
     for i, d in enumerate(A.orders):
-        if d == 0:
-            # a unit must carry the free generator to +-1 plus torsion
-            opts = []
-            for sign in (1, -1):
-                for t in torsion:
-                    v = list(t)
-                    v[i] = sign
-                    opts.append(tuple(v))
-            options.append(opts)
+        if d == 0:  # a unit must carry the free generator to +-1 plus torsion
+            options.append([t[:i] + (sign,) + t[i + 1:] for sign in (1, -1) for t in torsion])
         else:
             options.append([t for t in torsion if A.scale(d, t) == zero])
-    if prod(map(len, options)) > limits.ENDO_ENUM:
-        raise SearchSpaceExceeded("too many candidate fiber maps to scan")
 
     def scan():  # once per module: a refused map's verdict is not kept
         maps = (AbHom(A, A, zip(*cols)) for cols in product(*options))
@@ -203,12 +198,6 @@ class AutPair:
             tuple(self.zeta[v] for v in other.zeta),
             self.theta.compose(other.theta),
         )
-
-    def inverse(self):
-        th = self.theta.inverse()
-        if th is None:
-            raise ValueError("theta is not invertible")
-        return AutPair(_invert_word(self.zeta), th)
 
     def __eq__(self, other):
         return (isinstance(other, AutPair)

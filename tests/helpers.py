@@ -4,9 +4,9 @@ stacked system of `_Factored`, a subgroup closure, a brute-force
 good-involution search, a nested-loop chain complex check, a term-by-term
 cochain reference, the dynamical axioms in fiber coordinates, the affine
 part of a list of maps of an extension, an independent solve of each lift
-equation, the lift of an inverse pair and the symmetry search that pushes
-each assignment through a todo stack, for the tests and tests/wells_sweep.py
-only."""
+equation, the inverse of a symmetry pair and of its lift, and the symmetry
+search that pushes each assignment through a todo stack, for the tests and
+tests/wells_sweep.py only."""
 
 from fractions import Fraction
 from itertools import compress, product
@@ -24,8 +24,8 @@ from symq.abelian import (
 from symq.cohomology import Cochain, _cochain_to_vec, _vec_to_cochain, _witness_map, boundary, delta
 from symq.dynamical import _resolve_quandle_flag, _shape_problems
 from symq.errors import Diagnostic, SearchSpaceExceeded, ValidationError
-from symq.racks import good_involution_diagnostics
-from symq.wells import LiftedAutomorphism, act_on_cocycle, gamma_restriction
+from symq.racks import _invert_word, good_involution_diagnostics
+from symq.wells import AutPair, LiftedAutomorphism, act_on_cocycle, gamma_restriction
 
 
 def mat_mul(A, B):
@@ -580,9 +580,17 @@ def reference_lift_lambda(ext, pair):
     return tuple(nu.values[z] for z in pair.zeta)
 
 
+def reference_pair_inverse(pair):
+    """The inverse symmetry pair (zeta^-1, theta^-1); theta must be invertible."""
+    th = pair.theta.inverse()
+    if th is None:
+        raise ValueError("theta is not invertible")
+    return AutPair(_invert_word(pair.zeta), th)
+
+
 def reference_lift_inverse(xi):
     """The lift of the inverse pair, lam'(x) = -theta^-1(lam(zeta^-1(x))), decided in full."""
-    pair = xi.pair.inverse()
+    pair = reference_pair_inverse(xi.pair)
     m = xi.extension.module
     vals = [m.A.neg(pair.theta(xi.lam.value(pair.zeta[x]))) for x in range(m.base.size)]
     return LiftedAutomorphism(xi.extension, pair, Cochain(1, m.base.size, m.A, vals))

@@ -9,6 +9,8 @@ import itertools
 import random
 import time
 
+import pytest
+
 import symq.wells
 from symq.abelian import AbGroup, AbHom
 from symq.cohomology import (
@@ -31,11 +33,13 @@ from symq.dynamical import (
     from_group_extension,
     gauge_transform,
 )
+from symq.errors import SearchSpaceExceeded
 from symq.groups import FiniteGroup, core_quandle
 from symq.modules import RackModule, constant_module, dihedral_kamada_module, validate_module
 from symq.racks import (
     QUANDLE,
     RackMorphism,
+    enumerate_automorphisms,
     enumerate_good_involutions,
     is_isomorphism,
     takasaki,
@@ -374,10 +378,10 @@ def test_criterion_7_wells_sequence():
 
 def test_criterion_8_good_involutions():
     """The translation by 2 is good on the core of Z4; the 2-point trivial
-    quandle has exactly the two involutions of S2, both good; takasaki(10),
-    at the default size bound, has exactly the identity and the translation
-    by 5, found inside the budget (the unpruned search over all 9,496
-    involutive words took 0.7 s)."""
+    quandle has exactly the two involutions of S2, both good; takasaki(10)
+    has exactly the identity and the translation by 5, found inside the
+    budget (the unpruned search over all 9,496 involutive words took
+    0.7 s)."""
     t0 = time.perf_counter()
     core = core_quandle(FiniteGroup.cyclic(4))
     words = set(enumerate_good_involutions(core.rack))
@@ -387,6 +391,43 @@ def test_criterion_8_good_involutions():
     assert enumerate_good_involutions(takasaki(10).rack) == [
         tuple(range(10)), tuple((x + 5) % 10 for x in range(10))]
     emit(8, "good-involutions", time.perf_counter() - t0, 0.1)
+
+
+def test_large_regime_good_involutions():
+    """takasaki(32) has four good involutions, the identity and x + 16 among
+    them, found at the default caps by propagation along the two orbits of
+    its inner group (listing every involutive word that S3 allows took
+    16.8 s)."""
+    X = takasaki(32)
+    t0 = time.perf_counter()
+    words = enumerate_good_involutions(X.rack)
+    dt = time.perf_counter() - t0
+    assert len(words) == 4
+    assert {tuple(range(32)), tuple((x + 16) % 32 for x in range(32))} <= set(words)
+    emit("large", "good-involutions-t32", dt, 0.1)
+
+
+def test_large_regime_good_involutions_refused():
+    """Every involution of a trivial quandle is good, 2,390,480 of them on
+    14 points: the search refuses at limits.GAUGE_SEARCH candidate values,
+    never a partial list."""
+    X = trivial_rack(14)
+    t0 = time.perf_counter()
+    with pytest.raises(SearchSpaceExceeded, match="candidate values"):
+        enumerate_good_involutions(X.rack)
+    emit("large", "good-involutions-trivial14-refused", time.perf_counter() - t0, 2)
+
+
+def test_large_regime_automorphisms():
+    """takasaki(16), above the old size cap of 12, has the 128 affine maps
+    x -> ax + b with a a unit of Z16 as its automorphisms, at the default caps."""
+    X = takasaki(16)
+    t0 = time.perf_counter()
+    words = enumerate_automorphisms(X)
+    dt = time.perf_counter() - t0
+    assert len(words) == 128
+    assert set(words) == {tuple((a * x + b) % 16 for x in range(16)) for a in range(1, 16, 2) for b in range(16)}
+    emit("large", "automorphisms-t16", dt)
 
 
 def linear_rows(m, theory):

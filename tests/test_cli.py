@@ -477,6 +477,16 @@ class TestOtherVerbs:
         assert out == ""
         assert "candidate images" in err
 
+    def test_involutions_over_the_search_cap_exits_2(self, capsys, tmp_path, monkeypatch):
+        # all 764 involutions of the trivial quandle on 8 points are good
+        path = str(tmp_path / "trivial8.json")
+        save_rack(trivial_rack(8), path)
+        monkeypatch.setattr(limits, "GAUGE_SEARCH", 100)
+        code, out, err = run(["involutions", "--rack", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert "candidate values" in err
+
     def test_no_environment_variable_moves_a_bound(self, capsys, monkeypatch):
         # SYMQ_MAX_ENUM once overrode every bound at once; it is not read
         monkeypatch.setenv("SYMQ_MAX_ENUM", "1")

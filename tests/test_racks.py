@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from symq import THEORY_SQ, AbGroup, Cochain, build_abelian_extension, dihedral_kamada_module, limits
-from symq.errors import EmptyCarrier, SearchSpaceExceeded, SizeBoundExceeded, ValidationError
+from symq.errors import EmptyCarrier, SearchSpaceExceeded, ValidationError
 from symq.groups import FiniteGroup, conj_quandle, core_quandle
 from symq.racks import (
     QUANDLE,
@@ -33,7 +33,7 @@ from helpers import reference_good_involutions, reference_isomorphisms
 
 GROUPS = {f"Z{k}": FiniteGroup.cyclic(k) for k in range(1, 9)}
 GROUPS["S3"] = FiniteGroup.symmetric(3)
-# takasaki(1..10) up to the default size bound, trivial quandles, every
+# takasaki(1..10), where the unpruned reference is still quick, trivial quandles, every
 # fixture rack, and the core and conjugation quandles of the groups above
 INVOLUTION_SWEEP = (
     [(f"takasaki{n}", takasaki(n)) for n in range(1, 11)]
@@ -43,6 +43,27 @@ INVOLUTION_SWEEP = (
     + [(f"{make.__name__}-{g}", make(G)) for g, G in GROUPS.items()
        for make in (core_quandle, conj_quandle)]
 )
+
+
+def all_rack_tables(n):
+    """Every rack table on {0..n-1}: right translations R_y chosen in order,
+    each kept if R_z R_y = R_{y*z} R_z holds wherever all three are chosen."""
+    perms, found = list(permutations(range(n))), []
+
+    def extend(R):
+        k = len(R)
+        if k == n:
+            found.append([[R[y][x] for y in range(n)] for x in range(n)])
+            return
+        for p in perms:
+            R.append(p)
+            if all(R[z][R[y][x]] == R[R[z][y]][R[z][x]] for z in range(k + 1) for y in range(k + 1)
+                   if R[z][y] <= k for x in range(n)):
+                extend(R)
+            R.pop()
+
+    extend([])
+    return found
 
 
 class TestValidateRack:
@@ -118,15 +139,58 @@ class TestGoodInvolutions:
             for w in enumerate_good_involutions(r):
                 validate_good_involution(r, w)
 
-    def test_size_bound(self):
-        with pytest.raises(SizeBoundExceeded):
-            enumerate_good_involutions(takasaki(3).rack, bound=2)
+    @pytest.mark.parametrize("X, tried, words", [
+        # takasaki(3): rho(0) = 0 is the one S3 candidate, and fixes rho on the one orbit
+        (takasaki(3).rack, 1, [(0, 1, 2)]),
+        # trivial(3): every value is a candidate; 3 for rho(0), then 2 + 1 + 1 + 1
+        (trivial_rack(3).rack, 8, [(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0)]),
+        # R_3 = (1 2), the rest trivial: 1 for rho(0), as 1 and 2 lie on a
+        # larger orbit, then 2 for rho(1) and 1 + 1 for rho(3)
+        (FiniteRack([[0, 0, 0, 0], [1, 1, 1, 2], [2, 2, 2, 1], [3, 3, 3, 3]]), 5,
+         [(0, 1, 2, 3), (0, 2, 1, 3)]),
+    ], ids=["takasaki3", "trivial3", "orbits-of-two-sizes"])
+    def test_candidate_bound(self, X, tried, words):
+        # bound counts candidate values of rho, whatever the rack's size
+        with pytest.raises(SearchSpaceExceeded, match=f"more than {tried - 1} candidate"):
+            enumerate_good_involutions(X, bound=tried - 1)
+        assert enumerate_good_involutions(X, bound=tried) == words
+
+    def test_takasaki_counts_without_the_reference(self):
+        # Z_n's dihedral quandle: the identity for odd n, also x + n/2 for
+        # even n, and two more for n = 0 mod 4 (the reference is exponential)
+        for n in range(1, 41):
+            words = enumerate_good_involutions(takasaki(n).rack)
+            assert len(words) == (1 if n % 2 else 2 if n % 4 == 2 else 4)
+            assert tuple(range(n)) in words
+            if n % 2 == 0:
+                assert tuple((x + n // 2) % n for x in range(n)) in words
+            for w in words:
+                validate_good_involution(takasaki(n).rack, w)
 
     @pytest.mark.parametrize("X", [X for _, X in INVOLUTION_SWEEP],
                              ids=[name for name, _ in INVOLUTION_SWEEP])
     def test_same_list_as_the_unpruned_search(self, X):
         # the S3 candidates only skip words that fail S3, in the same order
         assert enumerate_good_involutions(X.rack) == reference_good_involutions(X.rack)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_rack_of_order_n(self, n):
+        # 1, 2, 13 and 114 labelled racks; among them R_3 = (1 2) with every
+        # other translation trivial, where S3 lets rho(0) land in {1, 2}, an
+        # orbit larger than {0}
+        tables = all_rack_tables(n)
+        assert len(tables) == [1, 2, 13, 114][n - 1]
+        for table in tables:
+            X = FiniteRack(table)
+            assert enumerate_good_involutions(X) == reference_good_involutions(X)
+
+    def test_a_propagated_word_is_still_checked(self):
+        # R_0 = R_3 = (3 4), so S3 allows rho(0) = 3, and the orbit's tree
+        # gives rho(1) = rho(0)*2 = 4; but R_0 fixes 0 and moves 3, so S2
+        # fails at 0*0 = 0, and the full check drops (3, 4, 2, 0, 1)
+        X = validate_rack([[0, 0, 1, 0, 0], [1, 1, 0, 1, 1], [2, 2, 2, 2, 2], [4, 4, 4, 4, 4], [3, 3, 3, 3, 3]])
+        words = [(0, 1, 2, 3, 4), (0, 1, 2, 4, 3), (1, 0, 2, 3, 4), (1, 0, 2, 4, 3)]
+        assert enumerate_good_involutions(X) == reference_good_involutions(X) == words
 
     def test_non_bijective_translation_is_refused(self):
         # column 2 is constant, so S3 has no inverse translation to match
@@ -161,9 +225,11 @@ class TestAutomorphisms:
             for g in words:
                 assert tuple(f[g[i]] for i in range(n)) in words
 
-    def test_size_bound(self):
-        with pytest.raises(SizeBoundExceeded):
-            enumerate_automorphisms(takasaki(3), bound=2)
+    def test_candidate_bound(self):
+        # 3 images for the generator 0, then 2 for the generator 1 under each
+        with pytest.raises(SearchSpaceExceeded, match="more than 8 candidate images"):
+            enumerate_automorphisms(takasaki(3), bound=8)
+        assert len(enumerate_automorphisms(takasaki(3), bound=9)) == 6
 
     @pytest.mark.parametrize("X", [rack("t4"), rack("core_z4_shift"), rack("conj_s3"),
                                    takasaki(5), takasaki(6), trivial_rack(5)])

@@ -25,7 +25,6 @@ from symq.errors import (
     NotACocycle,
     NotConstantModule,
     SearchSpaceExceeded,
-    SizeBoundExceeded,
     ValidationError,
 )
 from symq.modules import RackModule, constant_module, dihedral_kamada_module, validate_module
@@ -57,7 +56,8 @@ from symq.wells import (
 )
 
 from conftest import cochain, module, rack
-from helpers import affine_part, reference_lift_inverse, reference_lift_lambda, reference_subgroup_elements
+from helpers import (affine_part, reference_lift_inverse, reference_lift_lambda, reference_pair_inverse,
+                     reference_subgroup_elements)
 
 
 def z4_extension():
@@ -328,10 +328,35 @@ class TestModuleAutomorphisms:
         with pytest.raises(InfiniteGroupUnsupported):
             module_automorphisms(m)
 
-    def test_torsion_bound(self):
+    def test_candidate_bound(self):
+        # the generator of Z4 has 4 candidate images; bound counts maps, not |A|
         m = dihedral_kamada_module(rack("t2"), AbGroup([4]))
-        with pytest.raises(SizeBoundExceeded):
-            module_automorphisms(m, bound=2)
+        with pytest.raises(SearchSpaceExceeded, match="more than 3 candidate fiber maps"):
+            module_automorphisms(m, bound=3)
+        assert [h.matrix for h in module_automorphisms(m, bound=4)] == [((1,),), ((3,),)]
+
+    @pytest.mark.parametrize("orders", [[1], [2, 4], [0], [0, 2], [3, 6], [2, 0, 4], [6, 4, 2]])
+    def test_counted_before_listing(self, orders):
+        # the count read off the orders is the number of tuples of generator
+        # images a listing would give: d*t = 0 for order d, +-1 plus torsion if free
+        A = AbGroup(orders)
+        torsion = [A.reduce(t) for t in itertools.product(*[range(d) if d else (0,) for d in A.orders])]
+        count = 1
+        for d in A.orders:
+            count *= 2 * len(torsion) if d == 0 else sum(A.scale(d, t) == A.zero() for t in torsion)
+        m = dihedral_kamada_module(rack("t2"), A)
+        with pytest.raises(SearchSpaceExceeded):
+            module_automorphisms(m, bound=count - 1)
+        assert module_automorphisms(m, bound=count)
+
+    def test_a_large_fiber_is_refused_before_listing(self):
+        # 10^9 candidate images for the generator of Z_(10^9): refused from
+        # the count, with none of its elements listed
+        m = dihedral_kamada_module(rack("t2"), AbGroup([10 ** 9]))
+        t0 = time.perf_counter()
+        with pytest.raises(SearchSpaceExceeded, match="candidate fiber maps"):
+            module_automorphisms(m)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_non_constant_rejected(self):
         with pytest.raises(NotConstantModule):
@@ -519,8 +544,8 @@ class TestPairs:
         pairs = enumerate_aut_pairs(ext)
         table = set(pairs)
         for p in pairs:
-            assert p.inverse() in table
-            assert p.compose(p.inverse()) == AutPair.identity(ext.module)
+            assert reference_pair_inverse(p) in table
+            assert p.compose(reference_pair_inverse(p)) == AutPair.identity(ext.module)
             for q in pairs:
                 assert p.compose(q) in table
 
