@@ -68,10 +68,9 @@ class FiniteGroup:
         return self.mul[a][b]
 
     def power(self, a, k):
-        if k < 0:
-            a, k = self.inv[a], -k
+        # a^|G| = e (Lagrange), so k is read modulo the order, negative k too
         out = self.identity
-        for _ in range(k):
+        for _ in range(k % self.size):
             out = self.mul[out][a]
         return out
 

@@ -468,49 +468,35 @@ def gamma_restriction(ext, xi):
     """
     if isinstance(xi, LiftedAutomorphism):
         return xi.pair
-    dext = _glued(ext)
-    rack = ext.rack
+    _glued(ext)
     perm = tuple(int(v) for v in xi)
-    if sorted(perm) != list(range(rack.size)):
+    if sorted(perm) != list(range(ext.rack.size)):
         raise ValueError("xi must be a permutation of the extension labels")
-    X, A = ext.module.base, ext.module.A
-    zeta = [None] * X.size
-    fiber = [[None] * A.order() for _ in range(X.size)]
-    split = []
-    for i, j in enumerate(perm):
-        x, s = dext.pair_of(i)
-        y, t = dext.pair_of(j)
-        if zeta[x] is None:
-            zeta[x] = y
-        elif zeta[x] != y and x not in split:
-            split.append(x)
-        fiber[x][s] = t
+    # label x * q + s is (x, s); heads[x], the image of (x, 0), gives zeta(x) and lam(x)
+    A = ext.module.A
+    elems, index, sums, negs = A.index_tables()
+    q = len(elems)
+    heads = perm[::q]
+    split = [x for x, h in enumerate(heads) if any(j // q != h // q for j in perm[x * q:x * q + q])]
     if split:
-        raise ValidationError(
-            "the permutation does not cover a base permutation",
-            [Diagnostic("fiber-map", split)],
-        )
+        raise ValidationError("the permutation does not cover a base permutation",
+                              [Diagnostic("fiber-map", split)])
     # theta(e_k) = xi(0, e_k) - xi(0, 0) on the fiber over 0, where zero has index 0
-    units = [A.reduce(tuple(int(i == k) for i in range(A.rank))) for k in range(A.rank)]
-    imgs = [A.sub(A.element(fiber[0][A.element_index(e)]), A.element(fiber[0][0])) for e in units]
+    units = [index[A.reduce(tuple(int(i == k) for i in range(A.rank)))] for k in range(A.rank)]
+    imgs = [elems[sums[perm[u] % q][negs[heads[0] % q]]] for u in units]
     try:
-        theta = AbHom(A, A, [[img[i] for img in imgs] for i in range(A.rank)])
+        theta = AbHom(A, A, zip(*imgs))
     except ValueError:
-        raise ValidationError(
-            "fibers are not moved by one affine map",
-            [Diagnostic("fiber-affine", [])],
-        )
-    # the lift of (zeta, theta) with lam(x) the image of (x, 0), built once
-    # and compared label by label
-    pair = AutPair(tuple(zeta), theta)
-    lam = Cochain(1, X.size, A, [A.element(fiber[x][0]) for x in range(X.size)])
+        raise ValidationError("fibers are not moved by one affine map",
+                              [Diagnostic("fiber-affine", [])])
+    # the lift of (zeta, theta), built once and compared label by label
+    pair = AutPair([h // q for h in heads], theta)
+    lam = Cochain._canonical(1, len(heads), A, [elems[h % q] for h in heads])
     expected = _lift_permutation(ext, pair, lam)
-    bad = [dext.pair_of(i) for i in range(rack.size) if perm[i] != expected[i]]
+    bad = [divmod(i, q) for i, (j, k) in enumerate(zip(perm, expected)) if j != k]
     if bad:
-        raise ValidationError(
-            "fibers are not moved by one affine map",
-            [Diagnostic("fiber-affine", bad)],
-        )
+        raise ValidationError("fibers are not moved by one affine map",
+                              [Diagnostic("fiber-affine", bad)])
     _acted(ext, pair)
     return pair
 

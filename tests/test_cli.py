@@ -503,6 +503,15 @@ class TestOtherVerbs:
         assert data["quotient_size"] == 2
         assert data["fibers"] == [3, 3]
 
+    def test_from_group_reads_n_modulo_the_group_order(self, capsys):
+        # n = 10**18 is 4 modulo |S3| = 6: the same output as --n 4, at once
+        argv = ["from-group", "--group", S3, "--sub", "0,3,4", "--json", "--n"]
+        t0 = time.perf_counter()
+        code, out, _ = run(argv + [str(10**18)], capsys)
+        assert time.perf_counter() - t0 < 1
+        assert code == 0
+        assert out == run(argv + ["4"], capsys)[1]
+
     def test_from_group_bad_sub(self, capsys):
         code, _, err = run(["from-group", "--group", S3, "--sub", "0,1"], capsys)
         assert code == 2

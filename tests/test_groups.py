@@ -1,5 +1,7 @@
 """Group tables and the conjugation/core quandle constructions."""
 
+import time
+
 import pytest
 
 from symq.errors import (
@@ -50,6 +52,23 @@ class TestFiniteGroup:
                 lhs = G.conjugate(x, y, 2)
                 rhs = G.conjugate(G.conjugate(x, y, 1), y, 1)
                 assert lhs == rhs
+
+    @pytest.mark.parametrize("G", [FiniteGroup.symmetric(3), FiniteGroup.cyclic(4)])
+    def test_power_is_read_modulo_the_order(self, G):
+        for a in range(G.size):
+            for k in range(-20, 21):
+                assert G.power(a, k) == G.power(a, k % G.size)
+
+    def test_conjugation_power_far_out_is_its_residue(self):
+        # the six residues give six tables on S3; 10**18 + 1 = 5 and
+        # -10**18 - 1 = 1 modulo 6, each found without 10**18 products
+        G = FiniteGroup.symmetric(3)
+        tables = [conj_quandle(G, n).rack.table for n in range(6)]
+        assert len(set(tables)) == 6
+        t0 = time.perf_counter()
+        assert conj_quandle(G, 10**18 + 1).rack.table == tables[5]
+        assert conj_quandle(G, -10**18 - 1).rack.table == tables[1]
+        assert time.perf_counter() - t0 < 1
 
 
 class TestSubgroups:

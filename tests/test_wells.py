@@ -945,11 +945,21 @@ class TestEnumerationAndReport:
         with pytest.raises(SearchSpaceExceeded):
             brute_force_fiber_automorphisms(ext, bound=7)
 
-    def test_gamma_restriction_round_trip(self):
-        ext = z4_extension()
-        for f in enumerate_autA_extension(ext):
+    # fiber groups of order 1 make q = 1, where label x * q + s is just x
+    @pytest.mark.parametrize("build, count", [
+        (z4_extension, 8),
+        (lambda: zero_extension("takasaki3", [], THEORY_SQ), 6),
+        (lambda: zero_extension("takasaki3", [1], THEORY_SQ), 6),
+        (lambda: zero_extension("takasaki3", [1, 1], THEORY_SQ), 6),
+    ], ids=["t2/Z4/sr", "takasaki3/0/sq", "takasaki3/Z1/sq", "takasaki3/Z1xZ1/sq"])
+    def test_gamma_restriction_round_trip(self, build, count):
+        ext = build()
+        lifts = enumerate_autA_extension(ext)
+        assert len(lifts) == count
+        for f in lifts:
             assert gamma_restriction(ext, f) == f.pair
             assert gamma_restriction(ext, f.perm) == f.pair
+        assert affine_part(ext, brute_force_fiber_automorphisms(ext)) == {f.perm for f in lifts}
 
     def test_gamma_restriction_rejects_non_affine(self):
         ext = z4_extension()
@@ -1284,6 +1294,7 @@ class TestGammaRestrictionPin:
         ("t2/Z3/sq", 412, "56e0607cdaedba84"),
         ("takasaki3/Z4/sr", 424, "67f2b1f481b493a0"),
         ("takasaki3/Z2xZ2/sq", 544, "e3b4829fa317f54c"),
+        ("takasaki3/Z2/sq", 412, "7ffc5cd954b0e310"),
     ])
     def test_verdicts_match_the_record(self, name, count, digest):
         ext = gamma_extension(name)

@@ -4,10 +4,12 @@
 
 For every class of H^2 the script builds the extension, checks that the
 exactness report holds and that |Aut_A(E)| = |Z^1| * |stabilizer|, and
-checks that the affine part of the table-only brute-force search is exactly
-the set of lifts.  It prints the elapsed seconds, then the seconds spent in
-the brute-force search and in its affine part, and exits 1 on a wrong
-answer; it sets no time limit.  pytest does not collect it.
+checks that every lift's permutation restricts to its own pair through
+gamma_restriction and that the affine part of the table-only brute-force
+search is exactly the set of lifts.  It prints the elapsed seconds, then
+the seconds spent in the brute-force search and in its affine part, and
+exits 1 on a wrong answer; it sets no time limit.  pytest does not
+collect it.
 """
 
 import sys
@@ -17,9 +19,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from helpers import affine_part  # noqa: E402
-from symq import (THEORY_SQ, AbGroup, Cochain, brute_force_fiber_automorphisms,  # noqa: E402
-                  build_abelian_extension, dihedral_kamada_module, enumerate_autA_extension,
-                  takasaki, wells_report)
+from symq import (THEORY_SQ, AbGroup, Cochain, ValidationError,  # noqa: E402
+                  brute_force_fiber_automorphisms, build_abelian_extension, dihedral_kamada_module,
+                  enumerate_autA_extension, gamma_restriction, takasaki, wells_report)
 
 CLASSES = 16
 
@@ -38,7 +40,14 @@ def problems(ext, spent):
     out = [] if rep.exact else [f"not exact: {rep!r}"]
     if rep.aut_size != rep.z1_size * len(rep.stab):
         out.append(f"|Aut| {rep.aut_size} != |Z1| {rep.z1_size} * |stab| {len(rep.stab)}")
-    lifts = {xi.perm for xi in enumerate_autA_extension(ext)}
+    auts = enumerate_autA_extension(ext)
+    try:
+        restricted = all(gamma_restriction(ext, xi.perm) == xi.pair for xi in auts)
+    except ValidationError:
+        restricted = False
+    if not restricted:
+        out.append("a lift's permutation does not restrict to its own pair")
+    lifts = {xi.perm for xi in auts}
     brute = timed(spent, brute_force_fiber_automorphisms, ext)
     if timed(spent, affine_part, ext, brute) != lifts:
         out.append("the brute-force affine part differs from the lifts")
