@@ -26,7 +26,7 @@ U @ u = w by undoing the steps on w.  Dense U, D and V are built only when read.
     'Z2'
 """
 
-from itertools import compress, pairwise, product
+from itertools import accumulate, compress, pairwise, product, repeat
 from math import prod
 from operator import index
 
@@ -473,10 +473,13 @@ class AbHom:
     def indices(self):
         """The index of each image, in the order of source.elements(); built once, finite only."""
         if self._indices is None:
-            t = self.target
-            t.order()  # refuses an infinite target
-            self._indices = tuple(t.element_index(t.reduce(mat_vec(self.matrix, v)))
-                                  for v in self.source.elements())
+            s, t = self.source, self.target
+            t.order(), s.order()  # refuses an infinite target or source
+            images = [t.zero()]
+            for j, d in enumerate(s.orders):  # by linearity: one target addition per element
+                g = t.reduce(tuple(row[j] for row in self.matrix))
+                images = [y for x in images for y in accumulate(repeat(g, d - 1), t.add, initial=x)]
+            self._indices = tuple(map(t.element_index, images))
         return self._indices
 
     def compose(self, other):

@@ -123,9 +123,10 @@ def verify_chain_complex(X, m, n, basepoint=0, bound=None, psi_sign=1):
     X must be the base of m, else ValueError.  Each kept integer delta row of
     degree n-1 is composed with those of degree n-2 (both read with psi_sign)
     into one sparse accumulator and tested at once, coordinate by coordinate
-    up to the first failing n-tuple; only its rows are composed again, for the
-    witness.  Returns (True, None) or (False, (source_tuple, target_tuple,
-    hom)) for the lexicographically first offender.  Tuple count is capped.
+    up to the first failing n-tuple, skipping rows with no terms; only its
+    rows are composed again, for the witness.  Returns (True, None) or (False,
+    (source_tuple, target_tuple, hom)) for the lexicographically first
+    offender.  Tuple count is capped.
     """
     if n < 2:
         raise ValueError("need n >= 2 to compose two boundaries")
@@ -141,24 +142,26 @@ def verify_chain_complex(X, m, n, basepoint=0, bound=None, psi_sign=1):
     inner = cx.delta(n - 2, basepoint, psi_sign)[1]
     orders, r = m.A.orders, m.A.rank
 
-    def composed(rows):
-        for entries in rows:
+    first = len(heads)  # the first failing n-tuple found so far
+    for c, d in enumerate(orders):  # coordinate c of every tuple before it
+        for k, entries in enumerate(outer[c:first * r:r]):
+            if not entries:
+                continue
             acc = {}
             for col, a in entries:
                 for j, b in inner[col]:
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            yield acc
-
-    first = len(heads)  # the first failing n-tuple found so far
-    for c, d in enumerate(orders):  # coordinate c of every tuple before it
-        for k, acc in enumerate(composed(outer[c:first * r:r])):
-            values = acc.values()
+                    acc[j] = acc.get(j, 0) + a * b
+            values = acc.values()  # least residues: a valid row mostly cancels exactly
             if any(values) and (not d or any(map(d.__rmod__, values))):
                 first = k
                 break
     if first == len(heads):
         return True, None
-    rows = list(composed(outer[first * r:first * r + r]))
+    rows = [{} for _ in range(r)]
+    for acc, entries in zip(rows, outer[first * r:first * r + r]):
+        for col, a in entries:
+            for j, b in inner[col]:
+                acc[j] = acc.get(j, 0) + a * b
     bad = [j for acc, d in zip(rows, orders) for j, x in acc.items() if (x % d if d else x)]
     v = min(bad) // r
     block = [[acc.get(v * r + j, 0) for j in range(r)] for acc in rows]
@@ -242,9 +245,9 @@ def _vec_to_cochain(degree, size, group, vec):
 # (label, witness, terms) with terms a list of (coeff, h, flat_index), read as
 #   sum coeff * h(f_k) = 0  over the terms, on a flat cochain vector f.
 # A module's _Complex keeps each row list compiled, as A.rank integer rows of
-# (column, coefficient) pairs per condition.  Each reader is one flat pass over
-# them: _rows_to_hom lays out a constraint matrix, _row_values sums them on one
-# cochain (delta, witness reports), verify_chain_complex composes two degrees.
+# (column, least residue) pairs per condition (see _compile).  Each reader is one
+# flat pass over them, modulo the orders: _rows_to_hom lays out a constraint matrix,
+# _row_values sums them on one cochain, verify_chain_complex composes two degrees.
 
 
 def _eta_rows(X, m, degree):
@@ -311,20 +314,28 @@ def _membership_rows(X, m, degree, theory):
 
 
 def _compile(A, rows):
-    # (heads, compiled): each row's (label, witness), and per integer row of
-    # the constraint matrix its nonzero (column, coefficient) entries, summed
-    # from coeff * h.matrix
+    # (heads, compiled): each row's (label, witness), and per integer row of the constraint
+    # matrix its sums of coeff * h.matrix, as residues -d/2 <= a <= d/2 mod the row's order d,
+    # none 0, an exact sum in range kept (so a complex lifted from Z cancels exactly; a Z row
+    # keeps exact sums).  Safe as every reader works mod the orders: in d o d an entry a of row
+    # i on a column of order d_k has d_k * a = 0 mod d_i, so no composed sum moves mod d_i.
     r = A.rank
+    halves = [(d, (d - 1) // 2) for d in A.orders]
+    nonzero = {}  # id of each map the rows hold -> its nonzero entries (i, j, a)
     compiled = []
     for _, _, terms in rows:
         acc = [{} for _ in range(r)]
         for coeff, h, idx in terms:
-            for i, hrow in enumerate(h.matrix):
-                for j, a in enumerate(hrow):
-                    if a:
-                        col = idx * r + j
-                        acc[i][col] = acc[i].get(col, 0) + coeff * a
-        compiled += [tuple((j, a) for j, a in sorted(d.items()) if a) for d in acc]
+            if id(h) not in nonzero:
+                nonzero[id(h)] = [(i, j, a) for i, hrow in enumerate(h.matrix)
+                                  for j, a in enumerate(hrow) if a]
+            for i, j, a in nonzero[id(h)]:
+                col = idx * r + j
+                acc[i][col] = acc[i].get(col, 0) + coeff * a
+        for sums, (d, half) in zip(acc, halves):
+            if d:
+                sums = {j: a if -d <= 2 * a <= d else (a + half) % d - half for j, a in sums.items()}
+            compiled.append(tuple((j, a) for j, a in sorted(sums.items()) if a))
     return [row[:2] for row in rows], compiled
 
 

@@ -28,7 +28,7 @@ isomorphisms over the base.
 """
 
 from . import limits
-from .cohomology import THEORY_SQ, THEORY_SR, _complex, is_cocycle
+from .cohomology import THEORY_SQ, THEORY_SR, is_cocycle
 from .errors import (
     Diagnostic,
     InfiniteGroupUnsupported,
@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import conj_quandle, core_quandle, quotient_group
-from .modules import validate_module
+from .modules import _checked_module
 from .racks import (
     QUANDLE,
     RACK,
@@ -372,10 +372,7 @@ def _checked_theory(m, sigma, theory):
     # cocycle conditions once per cocycle; the default theory follows the base
     if theory is None:
         theory = THEORY_SQ if m.base.kind == QUANDLE else THEORY_SR
-    check = _complex(m)._pieces.get(("module",)) or validate_module(m)
-    if not check.ok:
-        raise ValidationError("coefficients are not a module", check.diagnostics)
-    _complex(m)._pieces[("module",)] = check
+    _checked_module(m, "coefficients are not a module")
     ok, diags = is_cocycle(m, sigma, theory)
     if not ok:
         raise NotACocycle("not a 2-cocycle: " + "; ".join(d.axiom for d in diags))

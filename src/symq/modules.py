@@ -164,6 +164,17 @@ def validate_module(m):
     return ModuleCheck([Diagnostic(a, found[a]) for a in _IDENTITIES if a in found])
 
 
+def _checked_module(m, message):
+    """m if it is a module, else ValidationError(message) with the witnesses; a
+    passing verdict is kept with m, where every extension build reads it."""
+    pieces = _complex(m)._pieces
+    check = pieces.get(("module",)) or validate_module(m)
+    if not check.ok:
+        raise ValidationError(message, check.diagnostics)
+    pieces[("module",)] = check
+    return m
+
+
 def constant_module(base, A, phi_matrix, psi_matrix, eta_matrix):
     """Module with a single (phi, psi, eta) triple repeated everywhere."""
     n = base.size
@@ -177,11 +188,7 @@ def constant_module(base, A, phi_matrix, psi_matrix, eta_matrix):
         [[psi] * n for _ in range(n)],
         [eta] * n,
     )
-    check = validate_module(m)
-    if not check.ok:
-        raise ValidationError("constant maps do not form a module", check.diagnostics)
-    _complex(m)._pieces[("module",)] = check  # kept where every extension build reads it
-    return m
+    return _checked_module(m, "constant maps do not form a module")
 
 
 def dihedral_kamada_module(base, A):

@@ -29,10 +29,10 @@ from itertools import product
 
 from . import limits
 from .abelian import AbGroup, AbHom
-from .cohomology import Cochain, _complex
+from .cohomology import Cochain
 from .errors import ValidationError
 from .groups import FiniteGroup
-from .modules import RackModule, validate_module
+from .modules import RackModule, _checked_module
 from .racks import QUANDLE, RACK, validate_good_involution, validate_rack
 
 
@@ -234,12 +234,7 @@ def module_from_dict(obj, base, where="module"):
     phi = _hom_table(A, phi, 2, n, f"{where}.phi")
     psi = _hom_table(A, psi, 2, n, f"{where}.psi")
     eta = _hom_table(A, eta, 1, n, f"{where}.eta")
-    m = RackModule(base, A, phi, psi, eta)
-    check = validate_module(m)
-    if not check.ok:
-        raise ValidationError("module axioms fail", check.diagnostics)
-    _complex(m)._pieces[("module",)] = check  # kept where every extension build reads it
-    return m
+    return _checked_module(RackModule(base, A, phi, psi, eta), "module axioms fail")
 
 
 def module_to_dict(m):

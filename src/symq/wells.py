@@ -125,14 +125,15 @@ def _check_affine_table(m, sigma, dext):
     X, q, n, rack = m.base, m.A.order(), m.base.size, dext.rack
     _, index, sums, _ = m.A.index_tables()
     phi, psi, eta = (h.indices() for h in (m.phi[0][0], m.psi[0][0], m.eta[0]))
-    for i in range(rack.size):
-        x, s = divmod(i, q)
-        if rack.rho[i] != X.rho[x] * q + eta[s]:
-            raise AssertionError("extension involution disagrees with the affine formula")
-        row = [sums[phi[s]][k] for k in psi]
-        if rack.rack.table[i] != tuple(X.op(x, y) * q + sums[k][index[sigma.values[x * n + y]]]
-                                       for y in range(n) for k in row):
-            raise AssertionError("extension table disagrees with the affine formula")
+    for x in range(n):
+        cells = [(X.op(x, y) * q, index[sigma.values[x * n + y]]) for y in range(n)]
+        for s in range(q):
+            i = x * q + s
+            if rack.rho[i] != X.rho[x] * q + eta[s]:
+                raise AssertionError("extension involution disagrees with the affine formula")
+            row = [sums[phi[s]][k] for k in psi]
+            if rack.rack.table[i] != tuple(base + sums[k][c] for base, c in cells for k in row):
+                raise AssertionError("extension table disagrees with the affine formula")
 
 
 def module_automorphisms(m, bound=None):

@@ -15,6 +15,7 @@ from symq.abelian import (
     _Factored,
     image,
     kernel,
+    mat_vec,
     quotient,
     smith_normal_form,
     solve,
@@ -175,6 +176,27 @@ class TestArithmeticTables:
         if 0 not in orders and 0 not in target_orders:
             want = tuple(slow.target.element_index(slow(v)) for v in slow.source.elements())
             assert fast.indices() == slow.indices() == want
+
+    @pytest.mark.parametrize("source, target", [((2,), (2,)), ((3,), (3,)), ((4,), (4,)),
+                                                ((2, 2), (2, 2)), ((4, 2), (4, 2)),
+                                                ((4,), (2,)), ((2, 4), (4, 2))], ids=str)
+    def test_indices_of_every_hom_agree_with_the_formula(self, source, target, monkeypatch):
+        # the table built by linearity, with and without index tables, against
+        # the image of every element; entry (i, j) ranges over the multiples of
+        # d_i / gcd(d_i, d_j) below d_i, so the homs are all of Hom(source, target)
+        with monkeypatch.context() as mp:
+            mp.setattr(limits, "ARITH_TABLE_ORDER", 0)
+            untabled = AbGroup(source), AbGroup(target)
+        entries = [range(0, di, di // gcd(di, dj)) for di in target for dj in source]
+        count = 0
+        for flat in itertools.product(*entries):
+            matrix = [flat[i * len(source):(i + 1) * len(source)] for i in range(len(target))]
+            for s, t in ((AbGroup(source), AbGroup(target)), untabled):
+                h = AbHom(s, t, matrix)
+                assert h.indices() == tuple(t.element_index(t.reduce(mat_vec(h.matrix, v)))
+                                            for v in s.elements())
+            count += 1
+        assert count == prod(gcd(di, dj) for di in target for dj in source)
 
     @pytest.mark.parametrize("orders", [(2,), (3,), (4,), (2, 2), (4, 2), (67,)], ids=str)
     def test_index_tables_agree_with_the_formula(self, orders):

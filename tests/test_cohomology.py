@@ -183,6 +183,20 @@ class TestChainCheckMatchesTheReference:
         for n, p, psi_sign in itertools.product((2, 3, 4), range(X.size), (1, -1)):
             same_as_reference(X, broken, n, p, psi_sign)
 
+    def test_first_offender_after_a_run_of_empty_rows(self):
+        # over Z4 with psi = 0 every degree-3 delta row of t4 cancels to no
+        # terms; a psi altered at the last pair gives the first offender late
+        X = rack("t4")
+        m = module("m0_z4", X)
+        assert not any(symq.cohomology._complex(m).delta(3, 0)[1])
+        broken = altered(m, "psi", 3, 3, AbHom(m.A, m.A, [[1]]))
+        ok, (tup, v, hom) = same_as_reference(X, broken, 4, 0, 1)
+        assert (tup, v, hom.matrix) == ((3, 3, 3, 0), (3, 0), ((3,),))
+        outer = symq.cohomology._complex(broken).delta(3, 0)[1]
+        assert sum(1 for entries in outer[:252] if not entries) == 240
+        for n, p, psi_sign in itertools.product((2, 3, 4), range(X.size), (1, -1)):
+            same_as_reference(X, broken, n, p, psi_sign)
+
     def test_the_least_failing_target_is_reported(self):
         # d o d of (0, 0, 2) is nonzero at the targets (0,) and (2,)
         X = rack("takasaki3")
@@ -576,6 +590,86 @@ class TestCompiledRowsMatchTheReference:
     def test_fixture_modules(self):
         for name, base in (("m0_z", "t2"), ("m0_z4", "t2"), ("tw_z3", "takasaki3")):
             self.check(module(name, rack(base)), random.Random(name))
+
+
+def exact_rows(m, rows):
+    """Each integer row of raw constraint rows as its exact sums {column: sum coeff * h entry}."""
+    r, out = m.A.rank, []
+    for _, _, terms in rows:
+        acc = [{} for _ in range(r)]
+        for coeff, h, idx in terms:
+            for i, hrow in enumerate(h.matrix):
+                for j, a in enumerate(hrow):
+                    acc[i][idx * r + j] = acc[i].get(idx * r + j, 0) + coeff * a
+        out += acc
+    return out
+
+
+class TestCompiledRowsAreLeastResidues:
+    """Each compiled coefficient of a row of order d is a residue -d/2 <= a <= d/2
+    of its exact sum, the exact sum itself when that is in range, and none is
+    0 mod d; a Z row keeps its exact sums."""
+
+    MODULES = {
+        "tw_z3/takasaki3": lambda: module("tw_z3", rack("takasaki3")),
+        "m0_z4/t4": lambda: module("m0_z4", rack("t4")),
+        "dihedral-z4xz2/takasaki3": lambda: dihedral_kamada_module(rack("takasaki3"), AbGroup([4, 2])),
+        "dihedral-z4xz2/core_z4": lambda: dihedral_kamada_module(rack("core_z4"), AbGroup([4, 2])),
+        "random-z2xz2/takasaki3": lambda: random_module(rack("takasaki3"), AbGroup([2, 2]), random.Random(1)),
+        "random-zxz2/t4": lambda: random_module(rack("t4"), AbGroup([0, 2]), random.Random(2)),
+        "random-zxz2/core_z4_shift":
+            lambda: random_module(rack("core_z4_shift"), AbGroup([0, 2]), random.Random(3)),
+    }
+
+    @pytest.mark.parametrize("name", MODULES)
+    def test_delta_and_membership_rows(self, name):
+        m = self.MODULES[name]()
+        X, cx, r = m.base, symq.cohomology._complex(m), m.A.rank
+        pieces = []
+        for degree in (0, 1, 2, 3):
+            for p, psi_sign in itertools.product(sorted({0, X.size - 1}), (1, -1)):
+                raw = symq.cohomology._delta_rows(X, m, degree, p, psi_sign)
+                pieces.append((cx.delta(degree, p, psi_sign), raw))
+            for theory in (THEORY_SR, THEORY_SQ) if X.kind == QUANDLE else (THEORY_SR,):
+                pieces.append((cx.membership(degree, theory),
+                               symq.cohomology._membership_rows(X, m, degree, theory)))
+        for (heads, compiled), raw in pieces:
+            assert heads == [row[:2] for row in raw]
+            exact = exact_rows(m, raw)
+            assert len(compiled) == len(exact)
+            for k, (entries, sums) in enumerate(zip(compiled, exact)):
+                d = m.A.orders[k % r]
+                assert [j for j, _ in entries] == sorted(dict(entries))
+                if d:
+                    assert all(-d <= 2 * a <= d and a % d for _, a in entries), entries
+                    assert {j: a % d for j, a in entries} == {j: a % d for j, a in sums.items() if a % d}
+                    assert all(a == sums[j] for j, a in entries if -d <= 2 * sums[j] <= d), entries
+                else:
+                    assert dict(entries) == {j: a for j, a in sums.items() if a}
+
+    LIFTED = {
+        "tw_z3/t4": lambda: module("tw_z3", rack("t4")),
+        "m0_z4/takasaki3": lambda: module("m0_z4", rack("takasaki3")),
+        "m0_z/core_z4": lambda: module("m0_z", rack("core_z4")),
+        "dihedral-z2xz2/takasaki4": lambda: dihedral_kamada_module(rack("takasaki4"), AbGroup([2, 2])),
+        "dihedral-z4xz2/takasaki3": lambda: dihedral_kamada_module(rack("takasaki3"), AbGroup([4, 2])),
+    }
+
+    @pytest.mark.parametrize("name", LIFTED)
+    def test_composed_rows_of_a_complex_cancel_exactly(self, name):
+        # the d o d check reads a row as passed without reducing it when its exact
+        # composed sums are all 0; over Z2 that needs the tie -1 kept as -1
+        cx = symq.cohomology._complex(self.LIFTED[name]())
+        outer, inner = cx.delta(3, 0)[1], cx.delta(2, 0)[1]
+        composed = 0
+        for entries in filter(None, outer):
+            acc = {}
+            for col, a in entries:
+                for j, b in inner[col]:
+                    acc[j] = acc.get(j, 0) + a * b
+            assert not any(acc.values()), entries
+            composed += 1
+        assert composed
 
 
 def found(result):

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import symq.modules
 import symq.wells
 from symq.abelian import AbGroup, AbHom
 from symq.cohomology import (
@@ -175,9 +176,9 @@ class TestBuildExtension:
 
     def test_a_module_is_validated_once_across_builds(self, monkeypatch):
         # constant_module keeps its passing verdict, so no build walks it again
-        walks = counted(monkeypatch, symq.dynamical, "validate_module")
-        for orders in ([4], [0]):
-            m = dihedral_kamada_module(rack("t2"), AbGroup(orders))
+        modules = [dihedral_kamada_module(rack("t2"), AbGroup(orders)) for orders in ([4], [0])]
+        walks = counted(monkeypatch, symq.modules, "validate_module")
+        for m in modules:
             sigma = Cochain.zero(2, 2, m.A)
             for theory in (THEORY_SR, THEORY_SQ, THEORY_SR, None):
                 build_abelian_extension(m, sigma, theory)
@@ -188,14 +189,14 @@ class TestBuildExtension:
         X, A = rack("t2"), AbGroup(orders)
         ident, zero, neg = AbHom.identity(A), AbHom.zero(A, A), AbHom.scalar(A, -1)
         m = RackModule(X, A, [[ident] * 2] * 2, [[zero] * 2] * 2, [neg] * 2)
-        walks = counted(monkeypatch, symq.dynamical, "validate_module")
+        walks = counted(monkeypatch, symq.modules, "validate_module")
         for theory in (THEORY_SR, THEORY_SQ, None):
             build_abelian_extension(m, Cochain.zero(2, 2, A), theory)
         assert walks == [(m,)]
 
     def test_a_loaded_module_keeps_its_verdict(self, monkeypatch):
-        walks = counted(monkeypatch, symq.dynamical, "validate_module")
         m = module("m0_z4", rack("t2"))
+        walks = counted(monkeypatch, symq.modules, "validate_module")
         build_abelian_extension(m, Cochain.zero(2, 2, m.A), THEORY_SR)
         assert walks == []
 
@@ -208,7 +209,7 @@ class TestBuildExtension:
         assert m.constant
         want = [(d.axiom, d.witnesses) for d in validate_module(m).diagnostics]
         assert want[0] == ("phi-invertible", [(0, 0), (0, 1), (1, 0), (1, 1)])
-        walks = counted(monkeypatch, symq.dynamical, "validate_module")
+        walks = counted(monkeypatch, symq.modules, "validate_module")
         for k in range(1, 4):
             with pytest.raises(ValidationError, match="coefficients are not a module") as e:
                 build_abelian_extension(m, Cochain.zero(2, 2, A), THEORY_SR)
