@@ -406,10 +406,7 @@ def main(argv=None):
     except ValidationError as exc:
         print(exc.report(), file=sys.stderr)
         return 2
-    except SymqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (SymqError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

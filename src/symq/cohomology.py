@@ -33,6 +33,7 @@ import itertools
 from . import limits
 from .abelian import AbGroup, AbHom, Subquotient, kernel, solve
 from .errors import Diagnostic, NotACocycle, NotASubgroup, SizeBoundExceeded, ValidationError
+from .modules import _kept
 from .racks import QUANDLE
 
 THEORY_SR = "sr"
@@ -137,9 +138,8 @@ def verify_chain_complex(X, m, n, basepoint=0, bound=None, psi_sign=1):
         raise SizeBoundExceeded(
             f"{X.size}^{n} tuples exceed the verification cap {cap}"
         )
-    cx = _complex(m)
-    heads, outer = cx.delta(n - 1, basepoint, psi_sign)
-    inner = cx.delta(n - 2, basepoint, psi_sign)[1]
+    heads, outer = _kept_delta(m, n - 1, basepoint, psi_sign)
+    inner = _kept_delta(m, n - 2, basepoint, psi_sign)[1]
     orders, r = m.A.orders, m.A.rank
 
     first = len(heads)  # the first failing n-tuple found so far
@@ -244,7 +244,7 @@ def _vec_to_cochain(degree, size, group, vec):
 # constraint rows: each condition is stated once, as a row
 # (label, witness, terms) with terms a list of (coeff, h, flat_index), read as
 #   sum coeff * h(f_k) = 0  over the terms, on a flat cochain vector f.
-# A module's _Complex keeps each row list compiled, as A.rank integer rows of
+# A module keeps each row list compiled (see _kept), as A.rank integer rows of
 # (column, least residue) pairs per condition (see _compile).  Each reader is one
 # flat pass over them, modulo the orders: _rows_to_hom lays out a constraint matrix,
 # _row_values sums them on one cochain, verify_chain_complex composes two degrees.
@@ -339,53 +339,25 @@ def _compile(A, rows):
     return [row[:2] for row in rows], compiled
 
 
-class _Complex:
-    """The cochain complex of one module, each piece built on first use and kept.
-
-    Row sets are keyed by what they read: membership rows by degree and
-    theory, delta rows by degree and psi_sign (and by basepoint in degree 0
-    only; every degree refuses a basepoint outside the base).  The witness
-    maps and the degree-2 presentations are kept too, so each is factored
-    once however many extensions and checks read it, and so is the verdict
-    of a module that passed validation (a failing one is walked every time).
-    """
-
-    __slots__ = ("module", "_pieces")
-
-    def __init__(self, module):
-        self.module = module
-        self._pieces = {}
-
-    def _get(self, key, build):
-        if key not in self._pieces:
-            self._pieces[key] = build()
-        return self._pieces[key]
-
-    def membership(self, degree, theory):
-        m = self.module
-        return self._get(("membership", degree, theory),
-                         lambda: _compile(m.A, _membership_rows(m.base, m, degree, theory)))
-
-    def delta(self, degree, basepoint, psi_sign=1):
-        m = self.module
-        if not 0 <= basepoint < m.base.size:
-            raise ValueError(f"basepoint {basepoint} is not an element of the base")
-        return self._get(("delta", degree, basepoint if degree == 0 else 0, psi_sign),
-                         lambda: _compile(m.A, _delta_rows(m.base, m, degree, basepoint, psi_sign)))
-
-    def witness_map(self, degree, theory, basepoint):
-        return self._get(("witness", degree, theory, basepoint),
-                         lambda: _witness_map(self.module, degree, theory, basepoint))
-
-    def presentation(self, theory):
-        return self._get(("presentation", theory),
-                         lambda: cohomology_presentation(self.module, 2, theory))
+def _kept_membership(m, degree, theory):
+    return _kept(m, ("membership", degree, theory),
+                 lambda: _compile(m.A, _membership_rows(m.base, m, degree, theory)))
 
 
-def _complex(m):
-    if m._complex is None:
-        m._complex = _Complex(m)
-    return m._complex
+def _kept_delta(m, degree, basepoint, psi_sign=1):
+    if not 0 <= basepoint < m.base.size:
+        raise ValueError(f"basepoint {basepoint} is not an element of the base")
+    return _kept(m, ("delta", degree, basepoint if degree == 0 else 0, psi_sign),
+                 lambda: _compile(m.A, _delta_rows(m.base, m, degree, basepoint, psi_sign)))
+
+
+def _kept_witness_map(m, degree, theory, basepoint):
+    return _kept(m, ("witness", degree, theory, basepoint),
+                 lambda: _witness_map(m, degree, theory, basepoint))
+
+
+def _kept_presentation(m, theory):
+    return _kept(m, ("presentation", theory), lambda: cohomology_presentation(m, 2, theory))
 
 
 def _rows_to_hom(A, n_unknowns, *pieces):
@@ -430,7 +402,7 @@ def _report(m, c, *pieces):
 
 def delta(m, f, basepoint=0):
     """Coboundary: (delta f)(t) = sum h(f(u)) over terms h.(u) of d(t)."""
-    heads, _ = piece = _complex(m).delta(f.degree, basepoint)
+    heads, _ = piece = _kept_delta(m, f.degree, basepoint)
     values, r = _row_values(m, f, piece), m.A.rank
     rows = zip(*[iter(values)] * r) if r else [()] * len(heads)  # r values per tuple
     return Cochain._canonical(f.degree + 1, m.base.size, m.A, rows)  # each value mod its order
@@ -453,7 +425,7 @@ def cochain_space(m, degree, theory=THEORY_SR):
     _check_theory(X, theory)
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    constraint = _rows_to_hom(A, X.size ** degree, _complex(m).membership(degree, theory))
+    constraint = _rows_to_hom(A, X.size ** degree, _kept_membership(m, degree, theory))
     gens = [
         _vec_to_cochain(degree, X.size, A, v) for v in kernel(constraint)
     ]
@@ -476,14 +448,13 @@ def delta1(m, lam):
 def is_cochain(m, c):
     """Membership of c in C^degree (eta/phi compatibility), with witnesses."""
     # the rack-theory membership rows are exactly the eta and phi conditions
-    return _report(m, c, _complex(m).membership(c.degree, THEORY_SR))
+    return _report(m, c, _kept_membership(m, c.degree, THEORY_SR))
 
 
 def is_cocycle(m, c, theory=THEORY_SR, basepoint=0):
     """Full cocycle test in the chosen theory, with labeled witnesses."""
     _check_theory(m.base, theory)
-    cx = _complex(m)
-    return _report(m, c, cx.membership(c.degree, theory), cx.delta(c.degree, basepoint))
+    return _report(m, c, _kept_membership(m, c.degree, theory), _kept_delta(m, c.degree, basepoint))
 
 
 class CohomologyPresentation:
@@ -557,9 +528,8 @@ def cohomology_presentation(m, degree, theory=THEORY_SR, basepoint=0):
 def _witness_map(m, degree, theory, basepoint=0):
     # tau |-> (delta tau, membership rows): kernel Z^degree, solved for (c, 0) by
     # witnesses; a new map on every call, read off the module's kept rows
-    cx = _complex(m)
     return _rows_to_hom(m.A, m.base.size ** degree,
-                        cx.delta(degree, basepoint), cx.membership(degree, theory))
+                        _kept_delta(m, degree, basepoint), _kept_membership(m, degree, theory))
 
 
 def coboundary_witness(m, c, theory=THEORY_SR, basepoint=0):
@@ -576,7 +546,7 @@ def coboundary_witness(m, c, theory=THEORY_SR, basepoint=0):
         raise NotACocycle(
             "input is not a cocycle: " + "; ".join(d.axiom for d in diags)
         )
-    return _witness(m, c, _complex(m).witness_map(c.degree - 1, theory, basepoint), basepoint)
+    return _witness(m, c, _kept_witness_map(m, c.degree - 1, theory, basepoint), basepoint)
 
 
 def _witness(m, c, hom, basepoint=0):

@@ -15,7 +15,6 @@ in End(A), subject to axioms M1-M8 (M9 additionally on quandles):
 """
 
 from .abelian import AbHom
-from .cohomology import _complex
 from .errors import Diagnostic, ValidationError
 from .racks import QUANDLE
 
@@ -40,12 +39,11 @@ _FIELDS = ("base", "A", "phi", "psi", "eta", "constant")
 class RackModule:
     """Module data over a symmetric rack: dense tables of AbHoms on A.
 
-    Read-only once built: the cochain complex that cohomology keeps in
-    `_complex`, made on first use, is built from these fields; a passing
-    validation verdict is kept there too.
+    Read-only once built: every piece kept in `_pieces` (see `_kept`) is
+    built from these fields.
     """
 
-    __slots__ = _FIELDS + ("_complex",)
+    __slots__ = _FIELDS + ("_pieces",)
 
     def __init__(self, base, A, phi, psi, eta):
         n = base.size
@@ -77,7 +75,7 @@ class RackModule:
             and all(h == first_psi for row in psi for h in row)
             and all(h == first_eta for h in eta)
         )
-        self._complex = None
+        self._pieces = {}
 
     def __setattr__(self, name, value):
         if name in _FIELDS and hasattr(self, name):
@@ -94,6 +92,17 @@ class RackModule:
             f"RackModule(base_size={self.base.size}, A={self.A!r}, "
             f"constant={self.constant})"
         )
+
+
+def _kept(m, key, build):
+    # build() on first use of key, kept with m.  Row sets are keyed by what they
+    # read: membership rows by degree and theory, delta rows by degree and psi_sign
+    # (and by basepoint in degree 0 only).  Witness maps, degree-2 presentations and
+    # fiber symmetries are kept too, each built once however many checks read it;
+    # the module and theta verdicts keep only passes, so they are written directly.
+    if key not in m._pieces:
+        m._pieces[key] = build()
+    return m._pieces[key]
 
 
 class ModuleCheck:
@@ -167,11 +176,10 @@ def validate_module(m):
 def _checked_module(m, message):
     """m if it is a module, else ValidationError(message) with the witnesses; a
     passing verdict is kept with m, where every extension build reads it."""
-    pieces = _complex(m)._pieces
-    check = pieces.get(("module",)) or validate_module(m)
+    check = m._pieces.get(("module",)) or validate_module(m)
     if not check.ok:
         raise ValidationError(message, check.diagnostics)
-    pieces[("module",)] = check
+    m._pieces[("module",)] = check
     return m
 
 

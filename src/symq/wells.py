@@ -29,11 +29,13 @@ from math import gcd, prod
 from . import limits
 from .abelian import AbHom, _reduced, kernel, subgroup_elements
 # coboundary_witness stays importable from this module
-from .cohomology import (THEORY_SQ, THEORY_SR, Cochain, _cochain_to_vec, _complex,
-                         _vec_to_cochain, _witness, coboundary_witness, is_cocycle)
+from .cohomology import (THEORY_SQ, THEORY_SR, Cochain, _cochain_to_vec, _kept_presentation,
+                         _kept_witness_map, _vec_to_cochain, _witness, coboundary_witness,
+                         is_cocycle)
 from .dynamical import _checked_theory, build_extension, from_cocycle
 from .errors import (Diagnostic, InfiniteGroupUnsupported, NotConstantModule,
                      SearchSpaceExceeded, ValidationError)
+from .modules import _kept
 from .racks import (RackMorphism, _check_group, _compose_words, _invert_word,
                     _isomorphisms, enumerate_automorphisms, is_isomorphism)
 
@@ -67,19 +69,22 @@ class AbelianExtension:
         self._tau = {}
 
     def _degree1_map(self):
-        return _complex(self.module).witness_map(1, self.theory, 0)
+        return _kept_witness_map(self.module, 1, self.theory, 0)
 
     @property
     def presentation(self):
         """The degree-2 cohomology presentation of the module, shared."""
-        return _complex(self.module).presentation(self.theory)
+        return _kept_presentation(self.module, self.theory)
 
     @property
     def size(self):
         return _glued(self).rack.size
 
     def index_of(self, x, a):
-        return _glued(self).index_of((x, self.module.A.element_index(a)))
+        glued, A = _glued(self), self.module.A
+        if x not in range(self.module.base.size):
+            raise ValueError(f"{x} is not an element of the base")
+        return glued.index_of((x, A.element_index(A.reduce(a))))
 
     def pair_of(self, index):
         x, s = _glued(self).pair_of(index)
@@ -174,7 +179,7 @@ def module_automorphisms(m, bound=None):
         out = sorted((h for h in maps if not _fiber_symmetry_problems(m, h)), key=lambda h: h.matrix)
         _check_group(out, AbHom.identity(A), AbHom.compose, "fiber symmetries")
         return out
-    return list(_complex(m)._get(("fiber symmetries",), scan))
+    return list(_kept(m, ("fiber symmetries",), scan))
 
 
 class AutPair:
@@ -227,7 +232,7 @@ def validate_aut_pair(m, pair):
 
 def _fiber_symmetry_problems(m, th):
     # accepted maps' verdicts only, kept keyed by the matrix (th would keep its factorization)
-    kept, key = _complex(m)._pieces, ("theta", th.source, th.target, th.matrix)
+    kept, key = m._pieces, ("theta", th.source, th.target, th.matrix)
     problems = [] if key in kept else _theta_problems(m, th)
     if not problems:
         kept[key] = problems

@@ -2,7 +2,8 @@
 one reader of the boundary, one lister of subgroups, one place that builds the CLI parser,
 one builder of the fiber-table layout, one gluing path of affine tables, one guard of the
 glued table in wells.py, one check of a dynamical cocycle's glued table, one caller of the
-constructor that skips that check, one symmetry search with three callers."""
+constructor that skips that check, one symmetry search with three callers, and modules.py
+below cohomology.py."""
 
 import ast
 from pathlib import Path
@@ -55,6 +56,43 @@ def test_the_check_sees_a_nested_random_import(tmp_path):
     path = tmp_path / "sample.py"
     path.write_text("def f():\n    from random import Random\n    return Random\n")
     assert imported_modules(path) == {"random"}
+
+
+def symq_imports(path):
+    """The symq modules a file imports, relatively or through the package name, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("symq.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "symq":
+                    continue
+                module = module[len("symq."):]
+            names |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    return names
+
+
+def test_modules_sits_below_cohomology():
+    # a module keeps its own pieces; cohomology and wells read them through _kept
+    assert symq_imports(SRC / "modules.py") <= {"abelian", "errors", "racks"}
+
+
+def test_the_check_sees_an_import_from_above(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import os.path\n"
+        "import symq.wells\n"
+        "from . import limits\n"
+        "from .abelian import AbHom\n"
+        "from symq import dynamical\n\n"
+        "def pieces(m):\n"
+        "    from symq.cohomology import _kept_delta\n"
+        "    from .cohomology import _witness_map\n"
+        "    return _kept_delta(m, 1, 0), _witness_map(m, 1, 'sr')\n"
+    )
+    assert symq_imports(path) == {"abelian", "cohomology", "dynamical", "limits", "wells"}
 
 
 def has_assert(path):

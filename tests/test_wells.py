@@ -140,6 +140,15 @@ class TestBuildExtension:
         assert ext.rack.size == 8
         assert not good_involution_diagnostics(ext.rack.rack, ext.rack.rho)
 
+    def test_index_of_reads_the_fiber_element_reduced(self):
+        ext = z4_extension()
+        assert [ext.index_of(x, (s,)) for x in range(2) for s in range(4)] == list(range(8))
+        assert ext.index_of(1, (5,)) == ext.index_of(1, (1,)) == 5
+        assert ext.index_of(0, (-1,)) == 3
+        for x, a in [(0, (1, 0)), (0, ()), (2, (0,)), (-1, (0,))]:
+            with pytest.raises(ValueError):
+                ext.index_of(x, a)
+
     def test_theory_defaults_to_base_kind(self):
         X = rack("t2")
         m = module("m0_z4", X)
